@@ -9,7 +9,7 @@ polynomials.
 """
 
 from .algebra import Fraction, LaurentPoly, Mat2, SqrtExtension, SqrtRational
-from .ribbon import Edge, FatGraph, HalfEdge, ValidationReport, Window, parse_graph, validate
+from .ribbon import Edge, FatGraph, ValidationReport, Window, parse_graph, validate
 from .paths import (
     GeodesicFunction,
     MatrixWord,
@@ -18,7 +18,6 @@ from .paths import (
     evaluate,
     geodesic_function,
     lambda_length,
-    positivity_check,
 )
 from .coords import (
     CoordinatePoint,
@@ -50,7 +49,6 @@ __all__ = [
     "SqrtRational",
     "Edge",
     "FatGraph",
-    "HalfEdge",
     "ValidationReport",
     "Window",
     "parse_graph",
@@ -62,7 +60,6 @@ __all__ = [
     "evaluate",
     "geodesic_function",
     "lambda_length",
-    "positivity_check",
     "CoordinatePoint",
     "LambdaAssignment",
     "cross_ratio",

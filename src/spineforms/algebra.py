@@ -26,10 +26,7 @@ __all__ = [
     "Mat2",
     "SqrtExtension",
     "SqrtRational",
-    "lp_mul",
     "lp_div_exact",
-    "mat2_mul",
-    "sqrt_reduce",
     "fraction_sqrt",
     "fraction_nth_root",
     "frac_matmul",
@@ -92,9 +89,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self.terms == {(): 1}
-
-    def is_constant(self) -> bool:
-        return all(k == () for k in self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -258,10 +252,6 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
-def lp_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
 def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Quotient p/q when q divides p exactly in the Laurent ring.
 
@@ -338,10 +328,6 @@ class SqrtRational:
             n = 1
         self.rat = rat
         self.rad = n
-
-    @classmethod
-    def from_fraction(cls, q) -> "SqrtRational":
-        return cls(Fraction(q), 1)
 
     @classmethod
     def sqrt(cls, q) -> "SqrtRational":
@@ -482,11 +468,17 @@ def fraction_nth_root(q: Fraction, k: int) -> Fraction:
         raise ValueError("positive values only")
 
     def iroot(n: int) -> int:
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand**k == n:
-                return cand
-        raise ValueError("%d has no integer %d-th root" % (n, k))
+        # integer Newton iteration from 2^ceil(bits/k), which is at least
+        # the root; it decreases until it reaches floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k != n:
+            raise ValueError("%d has no integer %d-th root" % (n, k))
+        return r
 
     return Fraction(iroot(q.numerator), iroot(q.denominator))
 
@@ -530,11 +522,6 @@ class Mat2:
         return "[[%s, %s], [%s, %s]]" % (self.a, self.b, self.c, self.d)
 
     __repr__ = __str__
-
-
-def mat2_mul(A: Mat2, B: Mat2) -> Mat2:
-    """Product A*B; words apply right to left, so B acts first."""
-    return A * B
 
 
 class SqrtExtension:
@@ -680,15 +667,6 @@ class SqrtExtension:
         return " + ".join(chunks)
 
     __repr__ = __str__
-
-
-def sqrt_reduce(x: SqrtExtension) -> SqrtExtension:
-    """Canonical form of a square-root extension element.
-
-    Arithmetic already reduces on the fly; this re-normalizes an element
-    assembled by hand (dropping zero parts, re-checking generators).
-    """
-    return SqrtExtension(x.gens, x.parts)
 
 
 # Small exact linear algebra over Fraction, list-of-lists convention.

@@ -12,28 +12,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import SqrtRational
 from .coords import LambdaAssignment, lambda_of_dual_arcs, shear_from_lambda
-from .flips import flip_inner, flip_loop_adjacent, verify_flip_matrix_identities
+from .flips import flip_edge, verify_flip_matrix_identities
 from .forms import center_vectors, penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix
 from .fuzz import SUITES, run_suite
 from .paths import PathWord, compile_path, evaluate, geodesic_function, lambda_length
 from .ribbon import FatGraph, GraphError, dual_arc, emit_graph, parse_graph, validate, windows
 
-__all__ = ["FuzzConfig", "main"]
-
-
-@dataclass
-class FuzzConfig:
-    """Settings for one fuzz run; the same seed replays the same corpus."""
-
-    seed: int = 1
-    trials: int = 50
-    tolerance: float = 1e-6
-    suites: tuple[str, ...] = field(default_factory=lambda: tuple(SUITES))
+__all__ = ["main"]
 
 
 def _die(msg: str) -> int:
@@ -190,24 +179,9 @@ def cmd_shear_from_lambda(args) -> int:
     return 0
 
 
-def _touches_loop(graph: FatGraph, name: str) -> bool:
-    for h in graph.edges[name].halves:
-        v = graph.vertex_of(h)
-        if any(graph.edges[graph.edge_of(x)].kind == "loop" for x in graph.halves_at(v)):
-            return True
-    return False
-
-
 def cmd_flip(args) -> int:
     graph = _load(args.graph)
-    if args.edge not in graph.edges:
-        return _die("no edge named %s" % args.edge)
-    point = graph.point()
-    kind = graph.edges[args.edge].kind
-    if kind == "loop" or (kind == "inner" and _touches_loop(graph, args.edge)):
-        flipped, new_point, record = flip_loop_adjacent(graph, args.edge, point)
-    else:
-        flipped, new_point, record = flip_inner(graph, args.edge, point)
+    flipped, new_point, record = flip_edge(graph, args.edge)
     text = emit_graph(flipped, new_point)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -284,19 +258,18 @@ def cmd_fuzz(args) -> int:
     for name in names:
         if name not in SUITES:
             return _die("unknown suite %r; choose from %s" % (name, ", ".join(SUITES)))
-    config = FuzzConfig(seed=args.seed, trials=args.trials, tolerance=args.tolerance, suites=tuple(names))
     ok = True
     if args.format == "tsv":
         print("suite\tstatus\ttrials\tfailures\tinfo")
-        for name in config.suites:
-            r = run_suite(name, config.trials, config.seed)
+        for name in names:
+            r = run_suite(name, args.trials, args.seed)
             info = " ".join("%s=%s" % kv for kv in sorted(r.info.items()))
             print("%s\t%s\t%d\t%d\t%s" % (r.name, "pass" if r.ok else "FAIL", r.trials, len(r.failures), info))
             ok = ok and r.ok
         return 0 if ok else 1
-    print("fuzz seed=%d trials=%d" % (config.seed, config.trials))
-    for name in config.suites:
-        r = run_suite(name, config.trials, config.seed)
+    print("fuzz seed=%d trials=%d" % (args.seed, args.trials))
+    for name in names:
+        r = run_suite(name, args.trials, args.seed)
         print(r.summary())
         ok = ok and r.ok
     return 0 if ok else 1
@@ -360,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fuzz", cmd_fuzz, "run randomized property suites")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tolerance", type=float, default=1e-6, help="numeric comparison tolerance")
     p.add_argument("--suite", help="comma-separated suite names (default: all)")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import SqrtRational, frac_inverse, fraction_nth_root
-from .paths import lambda_length, t_var, w_var
+from .paths import lambda_length
 from .ribbon import FatGraph, dual_arc
 
 __all__ = [
@@ -107,36 +107,6 @@ class CoordinatePoint:
             return cls(True, q=q, omega=omega)
         return cls(False, y=y, omega=omega)
 
-    @classmethod
-    def exact_point(cls, graph: FatGraph, q=(), omega=()) -> "CoordinatePoint":
-        """Exact point from overrides; unmentioned edges take q = 1 and
-        loop weight 2."""
-        qs = {name: Fraction(1) for name in graph.coordinate_edges()}
-        oms: dict[str, Union[Fraction, float]] = {name: Fraction(2) for name in graph.loop_edges()}
-        for k, v in dict(q).items():
-            if k not in qs:
-                raise ValueError("unknown coordinate edge %s" % k)
-            qs[k] = Fraction(v)
-        for k, v in dict(omega).items():
-            if k not in oms:
-                raise ValueError("unknown loop edge %s" % k)
-            oms[k] = Fraction(v)
-        return cls(True, q=qs, omega=oms)
-
-    @classmethod
-    def float_point(cls, graph: FatGraph, y=(), omega=()) -> "CoordinatePoint":
-        ys = {name: 0.0 for name in graph.coordinate_edges()}
-        oms: dict[str, Union[Fraction, float]] = {name: 2.0 for name in graph.loop_edges()}
-        for k, v in dict(y).items():
-            if k not in ys:
-                raise ValueError("unknown coordinate edge %s" % k)
-            ys[k] = float(v)
-        for k, v in dict(omega).items():
-            if k not in oms:
-                raise ValueError("unknown loop edge %s" % k)
-            oms[k] = float(v)
-        return cls(False, y=ys, omega=oms)
-
     # value accessors used by path evaluation
 
     def t_value(self, edge: str):
@@ -157,19 +127,6 @@ class CoordinatePoint:
         if self.exact:
             return math.log(float(self.q[edge]))
         return self.y[edge]
-
-    def coordinate_names(self) -> list[str]:
-        return list(self.q) if self.exact else list(self.y)
-
-    def eval_map(self) -> dict[str, float]:
-        """Float substitution map for LaurentPoly.evalf: the t_* and w_*
-        variables of formal matrix words."""
-        out = {}
-        for name in self.coordinate_names():
-            out[t_var(name)] = math.exp(0.5 * self.y_value(name))
-        for name, w in self.omega.items():
-            out[w_var(name)] = float(w)
-        return out
 
     def as_float(self) -> "CoordinatePoint":
         if not self.exact:
@@ -294,7 +251,7 @@ def _as_sqrt(v) -> SqrtRational:
     return SqrtRational(Fraction(v))
 
 
-def shear_from_lambda(graph: FatGraph, lambdas, omega=None, mode: Optional[str] = None) -> CoordinatePoint:
+def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     """Reconstruct the coordinate point from dual-arc lambda-lengths.
 
     Solves  (multiplicity matrix) * Y = 2 log(lambda)  for the vector of
@@ -303,8 +260,8 @@ def shear_from_lambda(graph: FatGraph, lambdas, omega=None, mode: Optional[str] 
     when it is not, the smallest common denominator k is cleared and an
     exact k-th root is taken.  Float inputs solve the linear system
     numerically.  Loop weights are not determined by lambda-lengths and
-    are taken from ``omega``, from the weights carried by a
-    LambdaAssignment, or from the graph's stored values, in that order.
+    are taken from the weights carried by a LambdaAssignment, or else
+    from the graph's stored values.
     """
     if isinstance(lambdas, LambdaAssignment):
         lam = dict(lambdas.values)
@@ -317,17 +274,8 @@ def shear_from_lambda(graph: FatGraph, lambdas, omega=None, mode: Optional[str] 
     if missing:
         raise ValueError("missing lambda values for %s" % ", ".join(missing))
 
-    if mode is None:
-        exact = all(isinstance(lam[n], (int, Fraction, SqrtRational)) for n in names)
-    else:
-        exact = mode == "exact"
-
-    if omega is not None:
-        omegas: dict[str, Union[Fraction, float]] = dict(omega)
-    elif carried:
-        omegas = carried
-    else:
-        omegas = dict(graph.point().omega)
+    exact = all(isinstance(lam[n], (int, Fraction, SqrtRational)) for n in names)
+    omegas: dict[str, Union[Fraction, float]] = carried or dict(graph.point().omega)
     if exact:
         for k, v in omegas.items():
             if isinstance(v, float):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2, SqrtExtension
 from .coords import CoordinatePoint, LambdaAssignment
@@ -41,6 +41,9 @@ from .ribbon import Edge, FatGraph, GraphError
 
 __all__ = [
     "FlipRecord",
+    "FlipSite",
+    "flip_site",
+    "flip_edge",
     "flip_inner",
     "flip_loop_adjacent",
     "mutate_lambda",
@@ -62,17 +65,62 @@ class FlipRecord:
     point_after: CoordinatePoint
 
 
+class FlipSite(NamedTuple):
+    """The region a flip of one edge turns, read off the stored cyclic
+    orders, and the kind of flip it takes.
+
+    ``kind`` is "inner" (an inner edge between two loop-free vertices),
+    "loop-stem" (an inner edge with a loop at exactly one end) or
+    "refused", with ``reason`` saying why.  ``ends`` holds the cyclic
+    order at each end rotated to start at the edge's half: the first
+    and then the second half for an inner flip, the end away from the
+    loop and then the loop's vertex for a loop stem.
+    """
+
+    kind: str
+    ends: tuple[tuple[str, ...], ...]
+    loop: Optional[str]
+    reason: str
+
+
 def _rotate_to(halves: tuple[str, ...], h: str) -> tuple[str, ...]:
     i = halves.index(h)
     return halves[i:] + halves[:i]
 
 
-def _loop_at(graph: FatGraph, vertex: str) -> Optional[str]:
-    for h in graph.halves_at(vertex):
-        name = graph.edge_of(h)
-        if graph.edges[name].kind == "loop":
-            return name
-    return None
+def flip_site(graph: FatGraph, name: str) -> FlipSite:
+    """Read the quadrilateral or loop triangle a flip of ``name`` turns
+    and decide the flip's kind; unknown names raise GraphError."""
+    edge = graph.edges.get(name)
+    if edge is None:
+        raise GraphError("no edge named %s" % name)
+    if edge.kind != "inner":
+        return FlipSite("refused", (), None, "only inner edges flip; %s is %s" % (name, edge.kind))
+    h1, h2 = edge.halves
+    v1, v2 = graph.vertex_of(h1), graph.vertex_of(h2)
+    if v1 == v2:
+        return FlipSite("refused", (), None, "cannot flip %s: both ends meet one vertex" % name)
+    ends = (_rotate_to(graph.vertices[v1], h1), _rotate_to(graph.vertices[v2], h2))
+    # a loop at an end of an inner edge fills both of that end's other slots
+    x1, x2 = graph.edge_of(ends[0][1]), graph.edge_of(ends[1][1])
+    loop1 = x1 if graph.edges[x1].kind == "loop" else None
+    loop2 = x2 if graph.edges[x2].kind == "loop" else None
+    if loop1 and loop2:
+        return FlipSite("refused", (), None, "both ends of %s carry loops; no triangle to flip" % name)
+    if loop1:
+        return FlipSite("loop-stem", ends[::-1], loop1, "")
+    if loop2:
+        return FlipSite("loop-stem", ends, loop2, "")
+    return FlipSite("inner", ends, None, "")
+
+
+def flip_edge(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
+    """Flip ``name`` by the rule its site takes: flip_loop_adjacent for
+    a loop or its stem, flip_inner for every other edge."""
+    site = flip_site(graph, name)
+    if site.kind == "loop-stem" or graph.edges[name].kind == "loop":
+        return flip_loop_adjacent(graph, name, point)
+    return flip_inner(graph, name, point)
 
 
 def _softplus(z: float) -> float:
@@ -96,28 +144,16 @@ def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = No
     loop edges, self-incident edges, and stems of loops (those go
     through flip_loop_adjacent).
     """
-    edge = graph.edges.get(name)
-    if edge is None:
-        raise GraphError("no edge named %s" % name)
-    if edge.kind != "inner":
-        raise GraphError("only inner edges flip; %s is %s" % (name, edge.kind))
-    h_t, h_b = edge.halves
-    top, bottom = graph.vertex_of(h_t), graph.vertex_of(h_b)
-    if top == bottom:
-        raise GraphError("cannot flip %s: both ends meet one vertex" % name)
-    for v in (top, bottom):
-        loop = _loop_at(graph, v)
-        if loop is not None:
-            raise GraphError(
-                "edge %s is the stem of loop %s; use flip_loop_adjacent" % (name, loop)
-            )
+    site = flip_site(graph, name)
+    if site.kind == "loop-stem":
+        raise GraphError("edge %s is the stem of loop %s; use flip_loop_adjacent" % (name, site.loop))
+    if site.kind == "refused":
+        raise GraphError(site.reason)
     if point is None:
         point = graph.point()
 
-    ot = _rotate_to(graph.vertices[top], h_t)
-    ob = _rotate_to(graph.vertices[bottom], h_b)
-    a_h, b_h = ot[1], ot[2]
-    c_h, d_h = ob[1], ob[2]
+    (h_t, a_h, b_h), (h_b, c_h, d_h) = site.ends
+    top, bottom = graph.vertex_of(h_t), graph.vertex_of(h_b)
     slots = {
         "A": graph.edge_of(a_h),
         "B": graph.edge_of(b_h),
@@ -162,9 +198,8 @@ def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = No
 def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
     """Flip the stem of a loop (the move that drags the loop past its
     neighbor vertex).  Accepts the stem edge or the loop edge itself."""
-    edge = graph.edges.get(name)
-    if edge is None:
-        raise GraphError("no edge named %s" % name)
+    site = flip_site(graph, name)
+    edge = graph.edges[name]
     if edge.kind == "loop":
         u = graph.vertex_of(edge.halves[0])
         stem_halves = [h for h in graph.halves_at(u) if graph.edge_of(h) != name]
@@ -172,24 +207,16 @@ def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoi
         return flip_loop_adjacent(graph, stem, point)
     if edge.kind != "inner":
         raise GraphError("the stem of a loop is an inner edge; %s is %s" % (name, edge.kind))
-    h1, h2 = edge.halves
-    v1, v2 = graph.vertex_of(h1), graph.vertex_of(h2)
-    loop1, loop2 = _loop_at(graph, v1), _loop_at(graph, v2)
-    if loop1 and loop2:
-        raise GraphError("both ends of %s carry loops; no triangle to flip" % name)
-    if not loop1 and not loop2:
+    if site.kind == "inner":
         raise GraphError("no loop at either end of %s; use flip_inner" % name)
-    if loop1:
-        h_u, h_v, u, v, loop = h1, h2, v1, v2, loop1
-    else:
-        h_u, h_v, u, v, loop = h2, h1, v2, v1, loop2
+    if site.kind == "refused":
+        raise GraphError(site.reason)
     if point is None:
         point = graph.point()
 
-    ov = _rotate_to(graph.vertices[v], h_v)
-    ou = _rotate_to(graph.vertices[u], h_u)
-    a_h, b_h = ov[1], ov[2]
-    l1, l2 = ou[1], ou[2]
+    (h_v, a_h, b_h), (h_u, l1, l2) = site.ends
+    v, u = graph.vertex_of(h_v), graph.vertex_of(h_u)
+    loop = site.loop
     slots = {"A": graph.edge_of(a_h), "B": graph.edge_of(b_h), "loop": loop}
 
     if point.exact:
@@ -232,12 +259,12 @@ def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoi
     return graph2, point2, FlipRecord(name, "loop-stem", slots, graph, graph2, point, point2)
 
 
-def mutate_lambda(graph: FatGraph, lambdas, name: str, omega=None) -> LambdaAssignment:
+def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     """Exchange relation on the lambda-lengths of the dual arcs.
 
     Only the flipped edge's value changes; the quadrilateral (or, at a
-    loop, triangle) sides keep their arcs.  ``omega`` overrides the
-    stored loop weight in the loop case.
+    loop, triangle) sides keep their arcs.  The loop weight is the one
+    carried by a LambdaAssignment, or else the graph's stored weight.
     """
     if isinstance(lambdas, LambdaAssignment):
         values = dict(lambdas.values)
@@ -247,44 +274,26 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str, omega=None) -> LambdaAssi
         values = dict(lambdas)
         exact = all(not isinstance(v, float) for v in values.values())
         carried = {}
-    edge = graph.edges.get(name)
-    if edge is None:
-        raise GraphError("no edge named %s" % name)
-    if edge.kind != "inner":
-        raise GraphError("lambda mutation flips an inner edge; %s is %s" % (name, edge.kind))
+    site = flip_site(graph, name)
+    if site.kind == "refused":
+        raise GraphError(site.reason)
 
-    def promote(v):
+    def lam(h):
+        v = values[graph.edge_of(h)]
         return Fraction(v) if isinstance(v, int) else v
 
-    h1, h2 = edge.halves
-    v1, v2 = graph.vertex_of(h1), graph.vertex_of(h2)
-    loop1, loop2 = _loop_at(graph, v1), _loop_at(graph, v2)
-    lam_e = promote(values[name])
-    if loop1 or loop2:
-        if loop1 and loop2:
-            raise GraphError("both ends of %s carry loops; no triangle to flip" % name)
-        h_v = h2 if loop1 else h1
-        v = graph.vertex_of(h_v)
-        ov = _rotate_to(graph.vertices[v], h_v)
-        la = promote(values[graph.edge_of(ov[1])])
-        lb = promote(values[graph.edge_of(ov[2])])
-        loop = loop1 or loop2
+    (h_e, h_a, h_b), (_, h_c, h_d) = site.ends
+    la, lb = lam(h_a), lam(h_b)
+    if site.kind == "loop-stem":
+        omega = carried.get(site.loop)
         if omega is None:
-            omega = carried.get(loop)
-        if omega is None:
-            omega = graph.point().omega_value(loop)
+            omega = graph.point().omega_value(site.loop)
         if exact and isinstance(omega, float):
-            raise GraphError("exact mutation needs a rational weight for loop %s" % loop)
+            raise GraphError("exact mutation needs a rational weight for loop %s" % site.loop)
         w = Fraction(omega) if not isinstance(omega, float) else omega
-        values[name] = (la * la + w * la * lb + lb * lb) / lam_e
+        values[name] = (la * la + w * la * lb + lb * lb) / lam(h_e)
     else:
-        ot = _rotate_to(graph.vertices[v1], h1)
-        ob = _rotate_to(graph.vertices[v2], h2)
-        la = promote(values[graph.edge_of(ot[1])])
-        lb = promote(values[graph.edge_of(ot[2])])
-        lc = promote(values[graph.edge_of(ob[1])])
-        ld = promote(values[graph.edge_of(ob[2])])
-        values[name] = (la * lc + lb * ld) / lam_e
+        values[name] = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)
     return LambdaAssignment(values, exact, carried)
 
 

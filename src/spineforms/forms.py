@@ -87,7 +87,7 @@ class CoordinateIndexedMatrix:
             return NotImplemented
         return self.names == other.names and self.data == other.data
 
-    def lines(self, fmt: str = "%s") -> list[str]:
+    def lines(self) -> list[str]:
         def cell(x: Fraction) -> str:
             return str(x) if x.denominator != 1 else str(x.numerator)
 
@@ -200,22 +200,20 @@ def center_vectors(graph: FatGraph) -> CenterBasis:
 def verify_inverse(
     form: CoordinateIndexedMatrix,
     bracket: CoordinateIndexedMatrix,
-    subspace: Optional[Sequence[str]] = None,
     leaf: bool = False,
 ) -> tuple[Optional[Fraction], Fraction]:
     """Check that form*bracket is a scalar multiple of the identity.
 
-    Restricted to ``subspace`` when given.  With ``leaf=True`` both
-    sides are compared after projecting off the kernel of the bracket
-    (the direction of the Casimirs), i.e. the product is compared to
-    c * P where P projects onto a complement of the kernel.  Returns
-    (c, residual); c is None when the product has no nonzero entry to
-    read the scalar from.
+    With ``leaf=True`` both sides are compared after projecting off the
+    kernel of the bracket (the direction of the Casimirs), i.e. the
+    product is compared to c * P where P projects onto a complement of
+    the kernel.  Returns (c, residual); c is None when the product has
+    no nonzero entry to read the scalar from.
     """
     if form.names != bracket.names:
         raise ValueError("mismatched coordinate labels")
-    f = form.restrict(subspace).data if subspace is not None else [list(r) for r in form.data]
-    p = bracket.restrict(subspace).data if subspace is not None else [list(r) for r in bracket.data]
+    f = form.data
+    p = bracket.data
     n = len(f)
     prod = frac_matmul(f, p)
     if leaf:

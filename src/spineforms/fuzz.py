@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .algebra import LaurentPoly
 from .coords import CoordinatePoint, lambda_of_dual_arcs, shear_from_lambda
-from .flips import flip_inner, flip_loop_adjacent, mutate_lambda
+from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
-from .paths import PathWord, Step, compile_path, evaluate, lambda_length
+from .paths import PathWord, Step, compile_path, evaluate, lambda_length, walk_turn
 from .ribbon import Edge, FatGraph, dual_arc, validate
 
 __all__ = [
@@ -122,27 +123,18 @@ def random_exact_point(rng: random.Random, graph: FatGraph) -> CoordinatePoint:
     return CoordinatePoint(True, q=q, omega=omega)
 
 
+_TURNS = ("+", "-")
+
+
 def _walk(rng: random.Random, graph: FatGraph, start_cusp: str, want_closed: bool, max_len: int):
-    steps: list[Step] = []
     exit_half = graph.cusp_half(start_cusp)
-    steps.append(Step(graph.edge_of(exit_half), None, exit_half))
+    steps = [Step(graph.edge_of(exit_half), None, exit_half)]
     arrival = graph.mate(exit_half)
     while len(steps) < max_len:
-        choices = [graph.sigma(arrival), graph.sigma_inv(arrival)]
-        x = rng.choice(choices)
-        name = graph.edge_of(x)
-        kind = graph.edges[name].kind
-        if kind == "loop":
-            sign = "+" if x == graph.sigma(arrival) else "-"
-            steps.append(Step(name, sign, x))
-            loop_arrival = graph.mate(x)
-            x = graph.sigma(loop_arrival) if sign == "+" else graph.sigma_inv(loop_arrival)
-            name = graph.edge_of(x)
-            kind = graph.edges[name].kind
-        steps.append(Step(name, None, x))
-        arrival = graph.mate(x)
-        if kind == "pending":
-            end = graph.cusp_of_pending(name)
+        # one draw per trivalent vertex; the stem after a loop is forced
+        arrival = walk_turn(graph, arrival, rng.choice(_TURNS), steps)
+        if graph.is_cusp_half(arrival):
+            end = graph.vertex_of(arrival)
             if want_closed and end != start_cusp:
                 return None
             return PathWord(start_cusp, tuple(steps), end, closed=want_closed)
@@ -213,9 +205,33 @@ def suite_monomiality(trials: int, seed: int) -> SuiteResult:
     return res
 
 
+def _sign_definite_in_s(p: LaurentPoly) -> bool:
+    """True when p has one sign once every loop weight w_x is written as
+    s_x + 1/s_x, with s_x = e^{P/2} for the hole perimeter P.
+
+    A word that winds twice round one loop picks up F(w)^2, whose entry
+    w^2 - 1 has mixed signs in w but is s^2 + 1 + s^-2 in s, so one sign
+    in w alone is not a property of every word.
+    """
+    if p.sign_definite() is not None:
+        return True
+    expanded = LaurentPoly()
+    for key, coeff in p.terms.items():
+        term = LaurentPoly.const(coeff)
+        for v, e in key:
+            if v.startswith("w_"):
+                s = LaurentPoly.var("s_" + v[2:])
+                term = term * (s + s.inverse()) ** e
+            else:
+                term = term * LaurentPoly.var(v, e)
+        expanded = expanded + term
+    return expanded.sign_definite() is not None
+
+
 def suite_positivity(trials: int, seed: int) -> SuiteResult:
     """Entries of compiled arc words and traces of closed words have one
-    sign as Laurent polynomials."""
+    sign as Laurent polynomials once each loop weight is written as
+    w = s + 1/s."""
     rng = random.Random(seed)
     closed_trials = max(1, (trials * 2) // 5)
     res = SuiteResult("positivity", trials + closed_trials)
@@ -232,7 +248,7 @@ def suite_positivity(trials: int, seed: int) -> SuiteResult:
             continue
         m = evaluate(compile_path(graph, path))
         for label, entry in (("ul", m.a), ("ur", m.b), ("ll", m.c), ("lr", m.d)):
-            if entry.sign_definite() is None:
+            if not _sign_definite_in_s(entry):
                 res.failures.append("arc %s entry %s mixed: %s" % (path.token_string(), label, entry))
         made += 1
     made = 0
@@ -244,28 +260,14 @@ def suite_positivity(trials: int, seed: int) -> SuiteResult:
             graph = random_spine(rng)
             continue
         tr = evaluate(compile_path(graph, path)).trace()
-        if tr.sign_definite() is None:
+        if not _sign_definite_in_s(tr):
             res.failures.append("closed %s trace mixed: %s" % (path.token_string(), tr))
         made += 1
     return res
 
 
-def _flippable(graph: FatGraph) -> list[tuple[str, str]]:
-    out = []
-    for e in graph.edges.values():
-        if e.kind != "inner":
-            continue
-        v1 = graph.vertex_of(e.halves[0])
-        v2 = graph.vertex_of(e.halves[1])
-        if v1 == v2:
-            continue
-        has1 = any(graph.edges[graph.edge_of(h)].kind == "loop" for h in graph.halves_at(v1))
-        has2 = any(graph.edges[graph.edge_of(h)].kind == "loop" for h in graph.halves_at(v2))
-        if not has1 and not has2:
-            out.append((e.name, "inner"))
-        elif has1 != has2:
-            out.append((e.name, "loop-stem"))
-    return out
+def _flippable(graph: FatGraph) -> list[str]:
+    return [name for name in graph.edges if flip_site(graph, name).kind != "refused"]
 
 
 def suite_involution(trials: int, seed: int) -> SuiteResult:
@@ -278,11 +280,10 @@ def suite_involution(trials: int, seed: int) -> SuiteResult:
         options = _flippable(graph)
         if not options:
             continue
-        name, kind = rng.choice(options)
+        name = rng.choice(options)
         point = random_exact_point(rng, graph)
-        flip = flip_inner if kind == "inner" else flip_loop_adjacent
-        g1, p1, _ = flip(graph, name, point)
-        g2, p2, _ = flip(g1, name, p1)
+        g1, p1, _ = flip_edge(graph, name, point)
+        g2, p2, _ = flip_edge(g1, name, p1)
         if g2.canonical_key() != graph.canonical_key():
             res.failures.append("trial %d edge %s: graph not restored" % (done, name))
         if p2 != point:
@@ -319,10 +320,9 @@ def suite_mutation(trials: int, seed: int) -> SuiteResult:
         options = _flippable(graph)
         if not options:
             continue
-        name, kind = rng.choice(options)
+        name = rng.choice(options)
         point = random_exact_point(rng, graph)
-        flip = flip_inner if kind == "inner" else flip_loop_adjacent
-        g1, p1, _ = flip(graph, name, point)
+        g1, p1, _ = flip_edge(graph, name, point)
         lam = lambda_of_dual_arcs(graph, point)
         mutated = mutate_lambda(graph, lam, name)
         actual = lambda_of_dual_arcs(g1, p1)

@@ -9,11 +9,12 @@ coordinate edge traversal and one turn or loop atom per vertex passage:
     R     = [[1, 1], [-1, 0]]          L = R^2 = [[0, 1], [-1, -1]]
     F(w)  = [[0, 1], [-1, -w]]         -F(w)^-1 = [[w, 1], [-1, 0]]
 
-A left turn exits through the half-edge right after the arrival half in
-the stored (counterclockwise) cyclic order, a right turn through the one
-before.  A loop bounce contributes its single loop atom and swallows the
-turns on both sides: the stem arrival, the forced passage around the
-loop, and the stem exit compile to X_stem * F * X_stem.
+A left turn (a '+' turn of a walk) exits through the half-edge right
+after the arrival half in the stored (counterclockwise) cyclic order, a
+right turn ('-') through the one before.  A loop bounce contributes its
+single loop atom and swallows the turns on both sides: the stem
+arrival, the forced passage around the loop, and the stem exit compile
+to X_stem * F * X_stem.
 
 Words multiply right to left: the first atom of the path is the
 rightmost factor.
@@ -39,7 +40,7 @@ __all__ = [
     "evaluate",
     "lambda_length",
     "geodesic_function",
-    "positivity_check",
+    "walk_turn",
     "t_var",
     "w_var",
 ]
@@ -100,49 +101,42 @@ class PathWord:
         toks = [t.strip() for t in tokens if t.strip()]
         if not toks:
             raise ValueError("empty path")
-        steps: list[Step] = []
-        first = _split_token(graph, toks[0])
-        if first[1] is not None or graph.edges[first[0]].kind != "pending":
+        first, sign = _split_token(graph, toks[0])
+        if sign is not None or graph.edges[first].kind != "pending":
             raise ValueError("path must start with a pending edge, got %r" % toks[0])
-        start_cusp = graph.cusp_of_pending(first[0])
+        start_cusp = graph.cusp_of_pending(first)
         exit_half = graph.cusp_half(start_cusp)
-        steps.append(Step(first[0], None, exit_half))
+        steps = [Step(first, None, exit_half)]
         arrival = graph.mate(exit_half)
-        forced_exit: Optional[str] = None  # the stem half after a loop bounce
-        for tok in toks[1:]:
+        i = 1
+        while i < len(toks):
+            tok = toks[i]
             name, sign = _split_token(graph, tok)
-            if graph.edges[name].kind == "loop":
-                if forced_exit is not None:
-                    raise ValueError("two loop tokens in a row around %r" % tok)
-                want = graph.sigma(arrival) if sign == "+" else graph.sigma_inv(arrival)
-                if graph.edge_of(want) != name:
+            i += 1
+            if sign is not None:
+                if graph.edge_of(_turn(graph, arrival, sign)) != name:
                     raise ValueError("loop %s is not reachable where token %r is used" % (name, tok))
-                steps.append(Step(name, sign, want))
-                loop_arrival = graph.mate(want)
-                forced_exit = graph.sigma(loop_arrival) if sign == "+" else graph.sigma_inv(loop_arrival)
-                continue
-            if forced_exit is not None:
-                if graph.edge_of(forced_exit) != name:
+                arrival = walk_turn(graph, arrival, sign, steps)
+                # the bounce has taken the stem step; the next token names it
+                if i == len(toks):
+                    raise ValueError("path ends in the middle of a loop bounce")
+                stem, stem_sign = _split_token(graph, toks[i])
+                if stem_sign is not None:
+                    raise ValueError("two loop tokens in a row around %r" % toks[i])
+                if stem != steps[-1].edge:
                     raise ValueError(
-                        "after a loop bounce the walk must leave through %s, not %s"
-                        % (graph.edge_of(forced_exit), name)
+                        "after a loop bounce the walk must leave through %s, not %s" % (steps[-1].edge, stem)
                     )
-                exit_half = forced_exit
-                forced_exit = None
-            else:
-                vertex = graph.vertex_of(arrival)
-                candidates = [
-                    h for h in graph.halves_at(vertex) if graph.edge_of(h) == name and h != arrival
-                ]
-                if not candidates:
-                    raise ValueError("edge %s is not incident to the vertex reached before it" % name)
-                if len(candidates) > 1:
-                    raise ValueError("ambiguous token %r (parallel edge); supply half-edge data" % tok)
-                exit_half = candidates[0]
-            steps.append(Step(name, None, exit_half))
-            arrival = graph.mate(exit_half)
-        if forced_exit is not None:
-            raise ValueError("path ends in the middle of a loop bounce")
+                i += 1
+                continue
+            # at a cusp both turns give the arrival half back: no exit
+            signs = [s for s in "+-" if _turn(graph, arrival, s) != arrival
+                     and graph.edge_of(_turn(graph, arrival, s)) == name]
+            if not signs:
+                raise ValueError("edge %s is not incident to the vertex reached before it" % name)
+            if len(signs) > 1:
+                raise ValueError("ambiguous token %r (parallel edge); supply half-edge data" % tok)
+            arrival = walk_turn(graph, arrival, signs[0], steps)
         last = steps[-1]
         if graph.edges[last.edge].kind != "pending":
             raise ValueError("path must end with a pending edge")
@@ -158,6 +152,36 @@ class PathWord:
             exit_half = graph.mate(s.exit_half) if s.exit_half is not None else None
             steps.append(Step(s.edge, sign, exit_half))
         return PathWord(self.end_cusp, tuple(steps), self.start_cusp, self.closed)
+
+
+def _turn(graph: "FatGraph", arrival: str, sign: str) -> str:
+    """Exit half of a turn at the vertex reached through ``arrival``:
+    '+' exits through sigma(arrival), the next half counterclockwise,
+    '-' through sigma_inv(arrival)."""
+    return graph.sigma(arrival) if sign == "+" else graph.sigma_inv(arrival)
+
+
+def _bounce(graph: "FatGraph", loop_half: str, sign: str) -> str:
+    """Stem half through which a walk leaves a loop it entered through
+    ``loop_half``: the same turn again, from the loop's other half."""
+    return _turn(graph, graph.mate(loop_half), sign)
+
+
+def walk_turn(graph: "FatGraph", arrival: str, sign: str, steps: list[Step]) -> str:
+    """Leave the vertex reached through ``arrival`` by a ``sign`` turn.
+
+    Appends the steps taken to ``steps``: one step, or, when the turn
+    enters a loop, the loop step and the stem step of its bounce.
+    Returns the half through which the walk arrives at the next vertex.
+    """
+    x = _turn(graph, arrival, sign)
+    name = graph.edge_of(x)
+    if graph.edges[name].kind == "loop":
+        steps.append(Step(name, sign, x))
+        x = _bounce(graph, x, sign)
+        name = graph.edge_of(x)
+    steps.append(Step(name, None, x))
+    return graph.mate(x)
 
 
 def _split_token(graph: "FatGraph", token: str) -> tuple[str, Optional[str]]:
@@ -225,13 +249,10 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
         if kind == "loop":
             if i == 0:
                 raise ValueError("path cannot start on a loop edge")
-            if prev_arrival is not None:
-                want = graph.sigma(prev_arrival) if step.sign == "+" else graph.sigma_inv(prev_arrival)
-                if step.exit_half != want:
-                    raise ValueError("loop sign %s%s disagrees with the cyclic order" % (step.edge, step.sign))
+            if prev_arrival is not None and step.exit_half != _turn(graph, prev_arrival, step.sign):
+                raise ValueError("loop sign %s%s disagrees with the cyclic order" % (step.edge, step.sign))
             atoms.append(("F", step.edge) if step.sign == "+" else ("Fi", step.edge))
-            loop_arrival = graph.mate(step.exit_half)
-            forced_stem = graph.sigma(loop_arrival) if step.sign == "+" else graph.sigma_inv(loop_arrival)
+            forced_stem = _bounce(graph, step.exit_half, step.sign)
             prev_arrival = None
             continue
         if forced_stem is not None:
@@ -244,9 +265,9 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
             # at a cusp sigma fixes the lone half, so test this first
             if exit_half == prev_arrival:
                 raise ValueError("backtracking at edge %s" % step.edge)
-            if exit_half == graph.sigma(prev_arrival):
+            if exit_half == _turn(graph, prev_arrival, "+"):
                 atoms.append(("L",))
-            elif exit_half == graph.sigma_inv(prev_arrival):
+            elif exit_half == _turn(graph, prev_arrival, "-"):
                 atoms.append(("R",))
             else:
                 raise ValueError("steps %s -> %s do not meet at a vertex" % (prev_arrival, exit_half))
@@ -255,28 +276,18 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
     return MatrixWord(tuple(atoms))
 
 
-def _resolve_steps(graph: "FatGraph", path: PathWord) -> list[Step]:
+def _resolve_steps(graph: "FatGraph", path: PathWord) -> tuple[Step, ...]:
     """Ensure every step carries its exit half, re-deriving from token
     names when the path was built by hand."""
     if all(s.exit_half is not None for s in path.steps):
-        out = []
-        prev_arrival: Optional[str] = None
         for s in path.steps:
-            kind = graph.edges[s.edge].kind
-            if kind == "loop" and s.sign is None:
+            if graph.edges[s.edge].kind == "loop" and s.sign is None:
                 raise ValueError("loop step %s lacks a direction sign" % s.edge)
-            out.append(s)
-            if kind == "loop":
-                loop_arrival = graph.mate(s.exit_half)
-                stem = graph.sigma(loop_arrival) if s.sign == "+" else graph.sigma_inv(loop_arrival)
-                prev_arrival = graph.mate(stem)
-            else:
-                prev_arrival = graph.mate(s.exit_half)
-        return out
+        return path.steps
     rebuilt = PathWord.from_tokens(graph, path.tokens, path.closed)
     if rebuilt.start_cusp != path.start_cusp:
         raise ValueError("path does not start at cusp %s" % path.start_cusp)
-    return list(rebuilt.steps)
+    return rebuilt.steps
 
 
 def _atom_matrix_formal(atom: Atom) -> Mat2:
@@ -367,8 +378,3 @@ def geodesic_function(graph: "FatGraph", path: PathWord, point: Optional["Coordi
     raw = evaluate(compile_path(graph, path), point).trace()
     return GeodesicFunction(_sign_normalize(raw), raw, path)
 
-
-def positivity_check(p: LaurentPoly) -> bool:
-    """True when all coefficients share one sign (zero counts as
-    sign-definite)."""
-    return p.sign_definite() is not None

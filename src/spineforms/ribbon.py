@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .paths import PathWord, Step
+from .paths import PathWord, Step, walk_turn
 
 __all__ = [
     "GraphError",
-    "HalfEdge",
     "Edge",
     "FatGraph",
     "Window",
@@ -40,13 +39,6 @@ __all__ = [
 
 class GraphError(ValueError):
     """Structural problem in a graph file or graph mutation."""
-
-
-@dataclass(frozen=True)
-class HalfEdge:
-    id: str
-    vertex: str
-    edge: str
 
 
 @dataclass
@@ -247,14 +239,6 @@ class FatGraph:
                     stack.append(u)
         return len(seen) == len(self.vertices) + len(self.cusps)
 
-    def with_vertices(self, new_vertices: dict[str, tuple[str, ...]], new_edges: Optional[dict[str, Edge]] = None) -> "FatGraph":
-        """Copy with some vertex cyclic orders (and optionally edge
-        payloads) replaced; flips go through here."""
-        vertices = dict(self.vertices)
-        vertices.update(new_vertices)
-        edges = {n: replace(e) for n, e in (new_edges or self.edges).items()}
-        return FatGraph(vertices, self.cusps, edges, self.declared)
-
     def canonical_key(self):
         """Certificate invariant under renaming of vertex and cusp ids.
 
@@ -311,9 +295,6 @@ class Window:
     def coordinate_tokens(self, graph: FatGraph) -> list[str]:
         return [s.edge for s in self.steps if graph.edges[s.edge].kind != "loop"]
 
-    def to_path(self) -> PathWord:
-        return PathWord(self.start_cusp, self.steps, self.end_cusp)
-
 
 def windows(graph: FatGraph) -> list[Window]:
     """All windows, in face order, each starting at a cusp visit."""
@@ -344,30 +325,19 @@ def windows(graph: FatGraph) -> list[Window]:
     return out
 
 
-def _hug_walk(graph: FatGraph, start_half: str) -> list[Step]:
-    """From an arrival half, repeatedly exit through sigma_inv (hugging
-    the triangulation) until a pending edge drops into a cusp."""
-    steps: list[Step] = []
-    arrival = start_half
-    limit = 2 * len(graph._half_order) + 2
+def _hug_walk(graph: FatGraph, start: str, steps) -> PathWord:
+    """Continue ``steps``, a walk leaving ``start``, by a '-' turn at
+    every vertex (hugging the triangulation) until a pending edge drops
+    into a cusp."""
+    steps = list(steps)
+    arrival = graph.mate(steps[-1].exit_half)
+    limit = len(steps) + 2 * len(graph._half_order) + 2
     while True:
         if len(steps) > limit:
             raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
-        x = graph.sigma_inv(arrival)
-        name = graph.edge_of(x)
-        kind = graph.edges[name].kind
-        steps.append(Step(name, "-" if kind == "loop" else None, x))
-        arrival = graph.mate(x)
-        if kind == "pending":
-            return steps
-
-
-def _reverse_steps(graph: FatGraph, steps: list[Step]) -> list[Step]:
-    out = []
-    for s in steps[::-1]:
-        sign = {"+": "-", "-": "+"}.get(s.sign) if s.sign else None
-        out.append(Step(s.edge, sign, graph.mate(s.exit_half)))
-    return out
+        arrival = walk_turn(graph, arrival, "-", steps)
+        if graph.is_cusp_half(arrival):
+            return PathWord(start, tuple(steps), graph.vertex_of(arrival))
 
 
 def dual_arc(graph: FatGraph, name: str) -> PathWord:
@@ -375,24 +345,21 @@ def dual_arc(graph: FatGraph, name: str) -> PathWord:
 
     Pending edge: the window of its hole that ends at its cusp (the
     boundary side joining the two neighboring cusps; on a single-cusp
-    hole that is the whole boundary walk).  Inner edge: hug the
-    triangulation from both ends until a cusp is reached on each side.
+    hole that is the whole boundary walk), found as the hugging walk
+    out of that cusp, reversed.  Inner edge: hug the triangulation from
+    both ends until a cusp is reached on each side.
     """
     edge = graph.edges[name]
     if edge.kind == "loop":
         raise GraphError("loop edge %s has no dual arc" % name)
     if edge.kind == "pending":
-        for w in windows(graph):
-            if w.steps[-1].edge == name:
-                return w.to_path()
-        raise GraphError("no window ends at pending edge %s" % name)
+        cusp = graph.cusp_of_pending(name)
+        return _hug_walk(graph, cusp, [Step(name, None, graph.cusp_half(cusp))]).reversed(graph)
     h1, h2 = edge.halves
-    walk_a = _hug_walk(graph, h1)
-    walk_b = _hug_walk(graph, h2)
-    steps = _reverse_steps(graph, walk_a) + [Step(name, None, h1)] + walk_b
-    start = graph.cusp_of_pending(walk_a[-1].edge)
-    end = graph.cusp_of_pending(walk_b[-1].edge)
-    return PathWord(start, tuple(steps), end)
+    # the walk that crosses the edge backwards and hugs on, reversed, is
+    # the arc up to its crossing of the edge through h1
+    back = _hug_walk(graph, graph.vertex_of(h2), [Step(name, None, h2)]).reversed(graph)
+    return _hug_walk(graph, back.start_cusp, back.steps)
 
 
 @dataclass
@@ -512,7 +479,23 @@ def validate(graph: FatGraph) -> ValidationReport:
 
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+
+
+def _parse_fraction(raw: str, where: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise GraphError("%s: value %r is not finite" % (where, raw)) from None
+
+
+def _parse_float(raw: str, where: str) -> float:
+    try:
+        x = float(raw)
+    except ValueError:
+        raise GraphError("%s: bad value %r" % (where, raw)) from None
+    if not math.isfinite(x):
+        raise GraphError("%s: value %r is not finite" % (where, raw))
+    return x
 
 
 def _parse_value(kind: str, key: str, raw: str, where: str):
@@ -521,27 +504,21 @@ def _parse_value(kind: str, key: str, raw: str, where: str):
         if key != expected:
             raise GraphError("%s: %s edges take %s=, got %s=" % (where, kind, expected, key))
         if _EXACT_RE.match(raw):
-            q = Fraction(raw)
+            q = _parse_fraction(raw, where)
             if q <= 0:
                 raise GraphError("%s: exact value is e^Y and must be positive" % where)
             return ("exp", q)
-        try:
-            return ("lin", float(raw))
-        except ValueError:
-            raise GraphError("%s: bad value %r" % (where, raw)) from None
+        return ("lin", _parse_float(raw, where))
     if key == "omega":
         if _EXACT_RE.match(raw):
-            return ("omega", Fraction(raw))
-        try:
-            return ("omega_float", float(raw))
-        except ValueError:
-            raise GraphError("%s: bad value %r" % (where, raw)) from None
+            return ("omega", _parse_fraction(raw, where))
+        return ("omega_float", _parse_float(raw, where))
     if key == "perimeter":
+        p = _parse_float(raw, where)
         try:
-            p = float(raw)
-        except ValueError:
-            raise GraphError("%s: bad value %r" % (where, raw)) from None
-        return ("omega_float", 2.0 * math.cosh(p / 2.0))
+            return ("omega_float", 2.0 * math.cosh(p / 2.0))
+        except OverflowError:
+            raise GraphError("%s: perimeter %r is too large" % (where, raw)) from None
     if key == "orbifold":
         if not raw.isdigit() or int(raw) < 2:
             raise GraphError("%s: orbifold order must be an integer >= 2" % where)

@@ -167,6 +167,12 @@ def test_fraction_nth_root():
         fraction_nth_root(Fraction(5), 2)
 
 
+def test_fraction_nth_root_past_float_range():
+    assert fraction_nth_root(Fraction(8 * 10**402, 27), 3) == Fraction(2 * 10**134, 3)
+    with pytest.raises(ValueError, match="no integer 3-th root"):
+        fraction_nth_root(Fraction(8 * 10**400), 3)
+
+
 # -- matrices ----------------------------------------------------------
 
 

@@ -160,6 +160,22 @@ def test_lambda_from_shear_lists_loop_weights(capsys, tmp_path):
     assert "omega w2 = 2" in out
 
 
+@pytest.mark.parametrize(
+    "field, line",
+    [("pi=nan", 5), ("pi=inf", 5), ("pi=1e400", 5), ("pi=3/0", 5), ("omega=nan", 6), ("omega=1/0", 6),
+     ("perimeter=5000", 6)],
+)
+def test_non_finite_value_is_bad_input(capsys, tmp_path, field, line):
+    old = "pi=1" if field.startswith("pi=") else "omega=2"
+    source = tmp_path / "bad.graph"
+    source.write_text(fixture_text("sigma_0_2_1").replace(old, field))
+    code, out, err = run(capsys, "lambda-from-shear", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line %d: " % line)
+    assert err.count("\n") == 1
+
+
 def test_lambda_from_shear_tsv(capsys):
     code, out, _ = run(capsys, "lambda-from-shear", fx("sigma_0_2_1"), "--format", "tsv")
     assert code == 0
@@ -286,3 +302,11 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_fuzz_matches_readme_block(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    block = readme.split("$ spineforms fuzz --seed 1 --trials 20\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "fuzz", "--seed", "1", "--trials", "20")
+    assert code == 0
+    assert out == block

@@ -195,8 +195,9 @@ def test_mutation_exchange_relations(four_cusps, two_loops):
 
 def test_mutation_rejects_mixed_arithmetic(two_loops):
     lam = lambda_of_dual_arcs(two_loops, two_loops.point())
+    lam.omega["w1"] = 2.5
     with pytest.raises(GraphError, match="rational weight"):
-        mutate_lambda(two_loops, lam, "a1", omega=2.5)
+        mutate_lambda(two_loops, lam, "a1")
 
 
 def test_record_keeps_both_points(four_cusps):

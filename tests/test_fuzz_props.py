@@ -1,19 +1,22 @@
 """The random-spine generator itself, plus quick runs of each suite."""
 
+import hashlib
 import random
 
 import pytest
 
-from spineforms import validate
+from spineforms import parse_graph, validate
 from spineforms.fuzz import (
     SUITES,
+    _sign_definite_in_s,
     random_arc,
     random_closed_word,
     random_exact_point,
     random_spine,
     run_suite,
 )
-from spineforms.paths import compile_path, evaluate
+from spineforms.paths import PathWord, compile_path, evaluate
+from spineforms.ribbon import emit_graph
 from spineforms.algebra import LaurentPoly
 
 
@@ -93,3 +96,50 @@ def test_suite_summary_mentions_failures():
     text = result.summary()
     assert "FAIL" in text
     assert "synthetic" in text
+
+
+def test_seed_one_corpus_is_pinned():
+    """Every fuzz corpus and the benchmark's inputs are drawn this way;
+    the digest changes if the generator or the walk draws differently."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        graph = random_spine(rng)
+        arc = random_arc(rng, graph)
+        closed = random_closed_word(rng, graph)
+        for part in (emit_graph(graph), arc and arc.token_string(), closed and closed.token_string()):
+            digest.update(str(part).encode() + b"\0")
+    assert digest.hexdigest() == "864df81ac2f55a95f3cff71292df42df4e68ab18ff3e5336a4f058345487b394"
+
+
+WINDS_TWICE = """surface g=0 sh=2 so=1 n=3
+vertex v0 ccw: h0_0 h0_1 h0_2
+vertex v1 ccw: h1_0 h1_1 h1_2
+vertex v2 ccw: h2_0 h2_1 h2_2
+vertex v3 ccw: h3_0 h3_1 h3_2
+vertex v4 ccw: h4_0 h4_1 h4_2
+cusp c1 half: hc1
+cusp c2 half: hc2
+cusp c3 half: hc3
+edge w1 loop h2_0 h2_1
+edge p1 pending h4_1 hc1
+edge p2 pending h0_1 hc2
+edge p3 pending h3_0 hc3
+edge e1 inner h1_1 h4_2
+edge e2 inner h1_0 h0_0
+edge e3 inner h2_2 h3_1
+edge e4 inner h1_2 h0_2
+edge e5 inner h3_2 h4_0
+"""
+
+
+def test_trace_winding_twice_round_a_loop_has_one_sign_in_s():
+    """This closed word from the seed-1 positivity corpus picks up
+    F(w)^2: its trace has mixed signs in w but one sign in s."""
+    graph = parse_graph(WINDS_TWICE)
+    word = PathWord.from_tokens(graph, "p3,e3,w1-,e3,e5,e1,e4,e2,e4,e2,e1,e5,e3,w1-,e3,p3".split(","), closed=True)
+    trace = evaluate(compile_path(graph, word)).trace()
+    assert trace.sign_definite() is None
+    assert _sign_definite_in_s(trace)
+    w = LaurentPoly.var("w_w1")
+    assert not _sign_definite_in_s(w * w - LaurentPoly.const(3))

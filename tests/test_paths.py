@@ -14,7 +14,6 @@ from spineforms import (
     evaluate,
     geodesic_function,
     lambda_length,
-    positivity_check,
 )
 from spineforms.coords import CoordinatePoint
 from spineforms.ribbon import dual_arc
@@ -143,12 +142,6 @@ def test_compile_checks_loop_sign_against_order(two_loops):
     bad = PathWord(path.start_cusp, tuple(steps), path.end_cusp)
     with pytest.raises(ValueError, match="cyclic order"):
         compile_path(two_loops, bad)
-
-
-def test_positivity_check_examples():
-    t = LaurentPoly.var("t")
-    assert positivity_check(t * t + LaurentPoly.const(2) + (t * t).inverse())
-    assert not positivity_check(t - t.inverse())
 
 
 def test_tokens_round_trip(five_holes):

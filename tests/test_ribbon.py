@@ -1,9 +1,12 @@
 """Spine structure: parsing, validation, boundary windows, dual arcs."""
 
+import random
+
 import pytest
 
-from spineforms import parse_graph, validate
-from spineforms.ribbon import GraphError, dual_arc, emit_graph, windows
+from spineforms import PathWord, parse_graph, validate
+from spineforms.fuzz import random_spine
+from spineforms.ribbon import FatGraph, GraphError, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
@@ -128,6 +131,18 @@ def test_dual_arc_of_pending_ends_at_its_cusp(t3):
     assert arc.end_cusp == "c3"
 
 
+def test_pending_dual_arc_is_the_window_ending_at_its_cusp():
+    graphs = [load_fixture(name) for name in ALL_FIXTURES]
+    rng = random.Random(2024)
+    graphs += [random_spine(rng) for _ in range(200)]
+    for graph in graphs:
+        ending = {w.steps[-1].edge: w for w in windows(graph)}
+        for e in graph.edges.values():
+            if e.kind == "pending":
+                w = ending[e.name]
+                assert dual_arc(graph, e.name) == PathWord(w.start_cusp, w.steps, w.end_cusp)
+
+
 def test_dual_arc_of_inner_crosses_it_once(four_cusps):
     arc = dual_arc(four_cusps, "e")
     assert arc.tokens.count("e") == 1
@@ -174,11 +189,11 @@ def test_canonical_key_distinguishes_fixtures():
     assert len(keys) == len(ALL_FIXTURES)
 
 
-def test_with_vertices_rotation_is_same_graph(five_holes):
+def test_canonical_key_ignores_stored_rotation(five_holes):
     vid, halves = next(iter(five_holes.vertices.items()))
     rotated = dict(five_holes.vertices)
     rotated[vid] = halves[1:] + halves[:1]
-    other = five_holes.with_vertices(rotated)
+    other = FatGraph(rotated, five_holes.cusps, five_holes.edges, five_holes.declared)
     assert other.canonical_key() == five_holes.canonical_key()
 
 
