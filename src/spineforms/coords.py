@@ -6,11 +6,21 @@ points store the exponentiated coordinate ``q = e^Y`` as a Fraction so
 edge matrices have ``SqrtRational`` entries ``t = sqrt(q)``; float
 points store ``Y`` itself.
 
-Lambda-lengths of the dual-triangulation arcs determine the coordinates
-through the traversal-count matrix of the dual arcs: twice its inverse
-has integer entries on every graph met in practice, which turns the
-inversion into products of integer powers of lambda values and keeps
-the round trip exact.
+Lambda-lengths and coordinates are maps on integer exponent vectors.
+The dual arc of coordinate edge i runs M_ij times through edge j, and
+its lambda-length is the unit monomial
+
+    lambda_i = prod_j t_j^{M_ij},   t_j = e^{Y_j/2},
+
+so an exact point gives lambda_i = prod_j q_j^{floor(M_ij/2)} *
+sqrt(prod_{M_ij odd} q_j) and a float point exp(sum_j M_ij Y_j / 2).
+Going back, q_i = prod_j (lambda_j^2)^{(M^{-1})_ij}; M^{-1} = K/d with K
+integral and d = 2 on every graph met in practice, so the inversion is
+a product of integer powers of the squares lambda_j^2 and one exact
+d-th root, and the round trip stays exact.  M, and M^{-1} once needed,
+are derived once per graph in a DualView cached on the graph (see
+dual_view); the matrix words of the dual arcs (paths.lambda_length)
+remain an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import SqrtRational, frac_inverse, fraction_nth_root
-from .paths import lambda_length
 from .ribbon import FatGraph, dual_arc
 
 __all__ = [
@@ -30,6 +39,7 @@ __all__ = [
     "lambda_of_dual_arcs",
     "shear_from_lambda",
     "dual_multiplicity_matrix",
+    "dual_view",
     "cross_ratio",
     "pending_ratio",
 ]
@@ -219,49 +229,144 @@ class LambdaAssignment:
         return self.values[key]
 
 
+class DualView:
+    """The dual arcs of one graph as exponent vectors, derived once.
+
+    ``names`` are the coordinate edges in file order and ``rows[i][j]``
+    counts how often dual_arc(names[i]) runs through names[j] (loop
+    bounces are not counted): the traversal-count matrix M.  The
+    lambda-length of dual arc i is the unit monomial prod_j t_j^{M_ij},
+    t_j = e^{Y_j/2}.  The inverse of M, needed only to go back from
+    lambda-lengths, is built on first use.
+    """
+
+    __slots__ = ("names", "rows", "_terms", "_inverse")
+
+    def __init__(self, graph: FatGraph):
+        names = graph.coordinate_edges()
+        index = {n: j for j, n in enumerate(names)}
+        rows = []
+        for name in names:
+            row = [0] * len(names)
+            for step in dual_arc(graph, name).steps:
+                j = index.get(step.edge)
+                if j is not None:
+                    row[j] += 1
+            rows.append(tuple(row))
+        self.names = tuple(names)
+        self.rows = tuple(rows)
+        # the (edge, M_ij) pairs of each row's nonzero counts
+        self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
+        self._inverse: Optional[tuple] = None
+
+    def inverse(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[float, ...], ...]]:
+        """(K, d, F) with M^{-1} = K / d, K an integer matrix, d the least
+        common denominator of M^{-1}'s entries, and F = M^{-1} in floats."""
+        if self._inverse is None:
+            try:
+                minv = frac_inverse([[Fraction(x) for x in row] for row in self.rows])
+            except ValueError:
+                raise ValueError(
+                    "dual-arc multiplicity matrix is singular; lambda-lengths do not determine the coordinates"
+                ) from None
+            d = math.lcm(*(x.denominator for row in minv for x in row))
+            ints = tuple(tuple(int(x * d) for x in row) for row in minv)
+            floats = tuple(tuple(float(x) for x in row) for row in minv)
+            self._inverse = (ints, d, floats)
+        return self._inverse
+
+    def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
+        """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
+
+        Each odd factor a/b enters as sqrt(a*b)/b, a perfect square a*b
+        leaves the root at once, and factors common to the radicand so
+        far move out of it, as in a product of SqrtRationals; this keeps
+        radicands small.
+        """
+        out = []
+        for terms in self._terms:
+            num = den = rad = 1
+            for n, m in terms:
+                x = q[n]
+                if m > 1:
+                    num *= x.numerator ** (m // 2)
+                    den *= x.denominator ** (m // 2)
+                if m & 1:
+                    s = x.numerator * x.denominator
+                    den *= x.denominator
+                    r = math.isqrt(s)
+                    if r * r == s:
+                        num *= r
+                    else:
+                        g = math.gcd(rad, s)
+                        num *= g
+                        rad = (rad // g) * (s // g)
+            out.append(SqrtRational(Fraction(num, den), rad))
+        return out
+
+    def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
+        """lambda_i = exp(sum_j M_ij Y_j / 2)."""
+        return [math.exp(0.5 * sum(m * y[n] for n, m in terms)) for terms in self._terms]
+
+
+def dual_view(graph: FatGraph) -> DualView:
+    """The graph's DualView, built on first use and kept on the graph."""
+    view = graph._dual
+    if view is None:
+        view = graph._dual = DualView(graph)
+    return view
+
+
 def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None) -> LambdaAssignment:
-    """Evaluate the lambda-length of every coordinate edge's dual arc."""
+    """Lambda-length of every coordinate edge's dual arc.
+
+    Evaluated in closed form from the graph's DualView: the dual arc of
+    edge i has lambda_i = prod_j t_j^{M_ij}, M the traversal-count
+    matrix.  Exact points give prod_j q_j^{floor(M_ij/2)} *
+    sqrt(prod_{M_ij odd} q_j), whose a*sqrt(b) form is fixed by the
+    arc's exponent vector; float points give exp(sum_j M_ij Y_j / 2).
+    The matrix word of the arc, lambda_length(graph, dual_arc(graph,
+    name), point), gives the same values.
+    """
     if point is None:
         point = graph.point()
-    values = {}
-    for name in graph.coordinate_edges():
-        values[name] = lambda_length(graph, dual_arc(graph, name), point)
-    return LambdaAssignment(values, point.exact, dict(point.omega))
+    view = dual_view(graph)
+    values = view.exact_lambdas(point.q) if point.exact else view.float_lambdas(point.y)
+    return LambdaAssignment(dict(zip(view.names, values)), point.exact, dict(point.omega))
 
 
 def dual_multiplicity_matrix(graph: FatGraph) -> tuple[list[str], list[list[int]]]:
     """Row i counts how often dual_arc(names[i]) runs through each
-    coordinate edge; loop bounces are not counted."""
-    names = graph.coordinate_edges()
-    index = {n: j for j, n in enumerate(names)}
-    rows = []
-    for name in names:
-        row = [0] * len(names)
-        for step in dual_arc(graph, name).steps:
-            j = index.get(step.edge)
-            if j is not None:
-                row[j] += 1
-        rows.append(row)
-    return names, rows
+    coordinate edge; loop bounces are not counted.  A copy of the
+    graph's DualView."""
+    view = dual_view(graph)
+    return list(view.names), [list(row) for row in view.rows]
 
 
-def _as_sqrt(v) -> SqrtRational:
+def _positive_square(name: str, v) -> Fraction:
+    """lambda^2 of an exact lambda value, which must be positive."""
     if isinstance(v, SqrtRational):
-        return v
-    return SqrtRational(Fraction(v))
+        if v.sign() <= 0:
+            raise ValueError("lambda %s = %s must be positive" % (name, v))
+        return v.square()
+    v = Fraction(v)
+    if v <= 0:
+        raise ValueError("lambda %s = %s must be positive" % (name, v))
+    return v * v
 
 
 def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     """Reconstruct the coordinate point from dual-arc lambda-lengths.
 
-    Solves  (multiplicity matrix) * Y = 2 log(lambda)  for the vector of
-    coordinates.  Exact inputs go through integer-power products: twice
-    the inverse matrix is integral on all shipped and fuzzed graphs, and
-    when it is not, the smallest common denominator k is cleared and an
-    exact k-th root is taken.  Float inputs solve the linear system
-    numerically.  Loop weights are not determined by lambda-lengths and
+    Solves  M Y = 2 log(lambda)  for the coordinates, M the
+    traversal-count matrix of the graph's DualView, with M^{-1} = K/d
+    cached there.  Exact inputs give q_i = (prod_j (lambda_j^2)^{K_ij})^{1/d},
+    an exact d-th root (d is 2 on every shipped and fuzzed graph); float
+    inputs give Y = M^{-1} (2 log lambda).  Every lambda must be
+    positive.  Loop weights are not determined by lambda-lengths and
     are taken from the weights carried by a LambdaAssignment, or else
-    from the graph's stored values.
+    from the graph's stored values; they must be >= 0, as in a graph
+    file.
     """
     if isinstance(lambdas, LambdaAssignment):
         lam = dict(lambdas.values)
@@ -269,7 +374,8 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     else:
         lam = dict(lambdas)
         carried = {}
-    names, rows = dual_multiplicity_matrix(graph)
+    view = dual_view(graph)
+    names = view.names
     missing = [n for n in names if n not in lam]
     if missing:
         raise ValueError("missing lambda values for %s" % ", ".join(missing))
@@ -283,36 +389,37 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
             omegas[k] = Fraction(v)
     else:
         omegas = {k: float(v) for k, v in omegas.items()}
-
-    m = [[Fraction(x) for x in row] for row in rows]
-    try:
-        minv = frac_inverse(m)
-    except ValueError:
-        raise ValueError("dual-arc multiplicity matrix is singular; lambda-lengths do not determine the coordinates") from None
+    for k, v in omegas.items():
+        if not v >= 0:
+            raise ValueError("loop weight omega[%s] = %s must be >= 0" % (k, v))
 
     if exact:
-        e2 = [[2 * x for x in row] for row in minv]
-        denom = 1
-        for row in e2:
-            for x in row:
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        vals = [_as_sqrt(lam[n]) for n in names]
+        squares = [_positive_square(n, lam[n]) for n in names]
+        ints, d, _ = view.inverse()
         q: dict[str, Fraction] = {}
-        for i, name in enumerate(names):
-            acc = SqrtRational(1)
-            for j in range(len(names)):
-                k = e2[i][j] * denom
-                acc = acc * vals[j] ** int(k)
-            if denom == 1:
-                q[name] = acc.to_fraction()
-            else:
-                q[name] = fraction_nth_root(acc.to_fraction(), denom)
+        for name, row in zip(names, ints):
+            num = den = 1
+            for sq, k in zip(squares, row):
+                if k > 0:
+                    num *= sq.numerator**k
+                    den *= sq.denominator**k
+                elif k < 0:
+                    num *= sq.denominator**-k
+                    den *= sq.numerator**-k
+            try:
+                q[name] = fraction_nth_root(Fraction(num, den), d)
+            except ValueError:
+                raise ValueError("lambda-lengths give no rational q for %s" % name) from None
         return CoordinatePoint(True, q=q, omega=omegas)
 
-    rhs = [2.0 * math.log(float(lam[n])) for n in names]
-    y = {}
-    for i, name in enumerate(names):
-        y[name] = sum(float(minv[i][j]) * rhs[j] for j in range(len(names)))
+    rhs = []
+    for n in names:
+        v = float(lam[n])
+        if not 0.0 < v < math.inf:
+            raise ValueError("lambda %s = %r must be positive and finite" % (n, v))
+        rhs.append(2.0 * math.log(v))
+    _, _, floats = view.inverse()
+    y = {name: sum(a * b for a, b in zip(row, rhs)) for name, row in zip(names, floats)}
     return CoordinatePoint(False, y=y, omega=omegas)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import frac_inverse, frac_kernel, frac_matmul
-from .coords import CoordinatePoint, dual_multiplicity_matrix
+from .coords import CoordinatePoint, dual_view
 from .ribbon import FatGraph, windows
 
 __all__ = [
@@ -138,10 +138,11 @@ def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     that leg; vertices carrying a loop are skipped because their two
     loop legs have no dual arc and the stem wedge cancels.
     """
-    names, rows = dual_multiplicity_matrix(graph)
+    view = dual_view(graph)
+    names, rows = view.names, view.rows
     index = {n: i for i, n in enumerate(names)}
-    m = CoordinateIndexedMatrix(names)
-    quarter = Fraction(1, 4)
+    n = len(names)
+    acc = [[0] * n for _ in range(n)]  # four times the form
     for halves in graph.vertices.values():
         kinds = [graph.edges[graph.edge_of(h)].kind for h in halves]
         if "loop" in kinds:
@@ -149,15 +150,14 @@ def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
         legs = [rows[index[graph.edge_of(h)]] for h in halves]
         for i in range(3):
             a, b = legs[i], legs[(i + 1) % 3]
-            for f in range(len(names)):
-                af = a[f]
-                if af == 0 and b[f] == 0:
+            for f in range(n):
+                af, bf = a[f], b[f]
+                if af == 0 and bf == 0:
                     continue
-                for g in range(len(names)):
-                    val = af * b[g] - a[g] * b[f]
-                    if val:
-                        m.data[f][g] += quarter * val
-    return m
+                row = acc[f]
+                for g in range(n):
+                    row[g] += af * b[g] - a[g] * bf
+    return CoordinateIndexedMatrix(names, [[Fraction(x, 4) for x in row] for row in acc])
 
 
 @dataclass

@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import LaurentPoly
-from .coords import CoordinatePoint, lambda_of_dual_arcs, shear_from_lambda
+from .coords import CoordinatePoint, dual_multiplicity_matrix, lambda_of_dual_arcs, shear_from_lambda
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
-from .paths import PathWord, Step, compile_path, evaluate, lambda_length, walk_turn
+from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
 from .ribbon import Edge, FatGraph, dual_arc, validate
 
 __all__ = [
@@ -187,12 +187,15 @@ class SuiteResult:
 
 
 def suite_monomiality(trials: int, seed: int) -> SuiteResult:
-    """Dual-arc lambdas are single monomials with unit coefficient."""
+    """Dual-arc lambdas are single monomials with unit coefficient whose
+    exponent vector is the arc's row of the traversal-count matrix, the
+    closed form lambda_of_dual_arcs evaluates."""
     rng = random.Random(seed)
     res = SuiteResult("monomiality", trials)
     for k in range(trials):
         graph = random_spine(rng)
-        for name in graph.coordinate_edges():
+        names, rows = dual_multiplicity_matrix(graph)
+        for name, row in zip(names, rows):
             lam = lambda_length(graph, dual_arc(graph, name))
             if not lam.is_monomial():
                 res.failures.append("graph %d dual(%s): %s" % (k, name, lam))
@@ -202,6 +205,9 @@ def suite_monomiality(trials: int, seed: int) -> SuiteResult:
                 res.failures.append("graph %d dual(%s) coefficient %d" % (k, name, coeff))
             if any(var.startswith("w_") for var in powers):
                 res.failures.append("graph %d dual(%s) depends on a loop weight" % (k, name))
+            exponents = [powers.get(t_var(n), 0) for n in names]
+            if exponents != row:
+                res.failures.append("graph %d dual(%s) exponents %s, row of M %s" % (k, name, exponents, row))
     return res
 
 

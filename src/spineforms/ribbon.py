@@ -128,6 +128,7 @@ class FatGraph:
         self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._faces: Optional[list[list[str]]] = None
+        self._dual = None  # coords.DualView, built on first use
 
     # basic accessors
 
@@ -511,8 +512,12 @@ def _parse_value(kind: str, key: str, raw: str, where: str):
         return ("lin", _parse_float(raw, where))
     if key == "omega":
         if _EXACT_RE.match(raw):
-            return ("omega", _parse_fraction(raw, where))
-        return ("omega_float", _parse_float(raw, where))
+            value = ("omega", _parse_fraction(raw, where))
+        else:
+            value = ("omega_float", _parse_float(raw, where))
+        if value[1] < 0:
+            raise GraphError("%s: loop weight omega=%s is negative; it must be >= 0" % (where, raw))
+        return value
     if key == "perimeter":
         p = _parse_float(raw, where)
         try:
@@ -527,7 +532,10 @@ def _parse_value(kind: str, key: str, raw: str, where: str):
             return ("omega", Fraction(0))
         if p == 3:
             return ("omega", Fraction(1))
-        return ("omega_float", 2.0 * math.cos(math.pi / p))
+        w = 2.0 * math.cos(math.pi / p)
+        if w == 2.0:
+            raise GraphError("%s: orbifold order %s is too large: 2cos(pi/p) rounds to 2" % (where, raw))
+        return ("omega_float", w)
     raise GraphError("%s: unknown value key %s=" % (where, key))
 
 
@@ -544,8 +552,9 @@ def parse_graph(text: str) -> FatGraph:
 
     An integer or fraction coordinate value is exact and denotes e^Y; a
     decimal value is a float Y.  Loop weights are given directly
-    (omega=), via the hole perimeter (omega = 2cosh(P/2)), or via an
-    orbifold order p (omega = 2cos(pi/p)).
+    (omega= with omega >= 0), via the hole perimeter (omega =
+    2cosh(P/2) >= 2), or via an orbifold order p (omega = 2cos(pi/p),
+    refused when it rounds to 2 in float).
     """
     vertices: dict[str, tuple[str, ...]] = {}
     cusps: dict[str, str] = {}

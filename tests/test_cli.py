@@ -176,6 +176,42 @@ def test_non_finite_value_is_bad_input(capsys, tmp_path, field, line):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-2/3", "-0.5"])
+def test_non_positive_lambda_is_bad_input(capsys, tmp_path, value):
+    lam = tmp_path / "bad.lam"
+    lam.write_text("lambda e = %s\nlambda p1 = 1\nlambda p2 = 1\nlambda p3 = 1\nlambda p4 = 1\n" % value)
+    code, out, err = run(capsys, "shear-from-lambda", fx("sigma_0_1_4"), str(lam))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: lambda e = %s must be positive" % value)
+    assert err.count("\n") == 1
+
+
+def test_negative_loop_weight_in_lambda_file_is_bad_input(capsys, tmp_path):
+    lam = tmp_path / "bad.lam"
+    lam.write_text("lambda pi = 1\nomega w = -7\n")
+    code, out, err = run(capsys, "shear-from-lambda", fx("sigma_0_2_1"), str(lam))
+    assert code == 2
+    assert out == ""
+    assert err == "error: loop weight omega[w] = -7 must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("omega=-7", "negative"), ("omega=-1/2", "negative"), ("omega=-0.5", "negative"),
+     ("orbifold=100000000000000000000", "rounds to 2")],
+)
+def test_loop_weight_outside_domain_is_bad_input(capsys, tmp_path, field, message):
+    source = tmp_path / "bad.graph"
+    source.write_text(fixture_text("sigma_0_2_1").replace("omega=2", field))
+    code, out, err = run(capsys, "geodesic", str(source), "pi,w+,pi")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 6: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_lambda_from_shear_tsv(capsys):
     code, out, _ = run(capsys, "lambda-from-shear", fx("sigma_0_2_1"), "--format", "tsv")
     assert code == 0

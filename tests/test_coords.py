@@ -14,10 +14,14 @@ from spineforms import (
     pending_ratio,
     shear_from_lambda,
 )
+from spineforms import coords
+from spineforms.algebra import SqrtRational
 from spineforms.coords import dual_multiplicity_matrix
-from spineforms.ribbon import dual_arc
+from spineforms.fuzz import random_exact_point, random_spine
+from spineforms.paths import lambda_length
+from spineforms.ribbon import dual_arc, parse_graph
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
 
 def rational_point(graph, rng):
@@ -140,3 +144,77 @@ def test_with_updates_and_shift(two_loops):
     assert bumped.q_value("pi") == point.q_value("pi")
     moved = point.as_float().shifted("a1", 0.25)
     assert moved.y_value("a1") == pytest.approx(0.25)
+
+
+def test_closed_form_matches_matrix_word_oracle():
+    """lambda_of_dual_arcs against the matrix word of every dual arc,
+    exactly at exact points and to 1e-9 at their float copies; the
+    oracle's values invert back to the point."""
+    rng = random.Random(20261017)
+    for k in range(200):
+        graph = random_spine(rng)
+        point = random_exact_point(rng, graph)
+        fpoint = point.as_float()
+        lam = lambda_of_dual_arcs(graph, point)
+        flam = lambda_of_dual_arcs(graph, fpoint)
+        oracle = {n: lambda_length(graph, dual_arc(graph, n), point) for n in graph.coordinate_edges()}
+        foracle = {n: lambda_length(graph, dual_arc(graph, n), fpoint) for n in graph.coordinate_edges()}
+        assert lam.values == oracle, k
+        for n, v in foracle.items():
+            assert math.isclose(flam[n], v, rel_tol=1e-9), (k, n)
+        assert shear_from_lambda(graph, LambdaAssignment(oracle, True, dict(point.omega))) == point
+        back = shear_from_lambda(graph, LambdaAssignment(foracle, False, dict(fpoint.omega)))
+        for n in graph.coordinate_edges():
+            assert back.y_value(n) == pytest.approx(fpoint.y_value(n), abs=1e-9), (k, n)
+
+
+def test_dual_view_is_built_once_per_graph(monkeypatch, two_loops):
+    calls = []
+
+    def counting(graph, name):
+        calls.append(name)
+        return dual_arc(graph, name)
+
+    monkeypatch.setattr(coords, "dual_arc", counting)
+    assert two_loops._dual is None
+    first = lambda_of_dual_arcs(two_loops)
+    assert len(calls) == len(two_loops.coordinate_edges())
+    second = lambda_of_dual_arcs(two_loops)
+    shear_from_lambda(two_loops, second)
+    dual_multiplicity_matrix(two_loops)
+    assert len(calls) == len(two_loops.coordinate_edges())
+    assert first.values == second.values
+
+
+def test_parse_does_not_build_the_dual_view():
+    assert parse_graph(fixture_text("sigma_0_5_1"))._dual is None
+
+
+def test_multiplicity_matrix_is_a_copy(five_holes):
+    names, rows = dual_multiplicity_matrix(five_holes)
+    before = lambda_of_dual_arcs(five_holes).values
+    names.reverse()
+    rows[0][0] += 5
+    assert dual_multiplicity_matrix(five_holes) != (names, rows)
+    assert lambda_of_dual_arcs(five_holes).values == before
+
+
+def test_exact_lambdas_print_in_split_form(four_cusps):
+    """lambda_i = prod q^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q), perfect
+    squares taken out of the root: lambda_e = sqrt(3 * 5/7 * 4) = 2/7*sqrt(105)."""
+    point = CoordinatePoint(True, q={"e": Fraction(3), "p1": Fraction(2), "p2": Fraction(5, 7),
+                                     "p3": Fraction(1, 6), "p4": Fraction(4)})
+    lam = lambda_of_dual_arcs(four_cusps, point)
+    assert {n: str(v) for n, v in lam.items()} == {
+        "e": "2/7*sqrt(105)", "p1": "2*sqrt(6)", "p2": "1/7*sqrt(70)", "p3": "1/14*sqrt(70)", "p4": "1/3*sqrt(6)",
+    }
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), Fraction(-2, 3), SqrtRational(-2, 3), -0.5, 0.0])
+def test_shear_from_lambda_rejects_non_positive(four_cusps, bad):
+    lam = dict(lambda_of_dual_arcs(four_cusps, four_cusps.point()).values)
+    if isinstance(bad, float):
+        lam = {n: float(v) for n, v in lam.items()}
+    lam["e"] = bad
+    with pytest.raises(ValueError, match="lambda e = .* must be positive"):
+        shear_from_lambda(four_cusps, lam)

@@ -75,6 +75,23 @@ def test_orbifold_weights():
         parse_graph(base.replace("omega=2", "orbifold=1"))
 
 
+@pytest.mark.parametrize("field", ["omega=-7", "omega=-1/2", "omega=-0.5"])
+def test_negative_loop_weight_rejected(field):
+    with pytest.raises(GraphError, match="line 6: loop weight .* is negative"):
+        parse_graph(fixture_text("sigma_0_2_1").replace("omega=2", field))
+
+
+def test_orbifold_order_rounding_to_a_hole_rejected():
+    base = fixture_text("sigma_0_2_1")
+    assert parse_graph(base.replace("omega=2", "orbifold=100000000")).point().omega_value("w") < 2
+    with pytest.raises(GraphError, match="line 6: orbifold order .* rounds to 2"):
+        parse_graph(base.replace("omega=2", "orbifold=100000000000000000000"))
+
+
+def test_zero_loop_weight_accepted():
+    assert parse_graph(fixture_text("sigma_0_2_1").replace("omega=2", "omega=0")).point().omega_value("w") == 0
+
+
 def test_perimeter_weight_is_float():
     import math
 
