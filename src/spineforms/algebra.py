@@ -257,45 +257,54 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     Peels the lexicographically least term of q off the remainder; since
     Laurent monomials are units, any nonzero q has an invertible least
-    term and the loop either terminates with zero remainder or the
-    division was not exact.
+    term, and the quotient terms come out in increasing lex order.  If
+    q divides p, each variable's highest (and lowest) exponent in p is
+    that of the quotient plus that of q, so every quotient term lies in
+    the box those exponents bound; a term outside it, or a coefficient q
+    does not divide, proves the division inexact.  The box is finite, so
+    the loop ends.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero():
+        return LaurentPoly()
     # raw key comparison is not translation-invariant once exponents go
     # negative; order terms by their exponent vector instead
-    allvars = sorted(
-        {v for k in p.terms for v, _ in k} | {v for k in q.terms for v, _ in k}
-    )
+    allvars = sorted(p.variables() | q.variables())
 
-    def vec(key: Key) -> tuple[int, ...]:
-        d = dict(key)
-        return tuple(d.get(v, 0) for v in allvars)
+    def vecs(poly: LaurentPoly) -> dict[tuple[int, ...], int]:
+        out = {}
+        for key, coeff in poly.terms.items():
+            d = dict(key)
+            out[tuple(d.get(v, 0) for v in allvars)] = coeff
+        return out
 
-    qk = min(q.terms, key=vec)
-    qc = q.terms[qk]
-    rem = dict(p.terms)
-    out: dict[Key, int] = {}
-    guard = 0
+    pv, qv = vecs(p), vecs(q)
+    columns = list(zip(zip(*pv), zip(*qv)))  # per variable: exponents in p, in q
+    lo = [min(e) - min(f) for e, f in columns]
+    hi = [max(e) - max(f) for e, f in columns]
+    qk = min(qv)
+    qc = qv[qk]
+    rem = dict(pv)
+    out: dict[tuple[int, ...], int] = {}
     while rem:
-        guard += 1
-        if guard > 10000:
+        rk = min(rem)
+        fac_k = tuple(r - e for r, e in zip(rk, qk))
+        if not all(l <= e <= h for l, e, h in zip(lo, fac_k, hi)):
+            term = LaurentPoly({tuple(zip(allvars, fac_k)): 1})
+            raise ValueError("non-exact Laurent division: quotient term %s is past the degree bounds" % term)
+        if rem[rk] % qc != 0:
             raise ValueError("non-exact Laurent division")
-        rk = min(rem, key=vec)
-        rc = rem[rk]
-        if rc % qc != 0:
-            raise ValueError("non-exact Laurent division")
-        fac_c = rc // qc
-        fac_k = _merge_keys(rk, tuple((v, -e) for v, e in qk))
-        out[fac_k] = out.get(fac_k, 0) + fac_c
-        for k2, c2 in q.terms.items():
-            key = _merge_keys(fac_k, k2)
+        fac_c = rem[rk] // qc
+        out[fac_k] = fac_c
+        for k2, c2 in qv.items():
+            key = tuple(f + e for f, e in zip(fac_k, k2))
             s = rem.get(key, 0) - fac_c * c2
             if s:
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    return LaurentPoly(out)
+    return LaurentPoly({tuple(zip(allvars, k)): c for k, c in out.items()})
 
 
 class SqrtRational:

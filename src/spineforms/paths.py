@@ -17,7 +17,18 @@ arrival, the forced passage around the loop, and the stem exit compile
 to X_stem * F * X_stem.
 
 Words multiply right to left: the first atom of the path is the
-rightmost factor.
+rightmost factor.  Evaluation applies each atom to the running entries
+(a, b, c, d) as the row operation it is, with no 2x2 product:
+
+    X   (-t*c, -t*d, a/t, b/t)         L   (c, d, -a-c, -b-d)
+    R   (a+c, b+d, -a, -b)             F   (c, d, -a-w*c, -b-w*d)
+    -F^-1  (w*a+c, w*b+d, -a, -b)
+
+Formal entries stay dicts over packed monomials while the product runs:
+the exponent vector sits in one int, a signed bit field per variable of
+the word, wide enough for any exponent the word can reach, so a product
+with t, 1/t or w adds one int to each key (Monagan & Pearce, CASC 2007).
+LaurentPolys are built once, at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .algebra import Fraction, LaurentPoly, Mat2, SqrtRational
+from .algebra import LaurentPoly, Mat2, SqrtRational
 
 if TYPE_CHECKING:
     from .coords import CoordinatePoint
@@ -290,59 +301,151 @@ def _resolve_steps(graph: "FatGraph", path: PathWord) -> tuple[Step, ...]:
     return rebuilt.steps
 
 
-def _atom_matrix_formal(atom: Atom) -> Mat2:
-    one = LaurentPoly.const(1)
-    zero = LaurentPoly()
-    if atom[0] == "X":
-        t = LaurentPoly.var(t_var(atom[1]))
-        return Mat2(zero, -t, t.inverse(), zero)
-    if atom[0] == "L":
-        return Mat2(zero, one, -one, -one)
-    if atom[0] == "R":
-        return Mat2(one, one, -one, zero)
-    if atom[0] == "F":
-        w = LaurentPoly.var(w_var(atom[1]))
-        return Mat2(zero, one, -one, -w)
-    if atom[0] == "Fi":
-        w = LaurentPoly.var(w_var(atom[1]))
-        return Mat2(w, one, -one, zero)
-    raise ValueError("unknown atom %r" % (atom,))
+def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat2:
+    """Multiply the word out over LaurentPoly (point=None) or numbers.
+
+    Numbers go through the non-trivial products and sums of a general
+    2x2 product, in its operand order, so exact values print in the same
+    r*sqrt(n) form as the matrix product's.
+    """
+    if not word.atoms:
+        raise ValueError("empty word")
+    if point is None:
+        return _evaluate_formal(word.atoms)
+    return _evaluate_numeric(word.atoms, point)
 
 
-def _atom_matrix_numeric(atom: Atom, point: "CoordinatePoint") -> Mat2:
+def _evaluate_formal(atoms: tuple[Atom, ...]) -> Mat2:
+    # Entries are {packed exponent vector: coefficient}.  Variable i
+    # (in name order) owns the signed field of `width` bits at bit
+    # width*i; an exponent never exceeds the atom count in size, so the
+    # fields never overflow and a monomial product is one int add.
+    names = sorted({t_var(a[1]) if a[0] == "X" else w_var(a[1]) for a in atoms if len(a) > 1})
+    width = len(atoms).bit_length() + 1
+    unit = {name: 1 << (width * i) for i, name in enumerate(names)}
+    a: dict[int, int] = {0: 1}
+    b: dict[int, int] = {}
+    c: dict[int, int] = {}
+    d: dict[int, int] = {0: 1}
+    for atom in atoms:
+        kind = atom[0]
+        if kind == "X":
+            u = unit[t_var(atom[1])]
+            a, b, c, d = (_packed_scale(c, u, -1), _packed_scale(d, u, -1),
+                          _packed_scale(a, -u, 1), _packed_scale(b, -u, 1))
+        elif kind == "L":
+            a, b, c, d = c, d, _packed_sum(a, c, 0, -1), _packed_sum(b, d, 0, -1)
+        elif kind == "R":
+            a, b, c, d = (_packed_sum(a, c, 0, 1), _packed_sum(b, d, 0, 1),
+                          _packed_scale(a, 0, -1), _packed_scale(b, 0, -1))
+        elif kind == "F":
+            u = unit[w_var(atom[1])]
+            a, b, c, d = c, d, _packed_sum(a, c, u, -1), _packed_sum(b, d, u, -1)
+        elif kind == "Fi":
+            u = unit[w_var(atom[1])]
+            a, b, c, d = (_packed_sum(c, a, u, 1), _packed_sum(d, b, u, 1),
+                          _packed_scale(a, 0, -1), _packed_scale(b, 0, -1))
+        else:
+            raise ValueError("unknown atom %r" % (atom,))
+    return Mat2(*_unpack((a, b, c, d), names, width))
+
+
+def _packed_sum(p: dict[int, int], q: dict[int, int], u: int, sign: int) -> dict[int, int]:
+    """sign * (p + m*q) for the monomial m packed as u."""
+    out = dict(p) if sign == 1 else {k: -v for k, v in p.items()}
+    for k, v in q.items():
+        k += u
+        v = out.get(k, 0) + sign * v
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+def _packed_scale(p: dict[int, int], u: int, sign: int) -> dict[int, int]:
+    """sign * m*p for the monomial m packed as u."""
+    return {k + u: sign * v for k, v in p.items()}
+
+
+_CHUNK = 4  # packed fields decoded per memo lookup
+
+
+def _unpack(entries: tuple[dict[int, int], ...], names: list[str], width: int) -> list[LaurentPoly]:
+    """LaurentPolys with the usual tuple keys from packed entries.
+
+    A bias makes every field non-negative; keys are then read _CHUNK
+    fields at a time through a memo of chunk value -> (name, exponent)
+    pairs.  The names are sorted, so the joined pairs are canonical.
+    """
+    half = 1 << (width - 1)
+    field = (1 << width) - 1
+    span = width * _CHUNK
+    mask = (1 << span) - 1
+    bias = sum(half << (width * i) for i in range(len(names)))
+    chunks = [names[i:i + _CHUNK] for i in range(0, len(names), _CHUNK)]
+    memos: list[dict[int, tuple]] = [{} for _ in chunks]
+    polys = []
+    for packed in entries:
+        terms = {}
+        for key, coeff in packed.items():
+            key += bias
+            exps: tuple = ()
+            for chunk, memo in zip(chunks, memos):
+                value = key & mask
+                pairs = memo.get(value)
+                if pairs is None:
+                    pairs = memo[value] = _chunk_pairs(value, chunk, width)
+                exps += pairs
+                key >>= span
+            terms[exps] = coeff
+        poly = LaurentPoly.__new__(LaurentPoly)
+        poly.terms = terms
+        polys.append(poly)
+    return polys
+
+
+def _chunk_pairs(value: int, chunk: list[str], width: int) -> tuple:
+    """(name, exponent) pairs of the nonzero biased fields in value."""
+    half = 1 << (width - 1)
+    field = (1 << width) - 1
+    pairs = []
+    for name in chunk:
+        e = (value & field) - half
+        if e:
+            pairs.append((name, e))
+        value >>= width
+    return tuple(pairs)
+
+
+def _evaluate_numeric(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
     if point.exact:
         one: object = SqrtRational(1)
         zero: object = SqrtRational(0)
     else:
         one, zero = 1.0, 0.0
-    if atom[0] == "X":
-        t = point.t_value(atom[1])
-        return Mat2(zero, -t, one / t, zero)
-    if atom[0] == "L":
-        return Mat2(zero, one, -one, -one)
-    if atom[0] == "R":
-        return Mat2(one, one, -one, zero)
-    w = point.omega_value(atom[1])
-    if point.exact:
-        w = SqrtRational(w)
-    if atom[0] == "F":
-        return Mat2(zero, one, -one, -w)
-    if atom[0] == "Fi":
-        return Mat2(w, one, -one, zero)
-    raise ValueError("unknown atom %r" % (atom,))
-
-
-def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat2:
-    """Multiply the word out over LaurentPoly (point=None) or numbers."""
-    if not word.atoms:
-        raise ValueError("empty word")
-    mats = []
-    for atom in word.atoms:
-        mats.append(_atom_matrix_formal(atom) if point is None else _atom_matrix_numeric(atom, point))
-    result = mats[0]
-    for m in mats[1:]:
-        result = m * result
-    return result
+    a, b, c, d = one, zero, zero, one
+    for atom in atoms:
+        kind = atom[0]
+        if kind == "X":
+            t = point.t_value(atom[1])
+            mt, ti = -t, one / t
+            a, b, c, d = mt * c, mt * d, ti * a, ti * b
+        elif kind == "L":
+            a, b, c, d = c, d, -a - c, -b - d
+        elif kind == "R":
+            a, b, c, d = a + c, b + d, -a, -b
+        elif kind in ("F", "Fi"):
+            w = point.omega_value(atom[1])
+            if point.exact:
+                w = SqrtRational(w)
+            if kind == "F":
+                a, b, c, d = c, d, -a + -w * c, -b + -w * d
+            else:
+                a, b, c, d = w * a + c, w * b + d, -a, -b
+        else:
+            raise ValueError("unknown atom %r" % (atom,))
+    return Mat2(a, b, c, d)
 
 
 def _sign_normalize(value):

@@ -101,6 +101,33 @@ def test_division_guard():
         lp_div_exact(t + LaurentPoly.const(1), t + LaurentPoly.const(2))
 
 
+def test_division_with_more_than_ten_thousand_quotient_terms():
+    t, one = lp("t"), LaurentPoly.const(1)
+    quotient = lp_div_exact(t**10001 - one, t - one)
+    assert len(quotient.terms) == 10001
+    assert set(quotient.terms.values()) == {1}
+    assert quotient * (t - one) == t**10001 - one
+
+
+def test_non_exact_division_stops_at_the_degree_bound():
+    """1/(1 - t) would peel 1 + t + t^2 + ... for ever; the degree bound
+    refuses its first quotient term.  (1 - 2t^50)/(1 - t) peels 1..t^49,
+    the most the bound allows, and stops at t^50."""
+    t, one = lp("t"), LaurentPoly.const(1)
+    with pytest.raises(ValueError, match="quotient term 1 is past the degree bounds"):
+        lp_div_exact(one, one - t)
+    with pytest.raises(ValueError, match=r"quotient term t\^50 is past the degree bounds"):
+        lp_div_exact(one - 2 * t**50, one - t)
+
+
+def test_non_exact_division_in_two_variables_ends():
+    """Peeling (x + 1)/(1 - y) gives 1, y, y^2, ..., all below x in lex
+    order; the y-degree bound ends it."""
+    x, y, one = lp("x"), lp("y"), LaurentPoly.const(1)
+    with pytest.raises(ValueError, match="non-exact"):
+        lp_div_exact(x + one, one - y)
+
+
 def test_monomial_inspection():
     t = lp("t_a")
     m = t * t * lp("t_b").inverse()

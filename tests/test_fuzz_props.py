@@ -16,7 +16,7 @@ from spineforms.fuzz import (
     run_suite,
 )
 from spineforms.paths import PathWord, compile_path, evaluate
-from spineforms.ribbon import emit_graph
+from spineforms.ribbon import dual_arc, emit_graph
 from spineforms.algebra import LaurentPoly
 
 
@@ -110,6 +110,21 @@ def test_seed_one_corpus_is_pinned():
         for part in (emit_graph(graph), arc and arc.token_string(), closed and closed.token_string()):
             digest.update(str(part).encode() + b"\0")
     assert digest.hexdigest() == "864df81ac2f55a95f3cff71292df42df4e68ab18ff3e5336a4f058345487b394"
+
+
+def test_seed_one_formal_words_are_pinned():
+    """Formal evaluation of the same corpus: every dual arc, arc and
+    closed word, printed; the digest changes if any entry does."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        graph = random_spine(rng)
+        arc = random_arc(rng, graph)
+        closed = random_closed_word(rng, graph)
+        paths = [dual_arc(graph, name) for name in graph.coordinate_edges()]
+        for path in paths + [p for p in (arc, closed) if p is not None]:
+            digest.update(str(evaluate(compile_path(graph, path))).encode() + b"\0")
+    assert digest.hexdigest() == "28aabba5f49d28efebf8f6e7718ea2623921bac519b6bfda9fb628a0afec2187"
 
 
 WINDS_TWICE = """surface g=0 sh=2 so=1 n=3

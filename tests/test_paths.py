@@ -1,6 +1,7 @@
 """Path compilation and evaluation: matrix words, lambda-lengths,
 geodesic functions, sign normalization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from spineforms import (
     lambda_length,
 )
 from spineforms.coords import CoordinatePoint
+from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, random_spine
+from spineforms.paths import MatrixWord, t_var, w_var
 from spineforms.ribbon import dual_arc
 
 from conftest import ALL_FIXTURES, load_fixture
@@ -149,3 +152,82 @@ def test_tokens_round_trip(five_holes):
     assert path.tokens == ["pi", "a1", "w1+", "a1", "pi"]
     assert path.start_cusp == path.end_cusp == "c0"
     assert path.closed
+
+
+def _atom_matrix(atom, point):
+    """One atom of the table in the paths module docstring, as a matrix
+    over LaurentPoly (point None), SqrtRational or float."""
+    if point is None:
+        one, zero = LaurentPoly.const(1), LaurentPoly()
+    elif point.exact:
+        one, zero = SqrtRational(1), SqrtRational(0)
+    else:
+        one, zero = 1.0, 0.0
+    kind = atom[0]
+    if kind == "X":
+        t = LaurentPoly.var(t_var(atom[1])) if point is None else point.t_value(atom[1])
+        return Mat2(zero, -t, t.inverse() if point is None else one / t, zero)
+    if kind == "L":
+        return Mat2(zero, one, -one, -one)
+    if kind == "R":
+        return Mat2(one, one, -one, zero)
+    if point is None:
+        w = LaurentPoly.var(w_var(atom[1]))
+    else:
+        w = SqrtRational(point.omega_value(atom[1])) if point.exact else point.omega_value(atom[1])
+    return Mat2(zero, one, -one, -w) if kind == "F" else Mat2(w, one, -one, zero)
+
+
+def oracle_evaluate(word, point=None):
+    """The word multiplied out as a product of 2x2 matrices, right to left."""
+    result = _atom_matrix(word.atoms[0], point)
+    for atom in word.atoms[1:]:
+        result = _atom_matrix(atom, point) * result
+    return result
+
+
+def test_evaluate_matches_matrix_product_oracle():
+    """Formal and exact values are equal and print the same; float
+    values are equal to the last bit."""
+    rng = random.Random(20260816)
+    words = 0
+    for _ in range(200):
+        graph = random_spine(rng)
+        paths = [dual_arc(graph, name) for name in graph.coordinate_edges()]
+        paths += [p for p in (random_arc(rng, graph), random_closed_word(rng, graph, max_len=20)) if p is not None]
+        point = random_exact_point(rng, graph)
+        fpoint = point.as_float()
+        for path in paths:
+            word = compile_path(graph, path)
+            for pt in (None, point):
+                got, want = evaluate(word, pt), oracle_evaluate(word, pt)
+                assert got == want and str(got) == str(want), (path.token_string(), pt)
+            assert evaluate(word, fpoint) == oracle_evaluate(word, fpoint), path.token_string()
+            words += 1
+    assert words > 1000
+
+
+def test_long_word_with_high_exponents():
+    """A word of 507 atoms that winds one loop 101 times and turns right
+    101 times on another edge: exponents pass 100, where packed fields
+    too narrow for the word would spill into each other."""
+    atoms = [("X", "a"), ("F", "w"), ("X", "a")] * 101 + [("X", "b"), ("R",)] * 101 + [("L",), ("X", "a")]
+    word = MatrixWord(tuple(atoms))
+    got, want = evaluate(word), oracle_evaluate(word)
+    assert got == want and str(got) == str(want)
+    exponents = {}
+    for entry in (got.a, got.b, got.c, got.d):
+        for key in entry.terms:
+            for var, e in key:
+                exponents[var] = max(exponents.get(var, 0), abs(e))
+    assert exponents["w_w"] > 100 and exponents["t_b"] > 100
+    point = CoordinatePoint(True, q={"a": Fraction(9, 4), "b": Fraction(4)}, omega={"w": Fraction(3)})
+    exact, want = evaluate(word, point), oracle_evaluate(word, point)
+    assert exact == want and str(exact) == str(want)
+    values = {"t_a": Fraction(3, 2), "t_b": Fraction(2), "w_w": Fraction(3)}
+    assert exact.b == got.b.subs(values) and exact.c == got.c.subs(values)
+
+
+def test_empty_word_rejected():
+    with pytest.raises(ValueError, match="empty word"):
+        evaluate(MatrixWord(()))
