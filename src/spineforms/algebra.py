@@ -28,7 +28,6 @@ __all__ = [
     "SqrtRational",
     "lp_div_exact",
     "fraction_sqrt",
-    "fraction_nth_root",
     "frac_matmul",
     "frac_inverse",
     "frac_kernel",
@@ -466,30 +465,6 @@ def fraction_sqrt(q: Fraction) -> Fraction:
     if num * num != q.numerator or den * den != q.denominator:
         raise ValueError("%s is not a rational square" % q)
     return Fraction(num, den)
-
-
-def fraction_nth_root(q: Fraction, k: int) -> Fraction:
-    """Exact k-th root of a rational, erroring when none exists."""
-    q = Fraction(q)
-    if k <= 0:
-        raise ValueError("root order must be positive")
-    if q <= 0:
-        raise ValueError("positive values only")
-
-    def iroot(n: int) -> int:
-        # integer Newton iteration from 2^ceil(bits/k), which is at least
-        # the root; it decreases until it reaches floor(n^(1/k))
-        r = 1 << -(-n.bit_length() // k)
-        while True:
-            s = ((k - 1) * r + n // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
-        if r**k != n:
-            raise ValueError("%d has no integer %d-th root" % (n, k))
-        return r
-
-    return Fraction(iroot(q.numerator), iroot(q.denominator))
 
 
 class Mat2:

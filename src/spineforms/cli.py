@@ -144,8 +144,11 @@ def _parse_value(text: str):
 
 
 def _read_lambda_file(path: str) -> LambdaAssignment:
+    """Each name once; an exact file (no float value) needs rational
+    loop weights."""
     values: dict[str, object] = {}
     omega: dict[str, object] = {}
+    radical = None  # the first omega line whose value is not rational
     exact = True
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -156,18 +159,25 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
             if not m:
                 raise ValueError("line %d: expected 'lambda <edge> = <value>' or 'omega <loop> = <value>'" % lineno)
             kind, name, text = m.groups()
-            value = _parse_value(text)
+            try:
+                value = _parse_value(text)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("line %d: %s %s = %s is not a number" % (lineno, kind, name, text)) from None
+            target = values if kind == "lambda" else omega
+            if name in target:
+                raise ValueError("line %d: %s %s is given twice" % (lineno, kind, name))
+            target[name] = value
             if isinstance(value, float):
                 exact = False
-            if kind == "lambda":
-                values[name] = value
-            else:
-                omega[name] = value
+            elif kind == "omega" and value.rad != 1 and radical is None:
+                radical = "line %d: omega %s = %s is not rational" % (lineno, name, text)
     if not exact:
         values = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in values.items()}
         omega = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in omega.items()}
+    elif radical:
+        raise ValueError(radical + "; an exact file needs rational loop weights")
     else:
-        omega = {k: v.rat if isinstance(v, SqrtRational) else v for k, v in omega.items()}
+        omega = {k: v.rat for k, v in omega.items()}
     return LambdaAssignment(values, exact, omega)
 
 

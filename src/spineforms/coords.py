@@ -14,13 +14,15 @@ its lambda-length is the unit monomial
 
 so an exact point gives lambda_i = prod_j q_j^{floor(M_ij/2)} *
 sqrt(prod_{M_ij odd} q_j) and a float point exp(sum_j M_ij Y_j / 2).
-Going back, q_i = prod_j (lambda_j^2)^{(M^{-1})_ij}; M^{-1} = K/d with K
-integral and d = 2 on every graph met in practice, so the inversion is
-a product of integer powers of the squares lambda_j^2 and one exact
-d-th root, and the round trip stays exact.  M, and M^{-1} once needed,
+Going back is local: K = 2 M^{-1} is read off the graph.  For each
+half h of coordinate edge e, a cusp half adds +1 on e, any other half
++1 on the edge after h counterclockwise and -1 on the one before,
+loops skipped; an inner edge gets the cross-ratio of its quadrilateral.
+Y_e = sum_j K_ej log(lambda_j), and an exact point gives
+q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact square root.  M and K
 are derived once per graph in a DualView cached on the graph (see
-dual_view); the matrix words of the dual arcs (paths.lambda_length)
-remain an independent check of the closed form.
+dual_view), which checks K M = 2I before K is used; the matrix words of
+the dual arcs (paths.lambda_length) remain an independent check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import SqrtRational, frac_inverse, fraction_nth_root
+from .algebra import SqrtRational, fraction_sqrt
 from .ribbon import FatGraph, dual_arc
 
 __all__ = [
@@ -236,44 +238,55 @@ class DualView:
     counts how often dual_arc(names[i]) runs through names[j] (loop
     bounces are not counted): the traversal-count matrix M.  The
     lambda-length of dual arc i is the unit monomial prod_j t_j^{M_ij},
-    t_j = e^{Y_j/2}.  The inverse of M, needed only to go back from
-    lambda-lengths, is built on first use.
+    t_j = e^{Y_j/2}.  ``local[i]`` holds the nonzero (j, K_ij) of row i
+    of K = 2 M^{-1}, read off the graph by the local rule; inverse()
+    checks K M = 2I before handing it out.
     """
 
-    __slots__ = ("names", "rows", "_terms", "_inverse")
+    __slots__ = ("names", "rows", "local", "_terms", "_checked")
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
         index = {n: j for j, n in enumerate(names)}
         rows = []
-        for name in names:
+        local = []
+        for i, name in enumerate(names):
             row = [0] * len(names)
             for step in dual_arc(graph, name).steps:
                 j = index.get(step.edge)
                 if j is not None:
                     row[j] += 1
             rows.append(tuple(row))
+            # row i of K = 2 M^{-1} by the local rule
+            krow = [0] * len(names)
+            for h in graph.edges[name].halves:
+                if graph.is_cusp_half(h):
+                    krow[i] += 1
+                    continue
+                for x, k in ((graph.sigma(h), 1), (graph.sigma_inv(h), -1)):
+                    j = index.get(graph.edge_of(x))
+                    if j is not None:
+                        krow[j] += k
+            local.append(tuple((j, k) for j, k in enumerate(krow) if k))
         self.names = tuple(names)
         self.rows = tuple(rows)
+        self.local = tuple(local)
         # the (edge, M_ij) pairs of each row's nonzero counts
         self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
-        self._inverse: Optional[tuple] = None
+        self._checked = False
 
-    def inverse(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[float, ...], ...]]:
-        """(K, d, F) with M^{-1} = K / d, K an integer matrix, d the least
-        common denominator of M^{-1}'s entries, and F = M^{-1} in floats."""
-        if self._inverse is None:
-            try:
-                minv = frac_inverse([[Fraction(x) for x in row] for row in self.rows])
-            except ValueError:
-                raise ValueError(
-                    "dual-arc multiplicity matrix is singular; lambda-lengths do not determine the coordinates"
-                ) from None
-            d = math.lcm(*(x.denominator for row in minv for x in row))
-            ints = tuple(tuple(int(x * d) for x in row) for row in minv)
-            floats = tuple(tuple(float(x) for x in row) for row in minv)
-            self._inverse = (ints, d, floats)
-        return self._inverse
+    def inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``local``, once K M = 2I has been checked on this graph."""
+        if not self._checked:
+            cols = range(len(self.names))
+            for i, terms in enumerate(self.local):
+                if [sum(k * self.rows[j][c] for j, k in terms) for c in cols] != [2 * (c == i) for c in cols]:
+                    raise ValueError(
+                        "dual-arc multiplicity matrix is not inverted by the local rule; "
+                        "lambda-lengths do not determine the coordinates"
+                    )
+            self._checked = True
+        return self.local
 
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
@@ -358,15 +371,15 @@ def _positive_square(name: str, v) -> Fraction:
 def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     """Reconstruct the coordinate point from dual-arc lambda-lengths.
 
-    Solves  M Y = 2 log(lambda)  for the coordinates, M the
-    traversal-count matrix of the graph's DualView, with M^{-1} = K/d
-    cached there.  Exact inputs give q_i = (prod_j (lambda_j^2)^{K_ij})^{1/d},
-    an exact d-th root (d is 2 on every shipped and fuzzed graph); float
-    inputs give Y = M^{-1} (2 log lambda).  Every lambda must be
-    positive.  Loop weights are not determined by lambda-lengths and
-    are taken from the weights carried by a LambdaAssignment, or else
-    from the graph's stored values; they must be >= 0, as in a graph
-    file.
+    Solves  M Y = 2 log(lambda)  for the coordinates by the local rule
+    of the graph's DualView, K = 2 M^{-1}: exact inputs give
+    q_i = sqrt(prod_j (lambda_j^2)^{K_ij}), an exact square root, and
+    float inputs Y_i = sum_j K_ij log(lambda_j).  Lambdas are keyed by
+    exactly the coordinate edges and must be positive.  Loop weights are
+    not determined by lambda-lengths: they are the weights carried by a
+    LambdaAssignment, which must then name exactly the graph's loops,
+    or else the graph's stored values; they must be finite and >= 0, as
+    in a graph file.
     """
     if isinstance(lambdas, LambdaAssignment):
         lam = dict(lambdas.values)
@@ -374,11 +387,21 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     else:
         lam = dict(lambdas)
         carried = {}
-    view = dual_view(graph)
-    names = view.names
+    names = graph.coordinate_edges()
+    loops = graph.loop_edges()
+    for n in lam:
+        if n not in names:
+            raise ValueError("lambda given for %s, which is not a coordinate edge" % n)
     missing = [n for n in names if n not in lam]
     if missing:
         raise ValueError("missing lambda values for %s" % ", ".join(missing))
+    if carried:
+        for n in carried:
+            if n not in loops:
+                raise ValueError("loop weight given for %s, which is not a loop edge" % n)
+        missing = [n for n in loops if n not in carried]
+        if missing:
+            raise ValueError("missing loop weights for %s" % ", ".join(missing))
 
     exact = all(isinstance(lam[n], (int, Fraction, SqrtRational)) for n in names)
     omegas: dict[str, Union[Fraction, float]] = carried or dict(graph.point().omega)
@@ -392,34 +415,36 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     for k, v in omegas.items():
         if not v >= 0:
             raise ValueError("loop weight omega[%s] = %s must be >= 0" % (k, v))
+        if v == math.inf:
+            raise ValueError("loop weight omega[%s] = %s must be finite" % (k, v))
 
+    view = dual_view(graph)
     if exact:
         squares = [_positive_square(n, lam[n]) for n in names]
-        ints, d, _ = view.inverse()
         q: dict[str, Fraction] = {}
-        for name, row in zip(names, ints):
+        for name, terms in zip(names, view.inverse()):
             num = den = 1
-            for sq, k in zip(squares, row):
+            for j, k in terms:
+                sq = squares[j]
                 if k > 0:
                     num *= sq.numerator**k
                     den *= sq.denominator**k
-                elif k < 0:
+                else:
                     num *= sq.denominator**-k
                     den *= sq.numerator**-k
             try:
-                q[name] = fraction_nth_root(Fraction(num, den), d)
+                q[name] = fraction_sqrt(Fraction(num, den))
             except ValueError:
                 raise ValueError("lambda-lengths give no rational q for %s" % name) from None
         return CoordinatePoint(True, q=q, omega=omegas)
 
-    rhs = []
+    logs = []
     for n in names:
         v = float(lam[n])
         if not 0.0 < v < math.inf:
             raise ValueError("lambda %s = %r must be positive and finite" % (n, v))
-        rhs.append(2.0 * math.log(v))
-    _, _, floats = view.inverse()
-    y = {name: sum(a * b for a, b in zip(row, rhs)) for name, row in zip(names, floats)}
+        logs.append(math.log(v))
+    y = {name: sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
     return CoordinatePoint(False, y=y, omega=omegas)
 
 

@@ -14,7 +14,6 @@ from spineforms.algebra import (
     SqrtRational,
     frac_inverse,
     frac_kernel,
-    fraction_nth_root,
     fraction_sqrt,
     lp_div_exact,
 )
@@ -186,18 +185,6 @@ def test_fraction_sqrt():
     assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         fraction_sqrt(Fraction(2))
-
-
-def test_fraction_nth_root():
-    assert fraction_nth_root(Fraction(27, 8), 3) == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        fraction_nth_root(Fraction(5), 2)
-
-
-def test_fraction_nth_root_past_float_range():
-    assert fraction_nth_root(Fraction(8 * 10**402, 27), 3) == Fraction(2 * 10**134, 3)
-    with pytest.raises(ValueError, match="no integer 3-th root"):
-        fraction_nth_root(Fraction(8 * 10**400), 3)
 
 
 # -- matrices ----------------------------------------------------------

@@ -196,6 +196,47 @@ def test_negative_loop_weight_in_lambda_file_is_bad_input(capsys, tmp_path):
     assert err == "error: loop weight omega[w] = -7 must be >= 0\n"
 
 
+FIVE_HOLES_LAMBDAS = "".join("lambda %s = 1\n" % n for n in ("pi", "a1", "a2", "a3", "b1", "b2", "b3"))
+
+
+@pytest.mark.parametrize(
+    "graph, text, message",
+    [
+        ("sigma_0_2_1", "lambda pi = 3/0\nomega w = 2\n", "line 1: lambda pi = 3/0 is not a number"),
+        ("sigma_0_2_1", "lambda pi = 1\nomega w = 0/0\n", "line 2: omega w = 0/0 is not a number"),
+        ("sigma_0_2_1", "lambda pi = 2*sqrt(0)\nomega w = 2\n", "line 1: lambda pi = 2*sqrt(0) is not a number"),
+        ("sigma_0_2_1", "lambda pi = 1/0*sqrt(2)\n", "line 1: lambda pi = 1/0*sqrt(2) is not a number"),
+        ("sigma_0_2_1", "lambda pi = one\n", "line 1: lambda pi = one is not a number"),
+        ("sigma_0_2_1", "lambda pi = 1\nomega w = sqrt(2)\n",
+         "line 2: omega w = sqrt(2) is not rational; an exact file needs rational loop weights"),
+        ("sigma_0_2_1", "lambda pi = 1\nlambda pi = 2\nomega w = 2\n", "line 2: lambda pi is given twice"),
+        ("sigma_0_2_1", "lambda pi = 1\nomega w = 2\nomega w = 3\n", "line 3: omega w is given twice"),
+        ("sigma_0_2_1", "lambda pi = 1\nlambda zz = 1\n", "lambda given for zz, which is not a coordinate edge"),
+        ("sigma_0_2_1", "lambda pi = 1\nomega w = 2\nomega zz = 2\n",
+         "loop weight given for zz, which is not a loop edge"),
+        ("sigma_0_2_1", "lambda pi = 1\nlambda w = 1\n", "lambda given for w, which is not a coordinate edge"),
+        ("sigma_0_2_1", "lambda pi = 1.5\nomega w = inf\n", "loop weight omega[w] = inf must be finite"),
+        ("sigma_0_5_1", FIVE_HOLES_LAMBDAS + "omega w1 = 2\nomega w2 = 2\nomega w3 = 2\n",
+         "missing loop weights for w4"),
+    ],
+)
+def test_malformed_lambda_file_is_bad_input(capsys, tmp_path, graph, text, message):
+    lam = tmp_path / "bad.lam"
+    lam.write_text(text)
+    code, out, err = run(capsys, "shear-from-lambda", fx(graph), str(lam))
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_float_lambda_file_takes_radical_loop_weights(capsys, tmp_path):
+    lam = tmp_path / "float.lam"
+    lam.write_text("lambda pi = 1.5\nomega w = sqrt(2)\n")
+    code, out, _ = run(capsys, "shear-from-lambda", fx("sigma_0_2_1"), str(lam))
+    assert code == 0
+    assert "omega=%r" % 2**0.5 in out
+
+
 @pytest.mark.parametrize(
     "field, message",
     [("omega=-7", "negative"), ("omega=-1/2", "negative"), ("omega=-0.5", "negative"),

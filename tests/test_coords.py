@@ -1,5 +1,6 @@
 """Coordinate points and the lambda-length bijection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,9 +18,10 @@ from spineforms import (
 from spineforms import coords
 from spineforms.algebra import SqrtRational
 from spineforms.coords import dual_multiplicity_matrix
-from spineforms.fuzz import random_exact_point, random_spine
+from spineforms.flips import flip_edge
+from spineforms.fuzz import _flippable, _local_rule_mismatches, random_exact_point, random_spine
 from spineforms.paths import lambda_length
-from spineforms.ribbon import dual_arc, parse_graph
+from spineforms.ribbon import GraphError, dual_arc, parse_graph
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
@@ -218,3 +220,102 @@ def test_shear_from_lambda_rejects_non_positive(four_cusps, bad):
     lam["e"] = bad
     with pytest.raises(ValueError, match="lambda e = .* must be positive"):
         shear_from_lambda(four_cusps, lam)
+
+
+def test_local_rule_is_twice_the_inverse():
+    """The DualView's local rule against 2 M^{-1} by Gauss-Jordan, on
+    every fixture and on 300 seeded spines, each before and after one
+    random flip."""
+    graphs = [load_fixture(name) for name in ALL_FIXTURES]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        graph = random_spine(rng)
+        graphs.append(graph)
+        options = _flippable(graph)
+        if options:
+            graphs.append(flip_edge(graph, rng.choice(options))[0])
+    assert len(graphs) > 500
+    for k, graph in enumerate(graphs):
+        assert _local_rule_mismatches(graph) == [], k
+
+
+def local_rows(graph):
+    view = coords.dual_view(graph)
+    return {view.names[i]: {view.names[j]: k for j, k in terms} for i, terms in enumerate(view.inverse())}
+
+
+def test_local_rule_gives_the_local_formulas(four_cusps, two_loops):
+    """Inner edge e: the cross-ratio lambda_p1 lambda_p3 / (lambda_p2
+    lambda_p4); pending edge p1: lambda_p1 lambda_p2 / lambda_e; loop
+    stem a1: lambda_b1 / lambda_pi."""
+    rows = local_rows(four_cusps)
+    assert rows["e"] == {"p1": 1, "p2": -1, "p3": 1, "p4": -1}
+    assert rows["p1"] == {"e": -1, "p1": 1, "p2": 1}
+    assert local_rows(two_loops) == {
+        "pi": {"pi": 1, "a1": 1, "b1": -1}, "a1": {"pi": -1, "b1": 1}, "b1": {"pi": 1, "a1": -1},
+    }
+    lam = lambda_of_dual_arcs(four_cusps, rational_point(four_cusps, random.Random(5)))
+    back = shear_from_lambda(four_cusps, lam)
+    assert back.q_value("p1") == pending_ratio(lam["p1"], lam["p2"], lam["e"])
+    assert back.q_value("e") == cross_ratio(lam["p1"], lam["p2"], lam["p3"], lam["p4"])
+
+
+def test_shear_from_lambda_past_float_range(two_loops):
+    """Exact round trip whose lambda-lengths have parts past float range."""
+    point = CoordinatePoint(
+        True,
+        q={"pi": Fraction(10**400, 3), "a1": Fraction(7, 10**350), "b1": Fraction(2**1100, 5)},
+        omega={"w1": Fraction(4), "w2": Fraction(7)},
+    )
+    lam = lambda_of_dual_arcs(two_loops, point)
+    parts = [x for _, v in lam.items() for x in (v.rat.numerator, v.rat.denominator)]
+    assert max(parts) > 10**308
+    assert shear_from_lambda(two_loops, lam) == point
+
+
+def rewired_fixture_texts():
+    """Every fixture with two half-edge tokens of its edge lines swapped."""
+    for name in ALL_FIXTURES:
+        lines = fixture_text(name).splitlines()
+        slots = [(i, k) for i, line in enumerate(lines) if line.startswith("edge ") for k in (3, 4)]
+        for (i1, k1), (i2, k2) in itertools.combinations(slots, 2):
+            parts = [line.split(" ") for line in lines]
+            parts[i1][k1], parts[i2][k2] = parts[i2][k2], parts[i1][k1]
+            yield "%s %d.%d-%d.%d" % (name, i1, k1, i2, k2), "\n".join(" ".join(p) for p in parts) + "\n"
+
+
+def test_rewired_fixtures_without_dual_arcs_are_refused():
+    """Building M walks the dual arcs; whenever one of those walks fails
+    the graph is no spine and shear_from_lambda must refuse it."""
+    refused = 0
+    for tag, text in rewired_fixture_texts():
+        graph = parse_graph(text)
+        unit = {n: Fraction(1) for n in graph.coordinate_edges()}
+        try:
+            for name in graph.coordinate_edges():
+                dual_arc(graph, name)
+        except GraphError:
+            refused += 1
+            try:
+                shear_from_lambda(graph, unit)
+            except ValueError:
+                continue
+            pytest.fail("%s: dual arcs fail but shear_from_lambda accepts" % tag)
+    assert refused > 100
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda lam: lam.omega.pop("w4"), "missing loop weights for w4"),
+        (lambda lam: lam.values.__setitem__("zz", Fraction(1)), "lambda given for zz, which is not a coordinate edge"),
+        (lambda lam: lam.omega.__setitem__("zz", Fraction(2)), "loop weight given for zz, which is not a loop edge"),
+        (lambda lam: lam.values.__setitem__("w1", Fraction(1)), "lambda given for w1, which is not a coordinate edge"),
+        (lambda lam: lam.values.pop("a2"), "missing lambda values for a2"),
+    ],
+)
+def test_shear_from_lambda_refuses_wrong_names(five_holes, change, message):
+    lam = lambda_of_dual_arcs(five_holes)
+    change(lam)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        shear_from_lambda(five_holes, lam)

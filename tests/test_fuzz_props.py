@@ -15,6 +15,7 @@ from spineforms.fuzz import (
     random_spine,
     run_suite,
 )
+from spineforms.coords import lambda_of_dual_arcs, shear_from_lambda
 from spineforms.paths import PathWord, compile_path, evaluate
 from spineforms.ribbon import dual_arc, emit_graph
 from spineforms.algebra import LaurentPoly
@@ -125,6 +126,24 @@ def test_seed_one_formal_words_are_pinned():
         for path in paths + [p for p in (arc, closed) if p is not None]:
             digest.update(str(evaluate(compile_path(graph, path))).encode() + b"\0")
     assert digest.hexdigest() == "28aabba5f49d28efebf8f6e7718ea2623921bac519b6bfda9fb628a0afec2187"
+
+
+def test_seed_one_shears_are_pinned():
+    """shear_from_lambda over the same corpus, each graph at a random
+    exact point and its float copy: exact values by str, floats by
+    repr; the digest changes if any value or its last bit does."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        graph = random_spine(rng)
+        random_arc(rng, graph)
+        random_closed_word(rng, graph)
+        point = random_exact_point(rng, graph)
+        exact = shear_from_lambda(graph, lambda_of_dual_arcs(graph, point))
+        floats = shear_from_lambda(graph, lambda_of_dual_arcs(graph, point.as_float()))
+        for name in graph.coordinate_edges():
+            digest.update(("%s %s %r" % (name, exact.q[name], floats.y[name])).encode() + b"\0")
+    assert digest.hexdigest() == "9aaf69518527e190fe7d7e1beb4c5e13f169cc5365e58cbdde1d9dead15b5000"
 
 
 WINDS_TWICE = """surface g=0 sh=2 so=1 n=3
