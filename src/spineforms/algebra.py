@@ -26,7 +26,6 @@ __all__ = [
     "Mat2",
     "SqrtExtension",
     "SqrtRational",
-    "lp_div_exact",
     "fraction_sqrt",
     "frac_matmul",
     "frac_inverse",
@@ -251,69 +250,17 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
-def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Quotient p/q when q divides p exactly in the Laurent ring.
-
-    Peels the lexicographically least term of q off the remainder; since
-    Laurent monomials are units, any nonzero q has an invertible least
-    term, and the quotient terms come out in increasing lex order.  If
-    q divides p, each variable's highest (and lowest) exponent in p is
-    that of the quotient plus that of q, so every quotient term lies in
-    the box those exponents bound; a term outside it, or a coefficient q
-    does not divide, proves the division inexact.  The box is finite, so
-    the loop ends.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return LaurentPoly()
-    # raw key comparison is not translation-invariant once exponents go
-    # negative; order terms by their exponent vector instead
-    allvars = sorted(p.variables() | q.variables())
-
-    def vecs(poly: LaurentPoly) -> dict[tuple[int, ...], int]:
-        out = {}
-        for key, coeff in poly.terms.items():
-            d = dict(key)
-            out[tuple(d.get(v, 0) for v in allvars)] = coeff
-        return out
-
-    pv, qv = vecs(p), vecs(q)
-    columns = list(zip(zip(*pv), zip(*qv)))  # per variable: exponents in p, in q
-    lo = [min(e) - min(f) for e, f in columns]
-    hi = [max(e) - max(f) for e, f in columns]
-    qk = min(qv)
-    qc = qv[qk]
-    rem = dict(pv)
-    out: dict[tuple[int, ...], int] = {}
-    while rem:
-        rk = min(rem)
-        fac_k = tuple(r - e for r, e in zip(rk, qk))
-        if not all(l <= e <= h for l, e, h in zip(lo, fac_k, hi)):
-            term = LaurentPoly({tuple(zip(allvars, fac_k)): 1})
-            raise ValueError("non-exact Laurent division: quotient term %s is past the degree bounds" % term)
-        if rem[rk] % qc != 0:
-            raise ValueError("non-exact Laurent division")
-        fac_c = rem[rk] // qc
-        out[fac_k] = fac_c
-        for k2, c2 in qv.items():
-            key = tuple(f + e for f, e in zip(fac_k, k2))
-            s = rem.get(key, 0) - fac_c * c2
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return LaurentPoly({tuple(zip(allvars, k)): c for k, c in out.items()})
-
-
 class SqrtRational:
     """Exact number of the shape rat*sqrt(rad), rad a positive integer.
 
     Normalization clears the radicand's denominator and folds perfect
     squares into the rational part, so purely rational values always end
     up with rad == 1.  Sums are only defined inside one square class
-    (rad2/rad1 a rational square), which is all the matrix words ever
-    produce: entries of a fixed word keep a single parity of exponents.
+    (rad2/rad1 a rational square).  Matrix words never sum these: they
+    run on ints and build each entry once, by sqrt_of_product and
+    scaled, so the entries of one word share one rad.  The Ptolemy sums
+    of flips.mutate_lambda are the one caller whose terms can carry
+    different rads of one class.
     """
 
     __slots__ = ("rat", "rad")
@@ -340,6 +287,34 @@ class SqrtRational:
     @classmethod
     def sqrt(cls, q) -> "SqrtRational":
         return cls(1, Fraction(q))
+
+    @classmethod
+    def sqrt_of_product(cls, qs: Iterable[Fraction]) -> "SqrtRational":
+        """sqrt(q_1 * ... * q_k) for positive Fractions, folded factor by
+        factor: q = a/b enters as sqrt(a*b)/b, a perfect square a*b
+        leaves the root at once, and factors common to the radicand so
+        far move out of it.  This keeps radicands small without
+        factoring; the r*sqrt(n) form it gives depends on the order of
+        the factors, so callers fix one."""
+        num = den = rad = 1
+        for x in qs:
+            s = x.numerator * x.denominator
+            den *= x.denominator
+            r = math.isqrt(s)
+            if r * r == s:
+                num *= r
+            else:
+                g = math.gcd(rad, s)
+                num *= g
+                rad = (rad // g) * (s // g)
+        return cls(Fraction(num, den), rad)
+
+    def scaled(self, num: int, den: int = 1) -> "SqrtRational":
+        """self * num/den for ints num and den != 0, keeping rad."""
+        out = SqrtRational.__new__(SqrtRational)
+        out.rat = Fraction(num * self.rat.numerator, den * self.rat.denominator)
+        out.rad = self.rad if num else 1
+        return out
 
     def is_zero(self) -> bool:
         return self.rat == 0
@@ -423,7 +398,7 @@ class SqrtRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtRational(-self.rat, self.rad)
+        return self.scaled(-1)
 
     def __sub__(self, other):
         other = self._coerce(other)

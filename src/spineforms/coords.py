@@ -291,30 +291,21 @@ class DualView:
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
 
-        Each odd factor a/b enters as sqrt(a*b)/b, a perfect square a*b
-        leaves the root at once, and factors common to the radicand so
-        far move out of it, as in a product of SqrtRationals; this keeps
-        radicands small.
+        The radical is SqrtRational.sqrt_of_product of the odd factors
+        in file order.  Matrix words fold theirs in the point's edge
+        order, which is file order for every point the package builds,
+        so a dual arc's word prints its lambda in the same form.
         """
         out = []
         for terms in self._terms:
-            num = den = rad = 1
+            num = den = 1
             for n, m in terms:
-                x = q[n]
                 if m > 1:
+                    x = q[n]
                     num *= x.numerator ** (m // 2)
                     den *= x.denominator ** (m // 2)
-                if m & 1:
-                    s = x.numerator * x.denominator
-                    den *= x.denominator
-                    r = math.isqrt(s)
-                    if r * r == s:
-                        num *= r
-                    else:
-                        g = math.gcd(rad, s)
-                        num *= g
-                        rad = (rad // g) * (s // g)
-            out.append(SqrtRational(Fraction(num, den), rad))
+            root = SqrtRational.sqrt_of_product(q[n] for n, m in terms if m & 1)
+            out.append(root.scaled(num, den))
         return out
 
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:

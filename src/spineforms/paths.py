@@ -29,12 +29,23 @@ the exponent vector sits in one int, a signed bit field per variable of
 the word, wide enough for any exponent the word can reach, so a product
 with t, 1/t or w adds one int to each key (Monagan & Pearce, CASC 2007).
 LaurentPolys are built once, at the end.
+
+Exact entries are four ints over one common int denominator, times one
+radical shared by the whole word: every entry is a rational multiple of
+sqrt(prod_{j in S} q_j), S the parity set of edges the word has crossed
+an odd number of times so far.  With q_e = n/m, X[e] maps the ints to
+(-n*c, -n*d, m*a, m*b), toggles e in S and multiplies the denominator
+by n when e enters S, by m when it leaves; F and -F^-1 with w = wn/wd
+scale the row operation by wd, and the denominator with it.  L and R
+are int row operations.  The radical is folded once, at the end, by
+SqrtRational.sqrt_of_product, the rule the closed-form lambda-lengths
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2, SqrtRational
 
@@ -66,11 +77,12 @@ def w_var(edge: str) -> str:
     return "w_" + edge
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One edge traversal: the edge's name, the loop direction sign
     ('+'/'-' for loop edges, None otherwise), and optionally the half
-    edge the traversal exits through (resolves multi-edge ambiguity)."""
+    edge the traversal exits through (resolves multi-edge ambiguity).
+    A named tuple: immutable and hashable, and cheap to build, since
+    every walk step builds one."""
 
     edge: str
     sign: Optional[str] = None
@@ -304,15 +316,20 @@ def _resolve_steps(graph: "FatGraph", path: PathWord) -> tuple[Step, ...]:
 def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat2:
     """Multiply the word out over LaurentPoly (point=None) or numbers.
 
-    Numbers go through the non-trivial products and sums of a general
-    2x2 product, in its operand order, so exact values print in the same
-    r*sqrt(n) form as the matrix product's.
+    Float points run the atoms' row operations on floats.  Exact points
+    run them on ints over one denominator and attach the word's single
+    radical at the end, so every nonzero exact entry prints as r*sqrt(n)
+    with the n that SqrtRational.sqrt_of_product gives for the edges
+    crossed an odd number of times, folded in the point's edge order;
+    on a dual arc that is the form lambda_of_dual_arcs prints.
     """
     if not word.atoms:
         raise ValueError("empty word")
     if point is None:
         return _evaluate_formal(word.atoms)
-    return _evaluate_numeric(word.atoms, point)
+    if point.exact:
+        return _evaluate_exact(word.atoms, point)
+    return _evaluate_float(word.atoms, point)
 
 
 def _evaluate_formal(atoms: tuple[Atom, ...]) -> Mat2:
@@ -418,18 +435,50 @@ def _chunk_pairs(value: int, chunk: list[str], width: int) -> tuple:
     return tuple(pairs)
 
 
-def _evaluate_numeric(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
-    if point.exact:
-        one: object = SqrtRational(1)
-        zero: object = SqrtRational(0)
-    else:
-        one, zero = 1.0, 0.0
-    a, b, c, d = one, zero, zero, one
+def _evaluate_exact(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
+    # entry = int / den * sqrt(prod_{j in odd} q_j)
+    q, omega = point.q, point.omega
+    a, b, c, d, den = 1, 0, 0, 1, 1
+    odd: set[str] = set()
+    for atom in atoms:
+        kind = atom[0]
+        if kind == "X":
+            e = atom[1]
+            x = q[e]
+            n, m = x.numerator, x.denominator
+            a, b, c, d = -n * c, -n * d, m * a, m * b
+            if e in odd:
+                odd.remove(e)
+                den *= m
+            else:
+                odd.add(e)
+                den *= n
+        elif kind == "L":
+            a, b, c, d = c, d, -a - c, -b - d
+        elif kind == "R":
+            a, b, c, d = a + c, b + d, -a, -b
+        elif kind in ("F", "Fi"):
+            # the row operation times wd, so that w enters as the int wn
+            w = omega[atom[1]]
+            wn, wd = w.numerator, w.denominator
+            if kind == "F":
+                a, b, c, d = wd * c, wd * d, -wd * a - wn * c, -wd * b - wn * d
+            else:
+                a, b, c, d = wn * a + wd * c, wn * b + wd * d, -wd * a, -wd * b
+            den *= wd
+        else:
+            raise ValueError("unknown atom %r" % (atom,))
+    root = SqrtRational.sqrt_of_product(x for e, x in q.items() if e in odd)
+    return Mat2(root.scaled(a, den), root.scaled(b, den), root.scaled(c, den), root.scaled(d, den))
+
+
+def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for atom in atoms:
         kind = atom[0]
         if kind == "X":
             t = point.t_value(atom[1])
-            mt, ti = -t, one / t
+            mt, ti = -t, 1.0 / t
             a, b, c, d = mt * c, mt * d, ti * a, ti * b
         elif kind == "L":
             a, b, c, d = c, d, -a - c, -b - d
@@ -437,8 +486,6 @@ def _evaluate_numeric(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2
             a, b, c, d = a + c, b + d, -a, -b
         elif kind in ("F", "Fi"):
             w = point.omega_value(atom[1])
-            if point.exact:
-                w = SqrtRational(w)
             if kind == "F":
                 a, b, c, d = c, d, -a + -w * c, -b + -w * d
             else:

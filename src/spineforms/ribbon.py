@@ -165,14 +165,6 @@ class FatGraph:
                 return self._owner[h]
         raise GraphError("pending edge %s touches no cusp" % name)
 
-    def pending_inner_half(self, name: str) -> str:
-        """The trivalent-side half of a pending edge."""
-        e = self.edges[name]
-        for h in e.halves:
-            if not self.is_cusp_half(h):
-                return h
-        raise GraphError("pending edge %s has no trivalent end" % name)
-
     def coordinate_edges(self) -> list[str]:
         return [e.name for e in self.edges.values() if e.kind != "loop"]
 

@@ -15,7 +15,6 @@ from spineforms.algebra import (
     frac_inverse,
     frac_kernel,
     fraction_sqrt,
-    lp_div_exact,
 )
 
 
@@ -87,46 +86,6 @@ def test_additive_inverse(a):
     assert (a - a).is_zero()
 
 
-@given(laurent_polys(), laurent_polys())
-def test_division_undoes_multiplication(a, b):
-    if b.is_zero():
-        return
-    assert lp_div_exact(a * b, b) == a
-
-
-def test_division_guard():
-    t = lp("t")
-    with pytest.raises(ValueError):
-        lp_div_exact(t + LaurentPoly.const(1), t + LaurentPoly.const(2))
-
-
-def test_division_with_more_than_ten_thousand_quotient_terms():
-    t, one = lp("t"), LaurentPoly.const(1)
-    quotient = lp_div_exact(t**10001 - one, t - one)
-    assert len(quotient.terms) == 10001
-    assert set(quotient.terms.values()) == {1}
-    assert quotient * (t - one) == t**10001 - one
-
-
-def test_non_exact_division_stops_at_the_degree_bound():
-    """1/(1 - t) would peel 1 + t + t^2 + ... for ever; the degree bound
-    refuses its first quotient term.  (1 - 2t^50)/(1 - t) peels 1..t^49,
-    the most the bound allows, and stops at t^50."""
-    t, one = lp("t"), LaurentPoly.const(1)
-    with pytest.raises(ValueError, match="quotient term 1 is past the degree bounds"):
-        lp_div_exact(one, one - t)
-    with pytest.raises(ValueError, match=r"quotient term t\^50 is past the degree bounds"):
-        lp_div_exact(one - 2 * t**50, one - t)
-
-
-def test_non_exact_division_in_two_variables_ends():
-    """Peeling (x + 1)/(1 - y) gives 1, y, y^2, ..., all below x in lex
-    order; the y-degree bound ends it."""
-    x, y, one = lp("x"), lp("y"), LaurentPoly.const(1)
-    with pytest.raises(ValueError, match="non-exact"):
-        lp_div_exact(x + one, one - y)
-
-
 def test_monomial_inspection():
     t = lp("t_a")
     m = t * t * lp("t_b").inverse()
@@ -166,6 +125,26 @@ def test_sqrt_rational_inverse_and_pow():
     x = SqrtRational(Fraction(3, 2), 5)
     assert x * x.inverse() == SqrtRational(Fraction(1))
     assert x ** 2 == SqrtRational(Fraction(45, 4))
+
+
+def test_sqrt_of_product_folds_factor_by_factor():
+    """a/b enters as sqrt(a*b)/b, perfect squares leave the root and
+    common factors move out; the order of the factors fixes the form."""
+    cases = [
+        ([Fraction(4, 9)], "2/3"),
+        ([Fraction(8), Fraction(2)], "4"),
+        ([Fraction(2, 3), Fraction(3)], "sqrt(2)"),
+        ([Fraction(10), Fraction(50), Fraction(8)], "10*sqrt(40)"),
+        ([Fraction(8), Fraction(10), Fraction(50)], "20*sqrt(10)"),
+    ]
+    for qs, text in cases:
+        root = SqrtRational.sqrt_of_product(qs)
+        want = SqrtRational(1)
+        for q in qs:
+            want = want * SqrtRational.sqrt(q)
+        assert root == want and str(root) == text, qs
+        assert root.scaled(-3, 4) == want * Fraction(-3, 4) and root.scaled(-3, 4).rad == root.rad
+    assert str(SqrtRational.sqrt_of_product([Fraction(3)]).scaled(0, 5)) == "0"
 
 
 def test_to_fraction_requires_trivial_radical():

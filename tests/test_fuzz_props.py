@@ -128,6 +128,23 @@ def test_seed_one_formal_words_are_pinned():
     assert digest.hexdigest() == "28aabba5f49d28efebf8f6e7718ea2623921bac519b6bfda9fb628a0afec2187"
 
 
+def test_seed_one_exact_words_are_pinned():
+    """Exact evaluation of the same corpus at a random exact point per
+    graph: every dual arc, arc and closed word, printed; the digest
+    changes if any entry's value or its r*sqrt(n) form does."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        graph = random_spine(rng)
+        arc = random_arc(rng, graph)
+        closed = random_closed_word(rng, graph)
+        point = random_exact_point(rng, graph)
+        paths = [dual_arc(graph, name) for name in graph.coordinate_edges()]
+        for path in paths + [p for p in (arc, closed) if p is not None]:
+            digest.update(str(evaluate(compile_path(graph, path), point)).encode() + b"\0")
+    assert digest.hexdigest() == "278c8abc61ede880d0014af8530a7013d5f9b84ded443c5a9c4fc13bbd2e14a7"
+
+
 def test_seed_one_shears_are_pinned():
     """shear_from_lambda over the same corpus, each graph at a random
     exact point and its float copy: exact values by str, floats by

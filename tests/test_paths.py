@@ -16,7 +16,8 @@ from spineforms import (
     geodesic_function,
     lambda_length,
 )
-from spineforms.coords import CoordinatePoint
+from spineforms.algebra import fraction_sqrt
+from spineforms.coords import CoordinatePoint, lambda_of_dual_arcs
 from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, random_spine
 from spineforms.paths import MatrixWord, t_var, w_var
 from spineforms.ribbon import dual_arc
@@ -187,8 +188,11 @@ def oracle_evaluate(word, point=None):
 
 
 def test_evaluate_matches_matrix_product_oracle():
-    """Formal and exact values are equal and print the same; float
-    values are equal to the last bit."""
+    """Formal, exact and float values are equal to the oracle's; formal
+    values print the same and floats agree to the last bit.  Exact
+    values print in the one form of their radical, the one the
+    closed-form lambda-lengths print: on every dual arc the word's
+    value prints as lambda_of_dual_arcs prints it."""
     rng = random.Random(20260816)
     words = 0
     for _ in range(200):
@@ -199,12 +203,62 @@ def test_evaluate_matches_matrix_product_oracle():
         fpoint = point.as_float()
         for path in paths:
             word = compile_path(graph, path)
-            for pt in (None, point):
-                got, want = evaluate(word, pt), oracle_evaluate(word, pt)
-                assert got == want and str(got) == str(want), (path.token_string(), pt)
+            got, want = evaluate(word), oracle_evaluate(word)
+            assert got == want and str(got) == str(want), path.token_string()
+            assert evaluate(word, point) == oracle_evaluate(word, point), (path.token_string(), point)
             assert evaluate(word, fpoint) == oracle_evaluate(word, fpoint), path.token_string()
             words += 1
+        closed_form = lambda_of_dual_arcs(graph, point).values
+        for name in graph.coordinate_edges():
+            assert str(lambda_length(graph, dual_arc(graph, name), point)) == str(closed_form[name]), name
     assert words > 1000
+
+
+def _assert_exact_entries(word, point, substitutable):
+    """The word's exact entries at point equal the oracle's and, when
+    every q of the point is a rational square, the formal entries with
+    t_e = sqrt(q_e) and the loop weights substituted."""
+    got = evaluate(word, point)
+    assert got == oracle_evaluate(word, point), (str(word), point)
+    if substitutable:
+        values = {t_var(e): fraction_sqrt(q) for e, q in point.q.items()}
+        values.update((w_var(e), w) for e, w in point.omega.items())
+        formal = evaluate(word)
+        for entry, poly in zip((got.a, got.b, got.c, got.d), (formal.a, formal.b, formal.c, formal.d)):
+            assert entry == poly.subs(values), (str(word), point)
+    return got
+
+
+def test_fractional_loop_weights_scale_the_denominator(two_loops):
+    """Loop weights 5/2 and 7/3 through F and -F^-1: the dual arcs of
+    sigma_0_3_1 and two closed words bounce both ways off both loops."""
+    paths = [dual_arc(two_loops, name) for name in two_loops.coordinate_edges()]
+    paths += [tokens(two_loops, text, closed=True) for text in
+              ("pi,a1,w1+,a1,b1,w2-,b1,pi", "pi,b1,w2+,b1,a1,w1-,a1,b1,w2-,b1,pi")]
+    omega = {"w1": Fraction(5, 2), "w2": Fraction(7, 3)}
+    square = CoordinatePoint(True, q={"pi": Fraction(4, 9), "a1": Fraction(25), "b1": Fraction(1, 16)}, omega=omega)
+    plain = CoordinatePoint(True, q={"pi": Fraction(2, 3), "a1": Fraction(5), "b1": Fraction(7, 2)}, omega=omega)
+    kinds = set()
+    for path in paths:
+        word = compile_path(two_loops, path)
+        kinds.update((atom[0], atom[1]) for atom in word.atoms if atom[0] in ("F", "Fi"))
+        _assert_exact_entries(word, square, True)
+        _assert_exact_entries(word, plain, False)
+    assert kinds == {("F", "w1"), ("Fi", "w1"), ("F", "w2"), ("Fi", "w2")}
+
+
+def test_huge_q_toggles_parity_back():
+    """q_a past 1e308 on words that cross a twice (a leaves the parity
+    set again) and three times (a stays in it)."""
+    twice = MatrixWord((("X", "a"), ("L",), ("X", "b"), ("R",), ("X", "a")))
+    thrice = MatrixWord(twice.atoms + (("L",), ("X", "a")))
+    plain = CoordinatePoint(True, q={"a": Fraction(10**400, 3), "b": Fraction(7, 5)})
+    square = CoordinatePoint(True, q={"a": Fraction(10**400, 9), "b": Fraction(49, 25)})
+    for word, odd in ((twice, ["b"]), (thrice, ["a", "b"])):
+        _assert_exact_entries(word, square, True)
+        got = _assert_exact_entries(word, plain, False)
+        rad = SqrtRational.sqrt_of_product(plain.q[e] for e in odd).rad
+        assert {x.rad for x in (got.a, got.b, got.c, got.d) if not x.is_zero()} == {rad}, str(word)
 
 
 def test_long_word_with_high_exponents():
