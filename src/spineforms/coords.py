@@ -14,15 +14,16 @@ its lambda-length is the unit monomial
 
 so an exact point gives lambda_i = prod_j q_j^{floor(M_ij/2)} *
 sqrt(prod_{M_ij odd} q_j) and a float point exp(sum_j M_ij Y_j / 2).
-Going back is local: K = 2 M^{-1} is read off the graph.  For each
-half h of coordinate edge e, a cusp half adds +1 on e, any other half
-+1 on the edge after h counterclockwise and -1 on the one before,
-loops skipped; an inner edge gets the cross-ratio of its quadrilateral.
-Y_e = sum_j K_ej log(lambda_j), and an exact point gives
-q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact square root.  M and K
-are derived once per graph in a DualView cached on the graph (see
-dual_view), which checks K M = 2I before K is used; the matrix words of
-the dual arcs (paths.lambda_length) remain an independent check.
+Going back is local: K = 2 M^{-1} is P + E, Fock's bracket table P
+plus 1 on the diagonal of each pending edge.  P is vertex-local (see
+_fock_table): each vertex adds +1 for every cyclically adjacent ordered
+pair of its coordinate slots, loops skipped, so an inner edge gets the
+cross-ratio of its quadrilateral.  Y_e = sum_j K_ej log(lambda_j), and
+an exact point gives q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact
+square root.  M, P and K are derived once per graph in a DualView
+cached on the graph (see dual_view), which checks K M = 2I before K is
+used; the matrix words of the dual arcs (paths.lambda_length) remain
+an independent check.  Penner's form is 1/4 M^T P M (forms).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "LambdaAssignment",
     "lambda_of_dual_arcs",
     "shear_from_lambda",
-    "dual_multiplicity_matrix",
     "dual_view",
     "cross_ratio",
     "pending_ratio",
@@ -231,6 +231,23 @@ class LambdaAssignment:
         return self.values[key]
 
 
+def _fock_table(graph: FatGraph) -> list[list[int]]:
+    """Fock's bracket table P over the coordinate edges in file order.
+
+    Each vertex adds +1 at (u, v) and -1 at (v, u) for every cyclically
+    adjacent ordered pair (u, v) of its coordinate slots; loop halves
+    carry no coordinate and are skipped.  Walks no dual arc.
+    """
+    index = {n: j for j, n in enumerate(graph.coordinate_edges())}
+    table = [[0] * len(index) for _ in index]
+    for halves in graph.vertices.values():
+        slots = [index[e] for e in map(graph.edge_of, halves) if e in index]
+        for u, v in zip(slots, slots[1:] + slots[:1]):
+            table[u][v] += 1
+            table[v][u] -= 1
+    return table
+
+
 class DualView:
     """The dual arcs of one graph as exponent vectors, derived once.
 
@@ -238,39 +255,34 @@ class DualView:
     counts how often dual_arc(names[i]) runs through names[j] (loop
     bounces are not counted): the traversal-count matrix M.  The
     lambda-length of dual arc i is the unit monomial prod_j t_j^{M_ij},
-    t_j = e^{Y_j/2}.  ``local[i]`` holds the nonzero (j, K_ij) of row i
-    of K = 2 M^{-1}, read off the graph by the local rule; inverse()
-    checks K M = 2I before handing it out.
+    t_j = e^{Y_j/2}.  ``fock[i]`` holds the nonzero (j, P_ij) of row i
+    of Fock's bracket table P, and ``local[i]`` those of K = P + E, E
+    adding 1 on the diagonal of each pending edge; both in ascending j.
+    K = 2 M^{-1} on a spine, and inverse() checks K M = 2I before
+    handing K out.
     """
 
-    __slots__ = ("names", "rows", "local", "_terms", "_checked")
+    __slots__ = ("names", "rows", "fock", "local", "_terms", "_checked")
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
         index = {n: j for j, n in enumerate(names)}
         rows = []
-        local = []
-        for i, name in enumerate(names):
+        for name in names:
             row = [0] * len(names)
             for step in dual_arc(graph, name).steps:
                 j = index.get(step.edge)
                 if j is not None:
                     row[j] += 1
             rows.append(tuple(row))
-            # row i of K = 2 M^{-1} by the local rule
-            krow = [0] * len(names)
-            for h in graph.edges[name].halves:
-                if graph.is_cusp_half(h):
-                    krow[i] += 1
-                    continue
-                for x, k in ((graph.sigma(h), 1), (graph.sigma_inv(h), -1)):
-                    j = index.get(graph.edge_of(x))
-                    if j is not None:
-                        krow[j] += k
-            local.append(tuple((j, k) for j, k in enumerate(krow) if k))
         self.names = tuple(names)
         self.rows = tuple(rows)
-        self.local = tuple(local)
+        # P has a zero diagonal, so E's entry sorts into each pending row
+        self.fock = tuple(tuple((j, k) for j, k in enumerate(row) if k) for row in _fock_table(graph))
+        self.local = tuple(
+            tuple(sorted(row + ((i, 1),))) if graph.edges[name].kind == "pending" else row
+            for i, (name, row) in enumerate(zip(names, self.fock))
+        )
         # the (edge, M_ij) pairs of each row's nonzero counts
         self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
         self._checked = False
@@ -337,14 +349,6 @@ def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None
     view = dual_view(graph)
     values = view.exact_lambdas(point.q) if point.exact else view.float_lambdas(point.y)
     return LambdaAssignment(dict(zip(view.names, values)), point.exact, dict(point.omega))
-
-
-def dual_multiplicity_matrix(graph: FatGraph) -> tuple[list[str], list[list[int]]]:
-    """Row i counts how often dual_arc(names[i]) runs through each
-    coordinate edge; loop bounces are not counted.  A copy of the
-    graph's DualView."""
-    view = dual_view(graph)
-    return list(view.names), [list(row) for row in view.rows]
 
 
 def _positive_square(name: str, v) -> Fraction:

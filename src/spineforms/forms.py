@@ -2,16 +2,17 @@
 
 Three coordinate-indexed matrices are built combinatorially:
 
-* ``poisson_matrix``: the vertex-local bracket table.  Each trivalent
-  vertex contributes +1 for every cyclically adjacent ordered pair of
-  its coordinate-bearing slots (loop half-edges carry no coordinate and
-  are skipped).
-* ``window_form_matrix``: the boundary-ordered two-form.  Every window
-  contributes +1 for every ordered pair of coordinate tokens along it.
-* ``penner_form_matrix``: the sum over trivalent vertices (away from
-  loops) of the wedge products of the dual-arc length differentials of
-  the three legs, expressed in the coordinate differentials through the
-  dual-arc traversal counts.
+* ``poisson_matrix``: Fock's vertex-local bracket table P.  Each
+  trivalent vertex contributes +1 for every cyclically adjacent ordered
+  pair of its coordinate-bearing slots (loop half-edges carry no
+  coordinate and are skipped); coords derives it once for P, the local
+  inverse rule K = P + E and this module's Penner form.
+* ``window_form_matrix``: the boundary-ordered two-form W.  Every
+  window contributes +1 for every ordered pair of coordinate tokens
+  along it.
+* ``penner_form_matrix``: Penner's form, P in d log lambda, pulled back
+  through log lambda = 1/2 M Y to 1/4 M^T P M, M the dual-arc traversal
+  counts.  The window form equals M^T P M on every spine.
 
 Centers of the bracket: one counting vector per cusped hole (the
 traversal counts of its full boundary walk) and the loop weights, which
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import frac_inverse, frac_kernel, frac_matmul
-from .coords import CoordinatePoint, dual_view
+from .coords import CoordinatePoint, _fock_table, dual_view
 from .ribbon import FatGraph, windows
 
 __all__ = [
@@ -105,17 +106,7 @@ class CoordinateIndexedMatrix:
 
 def poisson_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     """Bracket table {Y_u, Y_v} over the coordinate edges."""
-    m = CoordinateIndexedMatrix(graph.coordinate_edges())
-    for halves in graph.vertices.values():
-        slots = [graph.edge_of(h) for h in halves if graph.edges[graph.edge_of(h)].kind != "loop"]
-        if len(slots) < 2:
-            continue
-        k = len(slots)
-        for i in range(k):
-            u, v = slots[i], slots[(i + 1) % k]
-            m.add_at(u, v, 1)
-            m.add_at(v, u, -1)
-    return m
+    return CoordinateIndexedMatrix(graph.coordinate_edges(), _fock_table(graph))
 
 
 def window_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
@@ -132,32 +123,23 @@ def window_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
 
 
 def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
-    """Vertex-sum of wedge products of dual-arc length differentials.
+    """Penner's form, P in d log lambda, pulled back through
+    log lambda = 1/2 M Y: 1/4 M^T P M.
 
-    d(log lambda) of a leg's dual arc is half the traversal-count row of
-    that leg; vertices carrying a loop are skipped because their two
-    loop legs have no dual arc and the stem wedge cancels.
+    M^T P M is the sum of the wedges M_u (x) M_v - M_v (x) M_u over the
+    positive entries P_uv, each taken P_uv times.
     """
     view = dual_view(graph)
-    names, rows = view.names, view.rows
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    acc = [[0] * n for _ in range(n)]  # four times the form
-    for halves in graph.vertices.values():
-        kinds = [graph.edges[graph.edge_of(h)].kind for h in halves]
-        if "loop" in kinds:
-            continue
-        legs = [rows[index[graph.edge_of(h)]] for h in halves]
-        for i in range(3):
-            a, b = legs[i], legs[(i + 1) % 3]
-            for f in range(n):
-                af, bf = a[f], b[f]
-                if af == 0 and bf == 0:
-                    continue
-                row = acc[f]
-                for g in range(n):
-                    row[g] += af * b[g] - a[g] * bf
-    return CoordinateIndexedMatrix(names, [[Fraction(x, 4) for x in row] for row in acc])
+    nonzero = [[(f, m) for f, m in enumerate(row) if m] for row in view.rows]
+    acc = [[0] * len(view.names) for _ in view.names]  # M^T P M
+    for u, terms in enumerate(view.fock):
+        for v, p in terms:
+            if p > 0:
+                for f, a in nonzero[u]:
+                    for g, b in nonzero[v]:
+                        acc[f][g] += p * a * b
+                        acc[g][f] -= p * a * b
+    return CoordinateIndexedMatrix(view.names, [[Fraction(x, 4) for x in row] for row in acc])
 
 
 @dataclass

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import LaurentPoly, frac_inverse
-from .coords import CoordinatePoint, dual_multiplicity_matrix, dual_view, lambda_of_dual_arcs, shear_from_lambda
+from .coords import CoordinatePoint, dual_view, lambda_of_dual_arcs, shear_from_lambda
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
 from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
@@ -195,8 +195,8 @@ def suite_monomiality(trials: int, seed: int) -> SuiteResult:
     res = SuiteResult("monomiality", trials)
     for k in range(trials):
         graph = random_spine(rng)
-        names, rows = dual_multiplicity_matrix(graph)
-        for name, row in zip(names, rows):
+        view = dual_view(graph)
+        for name, row in zip(view.names, view.rows):
             lam = lambda_length(graph, dual_arc(graph, name))
             if not lam.is_monomial():
                 res.failures.append("graph %d dual(%s): %s" % (k, name, lam))
@@ -206,7 +206,7 @@ def suite_monomiality(trials: int, seed: int) -> SuiteResult:
                 res.failures.append("graph %d dual(%s) coefficient %d" % (k, name, coeff))
             if any(var.startswith("w_") for var in powers):
                 res.failures.append("graph %d dual(%s) depends on a loop weight" % (k, name))
-            exponents = [powers.get(t_var(n), 0) for n in names]
+            exponents = tuple(powers.get(t_var(n), 0) for n in view.names)
             if exponents != row:
                 res.failures.append("graph %d dual(%s) exponents %s, row of M %s" % (k, name, exponents, row))
     return res
@@ -302,11 +302,11 @@ def suite_involution(trials: int, seed: int) -> SuiteResult:
 def _local_rule_mismatches(graph: FatGraph) -> list[tuple[str, list[int], list[Fraction]]]:
     """(edge, row of the DualView's local rule, row of 2 M^{-1}) for
     every coordinate edge where the two differ, M^{-1} by Gauss-Jordan."""
-    names, rows = dual_multiplicity_matrix(graph)
-    inverse = frac_inverse([[Fraction(x) for x in row] for row in rows])
+    view = dual_view(graph)
+    inverse = frac_inverse([[Fraction(x) for x in row] for row in view.rows])
     out = []
-    for name, terms, inv in zip(names, dual_view(graph).local, inverse):
-        row = [0] * len(names)
+    for name, terms, inv in zip(view.names, view.local, inverse):
+        row = [0] * len(view.names)
         for j, k in terms:
             row[j] = k
         twice = [2 * x for x in inv]
@@ -380,31 +380,21 @@ def suite_centers(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_proportionality(trials: int, seed: int) -> SuiteResult:
-    """Vertex-sum form equals kappa times the window form; tabulates
-    the kappa values seen."""
+    """The window form W equals M^T P M, four times Penner's form, on
+    every graph; tabulates kappa = Penner / W, which is 1/4 unless W is
+    zero."""
     rng = random.Random(seed)
     res = SuiteResult("proportionality", trials)
     seen: dict[str, int] = {}
     for k in range(trials):
         graph = random_spine(rng)
         window = window_form_matrix(graph)
-        penner = penner_form_matrix(graph)
-        kappa = None
-        for i in range(len(window.names)):
-            for j in range(len(window.names)):
-                if window.data[i][j] != 0:
-                    kappa = penner.data[i][j] / window.data[i][j]
-                    break
-            if kappa is not None:
-                break
-        if kappa is None:
-            seen["(zero)"] = seen.get("(zero)", 0) + 1
-            if any(x != 0 for row in penner.data for x in row):
-                res.failures.append("graph %d: window form zero but vertex form not" % k)
+        mtpm = penner_form_matrix(graph).scaled(4)
+        if window != mtpm:
+            u, v = next((u, v) for u in window.names for v in window.names if window[u, v] != mtpm[u, v])
+            res.failures.append("graph %d: W[%s,%s] = %s but M^T P M has %s" % (k, u, v, window[u, v], mtpm[u, v]))
             continue
-        if penner != window.scaled(kappa):
-            res.failures.append("graph %d: forms not proportional" % k)
-        key = str(kappa)
+        key = "1/4" if window.nonzero_row_names() else "(zero)"
         seen[key] = seen.get(key, 0) + 1
     res.info["kappa"] = ",".join("%s:%d" % kv for kv in sorted(seen.items()))
     return res

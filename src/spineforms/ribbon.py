@@ -342,7 +342,9 @@ def dual_arc(graph: FatGraph, name: str) -> PathWord:
     out of that cusp, reversed.  Inner edge: hug the triangulation from
     both ends until a cusp is reached on each side.
     """
-    edge = graph.edges[name]
+    edge = graph.edges.get(name)
+    if edge is None:
+        raise GraphError("no edge named %s" % name)
     if edge.kind == "loop":
         raise GraphError("loop edge %s has no dual arc" % name)
     if edge.kind == "pending":

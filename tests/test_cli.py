@@ -1,6 +1,8 @@
 """Drives the command line in process and pins its printed output."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -298,6 +300,15 @@ def test_flip_refuses_pending(capsys):
     assert err == "error: only inner edges flip; pi is pending\n"
 
 
+@pytest.mark.parametrize("command", ["dual-arcs", "flip", "lambda", "geodesic"])
+def test_unknown_edge_is_bad_input(capsys, command):
+    code, out, err = run(capsys, command, fx("t3"), "zz")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_verify_inverse_five_holes(capsys):
     code, out, _ = run(capsys, "verify-inverse", fx("sigma_0_5_1"))
     assert code == 0
@@ -387,3 +398,12 @@ def test_fuzz_matches_readme_block(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "1", "--trials", "20")
     assert code == 0
     assert out == block
+
+
+def test_package_runs_as_a_module():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "spineforms", "validate", fx("t3")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("header")

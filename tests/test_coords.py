@@ -17,7 +17,6 @@ from spineforms import (
 )
 from spineforms import coords
 from spineforms.algebra import SqrtRational
-from spineforms.coords import dual_multiplicity_matrix
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, _local_rule_mismatches, random_exact_point, random_spine
 from spineforms.paths import lambda_length
@@ -111,8 +110,7 @@ def test_multiplicity_matrix_is_invertible_on_fixtures():
 
     for name in ALL_FIXTURES:
         graph = load_fixture(name)
-        names, rows = dual_multiplicity_matrix(graph)
-        m = [[Fraction(x) for x in row] for row in rows]
+        m = [[Fraction(x) for x in row] for row in coords.dual_view(graph).rows]
         inv = frac_inverse(m)
         for row in inv:
             for x in row:
@@ -120,11 +118,11 @@ def test_multiplicity_matrix_is_invertible_on_fixtures():
 
 
 def test_multiplicities_match_arc_traversals(five_holes):
-    names, rows = dual_multiplicity_matrix(five_holes)
-    for i, edge in enumerate(names):
+    view = coords.dual_view(five_holes)
+    for i, edge in enumerate(view.names):
         arc = dual_arc(five_holes, edge)
-        for j, other in enumerate(names):
-            assert rows[i][j] == arc.tokens.count(other)
+        for j, other in enumerate(view.names):
+            assert view.rows[i][j] == arc.tokens.count(other)
 
 
 def test_assignment_getitem(two_loops):
@@ -183,22 +181,13 @@ def test_dual_view_is_built_once_per_graph(monkeypatch, two_loops):
     assert len(calls) == len(two_loops.coordinate_edges())
     second = lambda_of_dual_arcs(two_loops)
     shear_from_lambda(two_loops, second)
-    dual_multiplicity_matrix(two_loops)
+    coords.dual_view(two_loops)
     assert len(calls) == len(two_loops.coordinate_edges())
     assert first.values == second.values
 
 
 def test_parse_does_not_build_the_dual_view():
     assert parse_graph(fixture_text("sigma_0_5_1"))._dual is None
-
-
-def test_multiplicity_matrix_is_a_copy(five_holes):
-    names, rows = dual_multiplicity_matrix(five_holes)
-    before = lambda_of_dual_arcs(five_holes).values
-    names.reverse()
-    rows[0][0] += 5
-    assert dual_multiplicity_matrix(five_holes) != (names, rows)
-    assert lambda_of_dual_arcs(five_holes).values == before
 
 
 def test_exact_lambdas_print_in_split_form(four_cusps):

@@ -15,10 +15,13 @@ from spineforms import (
     verify_inverse,
     window_form_matrix,
 )
+from spineforms.coords import dual_view
 from spineforms.forms import CoordinateIndexedMatrix
+from spineforms.fuzz import random_spine
 from spineforms.paths import PathWord
+from spineforms.ribbon import emit_graph, parse_graph
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
 
 def as_ints(mat):
@@ -117,6 +120,33 @@ def test_antisymmetry_and_integrality(name):
 def test_vertex_sum_proportional_to_window(name):
     graph = load_fixture(name)
     assert penner_form_matrix(graph) == window_form_matrix(graph).scaled(Fraction(1, 4))
+
+
+def test_one_fock_table_against_a_dense_oracle():
+    """On every fixture and 300 seeded spines: the window form equals
+    M^T P M by plain triple loops, the local inverse rule made dense is
+    P + E (E: 1 on each pending edge's diagonal), and the bracket table
+    is built without the dual view."""
+    texts = [fixture_text(name) for name in ALL_FIXTURES]
+    rng = random.Random(1)
+    texts += [emit_graph(random_spine(rng)) for _ in range(300)]
+    for k, text in enumerate(texts):
+        graph = parse_graph(text)
+        p = [[int(x) for x in row] for row in poisson_matrix(graph).data]
+        assert graph._dual is None, k
+        view = dual_view(graph)
+        m = view.rows
+        n = len(m)
+        pm = [[sum(p[u][v] * m[v][g] for v in range(n)) for g in range(n)] for u in range(n)]
+        mtpm = [[sum(m[u][f] * pm[u][g] for u in range(n)) for g in range(n)] for f in range(n)]
+        assert as_ints(window_form_matrix(graph)) == mtpm, k
+        k_dense = [[0] * n for _ in range(n)]
+        for i, terms in enumerate(view.inverse()):
+            for j, x in terms:
+                k_dense[i][j] = x
+        for i, name in enumerate(view.names):
+            p[i][i] += graph.edges[name].kind == "pending"
+        assert k_dense == p, k
 
 
 @pytest.mark.parametrize("name", ("sigma_0_2_1", "sigma_0_3_1", "sigma_0_5_1"))

@@ -172,7 +172,7 @@ def test_dual_arc_loop_refused(one_loop):
 
 
 def test_dual_arc_unknown_edge(t3):
-    with pytest.raises(KeyError):
+    with pytest.raises(GraphError, match="^no edge named zz$"):
         dual_arc(t3, "zz")
 
 
