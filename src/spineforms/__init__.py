@@ -8,7 +8,7 @@ a tiny quadratic extension, and formal results as integer Laurent
 polynomials.
 """
 
-from .algebra import Fraction, LaurentPoly, Mat2, SqrtExtension, SqrtRational
+from .algebra import Fraction, LaurentPoly, Mat2, SqrtRational
 from .ribbon import Edge, FatGraph, ValidationReport, Window, parse_graph, validate
 from .paths import (
     GeodesicFunction,
@@ -45,7 +45,6 @@ __all__ = [
     "Fraction",
     "LaurentPoly",
     "Mat2",
-    "SqrtExtension",
     "SqrtRational",
     "Edge",
     "FatGraph",

@@ -1,14 +1,12 @@
 """Exact arithmetic substrate.
 
-Four value families cover every computation in the package:
+Three value families cover every computation in the package:
 
 * ``Fraction`` (re-exported) for rational scalars,
 * ``LaurentPoly`` for integer-coefficient Laurent polynomials in the
   half-coordinate variables ``t_*`` and loop weights ``w_*``,
 * ``SqrtRational`` for numbers of the shape ``a*sqrt(b)`` with rational
-  ``a, b`` (lambda-lengths at exact points live here),
-* ``SqrtExtension`` for Laurent polynomials extended by square roots of
-  Laurent polynomials (the flip-identity checks live here).
+  ``a, b`` (lambda-lengths at exact points live here).
 
 2x2 matrices over any of these are handled by ``Mat2``, which is ring
 agnostic: entries only need ``+``, ``*`` and unary ``-``.
@@ -24,7 +22,6 @@ __all__ = [
     "Fraction",
     "LaurentPoly",
     "Mat2",
-    "SqrtExtension",
     "SqrtRational",
     "fraction_sqrt",
     "frac_matmul",
@@ -97,12 +94,6 @@ class LaurentPoly:
             raise ValueError("not a monomial: %s" % self)
         ((key, coeff),) = self.terms.items()
         return coeff, dict(key)
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for key in self.terms:
-            out.update(v for v, _ in key)
-        return out
 
     def sign_definite(self) -> Optional[int]:
         """+1 or -1 if every coefficient has that sign, 0 for the zero
@@ -479,151 +470,6 @@ class Mat2:
 
     def __str__(self):
         return "[[%s, %s], [%s, %s]]" % (self.a, self.b, self.c, self.d)
-
-    __repr__ = __str__
-
-
-class SqrtExtension:
-    """Laurent polynomials extended by square-root generators.
-
-    ``gens`` is a sorted tuple of (name, r) pairs declaring u^2 = r with
-    r a LaurentPoly.  Elements are maps from subsets of generator names
-    to LaurentPoly coefficients; reduction keeps every u-degree at 0 or
-    1, applying u^2 -> r during multiplication.
-    """
-
-    __slots__ = ("gens", "parts")
-
-    def __init__(self, gens, parts: Optional[Mapping[frozenset, LaurentPoly]] = None):
-        self.gens = tuple(sorted(gens))
-        names = {name for name, _ in self.gens}
-        clean: dict[frozenset, LaurentPoly] = {}
-        if parts:
-            for subset, poly in parts.items():
-                subset = frozenset(subset)
-                if not subset <= names:
-                    raise ValueError("undeclared generator in %s" % sorted(subset))
-                if isinstance(poly, int):
-                    poly = LaurentPoly.const(poly)
-                if poly.is_zero():
-                    continue
-                prior = clean.get(subset)
-                clean[subset] = poly if prior is None else prior + poly
-                if clean[subset].is_zero():
-                    del clean[subset]
-        self.parts = clean
-
-    @classmethod
-    def from_poly(cls, gens, poly) -> "SqrtExtension":
-        if isinstance(poly, int):
-            poly = LaurentPoly.const(poly)
-        return cls(gens, {frozenset(): poly})
-
-    @classmethod
-    def gen(cls, gens, name: str) -> "SqrtExtension":
-        return cls(gens, {frozenset([name]): LaurentPoly.const(1)})
-
-    def _square(self, name: str) -> LaurentPoly:
-        for n, r in self.gens:
-            if n == name:
-                return r
-        raise ValueError("undeclared generator %s" % name)
-
-    def _coerce(self, other) -> "SqrtExtension":
-        if isinstance(other, SqrtExtension):
-            if other.gens != self.gens:
-                raise ValueError("mismatched square-root extensions")
-            return other
-        if isinstance(other, (int, LaurentPoly)):
-            return SqrtExtension.from_poly(self.gens, other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.parts)
-        for subset, poly in other.parts.items():
-            prior = out.get(subset)
-            tot = poly if prior is None else prior + poly
-            if tot.is_zero():
-                out.pop(subset, None)
-            else:
-                out[subset] = tot
-        res = SqrtExtension.__new__(SqrtExtension)
-        res.gens = self.gens
-        res.parts = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = SqrtExtension.__new__(SqrtExtension)
-        res.gens = self.gens
-        res.parts = {s: -p for s, p in self.parts.items()}
-        return res
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = SqrtExtension.from_poly(self.gens, other)
-        if not isinstance(other, SqrtExtension):
-            return NotImplemented
-        if other.gens != self.gens:
-            raise ValueError("mismatched square-root extensions")
-        out: dict[frozenset, LaurentPoly] = {}
-        for s1, p1 in self.parts.items():
-            for s2, p2 in other.parts.items():
-                coeff = p1 * p2
-                for name in s1 & s2:
-                    coeff = coeff * self._square(name)
-                subset = s1 ^ s2
-                prior = out.get(subset)
-                tot = coeff if prior is None else prior + coeff
-                if tot.is_zero():
-                    out.pop(subset, None)
-                else:
-                    out[subset] = tot
-        res = SqrtExtension.__new__(SqrtExtension)
-        res.gens = self.gens
-        res.parts = out
-        return res
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = SqrtExtension.from_poly(self.gens, other)
-        if not isinstance(other, SqrtExtension):
-            return NotImplemented
-        return self.gens == other.gens and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.gens, frozenset((s, hash(p)) for s, p in self.parts.items())))
-
-    def __str__(self):
-        if not self.parts:
-            return "0"
-        chunks = []
-        for subset in sorted(self.parts, key=sorted):
-            poly = self.parts[subset]
-            names = "*".join(sorted(subset))
-            if names:
-                chunks.append("(%s)*%s" % (poly, names))
-            else:
-                chunks.append("(%s)" % poly)
-        return " + ".join(chunks)
 
     __repr__ = __str__
 

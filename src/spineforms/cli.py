@@ -261,6 +261,8 @@ def cmd_verify_inverse(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 1:
+        return _die("--trials must be at least 1, got %d" % args.trials)
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
     else:

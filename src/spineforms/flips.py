@@ -22,20 +22,24 @@ arc trades for the other diagonal of its quadrilateral,
 
 while every other dual arc keeps its class and value.
 
+Both flip kinds run through one exchange rule, ``_exchange``.
+
 ``verify_flip_matrix_identities`` proves the matrix-word substitution
-rules symbolically, working in a square-root extension of the Laurent
-ring and clearing denominators by cross-multiplication so every check
-is exact.
+rules symbolically over the Laurent ring.  The new letters carry one
+radical each, u = sqrt(1 + t_Z^2) or v = sqrt(1 + w t_Z^2 + t_Z^4), and
+every right-hand side holds exactly two of them, so it is u^2 (or v^2)
+times a plain Laurent word and each check clears the radicand exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import LaurentPoly, Mat2, SqrtExtension
+from .algebra import LaurentPoly, Mat2
 from .coords import CoordinatePoint, LambdaAssignment
 from .ribbon import Edge, FatGraph, GraphError
 
@@ -128,6 +132,42 @@ def _softplus(z: float) -> float:
     return math.log1p(math.exp(-abs(z))) + max(z, 0.0)
 
 
+def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> CoordinatePoint:
+    """The point after flipping ``name``.  With g = 1 + q and k = 1 in a
+    quadrilateral, g = 1 + w q + q^2 and k = 2 at a loop of weight w:
+
+        q_x' = q_x g on the grow slots,  q_x' = q_x q^k/g on the shrink
+        slots,  q' = 1/q,
+
+    multiplied up per edge when one edge fills several slots.  A float
+    point takes the same steps on y = log q, summing each edge's shifts
+    before adding them."""
+    k = 1 if w is None else 2
+    values = dict(point.q if point.exact else point.y)
+    z = values[name]
+    if point.exact:
+        g = 1 + z if w is None else 1 + w * z + z * z
+        op, unit, moves, flipped = operator.mul, Fraction(1), (g, z ** k / g), 1 / z
+    else:
+        if w is None:
+            g = _softplus(z)
+        elif z > 0:  # log(1 + w e^z + e^{2z}), stable on both tails
+            g = 2 * z + math.log(1 + w * math.exp(-z) + math.exp(-2 * z))
+        else:
+            g = math.log(1 + w * math.exp(z) + math.exp(2 * z))
+        op, unit, moves, flipped = operator.add, 0.0, (g, k * z - g), -z
+    acc: dict = {}
+    for slots, m in zip((grow, shrink), moves):
+        for x in slots:
+            acc[x] = op(acc.get(x, unit), m)
+    for x, m in acc.items():
+        values[x] = op(values[x], m)
+    values[name] = flipped
+    if point.exact:
+        return CoordinatePoint(True, q=values, omega=dict(point.omega))
+    return CoordinatePoint(False, y=values, omega=dict(point.omega))
+
+
 def _rebuild(graph: FatGraph, new_vertices: dict[str, tuple[str, ...]], point: CoordinatePoint) -> FatGraph:
     vertices = dict(graph.vertices)
     vertices.update(new_vertices)
@@ -161,31 +201,7 @@ def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = No
         "D": graph.edge_of(d_h),
     }
 
-    if point.exact:
-        qz = point.q[name]
-        grow = 1 + qz
-        shrink = qz / grow
-        factors: dict[str, Fraction] = {}
-        for slot, f in (("A", grow), ("C", grow), ("B", shrink), ("D", shrink)):
-            x = slots[slot]
-            factors[x] = factors.get(x, Fraction(1)) * f
-        q2 = dict(point.q)
-        for x, f in factors.items():
-            q2[x] *= f
-        q2[name] = 1 / qz
-        point2 = CoordinatePoint(True, q=q2, omega=dict(point.omega))
-    else:
-        z = point.y[name]
-        grow_l = _softplus(z)
-        shifts: dict[str, float] = {}
-        for slot, df in (("A", grow_l), ("C", grow_l), ("B", z - grow_l), ("D", z - grow_l)):
-            x = slots[slot]
-            shifts[x] = shifts.get(x, 0.0) + df
-        y2 = dict(point.y)
-        for x, df in shifts.items():
-            y2[x] += df
-        y2[name] = -z
-        point2 = CoordinatePoint(False, y=y2, omega=dict(point.omega))
+    point2 = _exchange(point, name, (slots["A"], slots["C"]), (slots["B"], slots["D"]))
 
     graph2 = _rebuild(
         graph,
@@ -219,37 +235,7 @@ def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoi
     loop = site.loop
     slots = {"A": graph.edge_of(a_h), "B": graph.edge_of(b_h), "loop": loop}
 
-    if point.exact:
-        w = point.omega[loop]
-        qz = point.q[name]
-        grow = 1 + w * qz + qz * qz
-        shrink = qz * qz / grow
-        factors: dict[str, Fraction] = {}
-        for slot, f in (("A", grow), ("B", shrink)):
-            x = slots[slot]
-            factors[x] = factors.get(x, Fraction(1)) * f
-        q2 = dict(point.q)
-        for x, f in factors.items():
-            q2[x] *= f
-        q2[name] = 1 / qz
-        point2 = CoordinatePoint(True, q=q2, omega=dict(point.omega))
-    else:
-        w = float(point.omega[loop])
-        z = point.y[name]
-        # log(1 + w e^z + e^{2z}), stable on both tails
-        if z > 0:
-            grow_l = 2 * z + math.log(1 + w * math.exp(-z) + math.exp(-2 * z))
-        else:
-            grow_l = math.log(1 + w * math.exp(z) + math.exp(2 * z))
-        shifts: dict[str, float] = {}
-        for slot, df in (("A", grow_l), ("B", 2 * z - grow_l)):
-            x = slots[slot]
-            shifts[x] = shifts.get(x, 0.0) + df
-        y2 = dict(point.y)
-        for x, df in shifts.items():
-            y2[x] += df
-        y2[name] = -z
-        point2 = CoordinatePoint(False, y=y2, omega=dict(point.omega))
+    point2 = _exchange(point, name, (slots["A"],), (slots["B"],), point.omega[loop])
 
     graph2 = _rebuild(
         graph,
@@ -300,37 +286,9 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
 # Symbolic verification of the substitution identities.
 
 
-def _ext_const(gens, c: int) -> SqrtExtension:
-    return SqrtExtension.from_poly(gens, LaurentPoly.const(c))
-
-
-def _ext_poly(gens, p: LaurentPoly) -> SqrtExtension:
-    return SqrtExtension.from_poly(gens, p)
-
-
-def _ext_mat(gens, rows) -> Mat2:
-    flat = []
-    for x in rows[0] + rows[1]:
-        if isinstance(x, int):
-            flat.append(_ext_const(gens, x))
-        elif isinstance(x, LaurentPoly):
-            flat.append(_ext_poly(gens, x))
-        else:
-            flat.append(x)
-    return Mat2(*flat)
-
-
-def _x_mat(gens, tname: str) -> Mat2:
-    t = LaurentPoly.var(tname)
-    return _ext_mat(gens, [[LaurentPoly(), -t], [t.inverse(), LaurentPoly()]])
-
-
-def _turn_l(gens) -> Mat2:
-    return _ext_mat(gens, [[0, 1], [-1, -1]])
-
-
-def _turn_r(gens) -> Mat2:
-    return _ext_mat(gens, [[1, 1], [-1, 0]])
+def _x(p: LaurentPoly, q: LaurentPoly) -> Mat2:
+    """[[0, -p], [q, 0]]; the edge matrix of a letter t is _x(t, 1/t)."""
+    return Mat2(LaurentPoly(), -p, q, LaurentPoly())
 
 
 def _prod(*mats: Mat2) -> Mat2:
@@ -340,86 +298,40 @@ def _prod(*mats: Mat2) -> Mat2:
     return out
 
 
-def _eq_scaled(lhs: Mat2, rhs_n: Mat2, scale: SqrtExtension) -> bool:
-    """lhs == rhs_n / scale, checked as lhs*scale == rhs_n."""
-    scaled = Mat2(lhs.a * scale, lhs.b * scale, lhs.c * scale, lhs.d * scale)
-    return scaled == rhs_n
-
-
 def verify_flip_matrix_identities() -> list[tuple[str, bool]]:
     """Prove the quadrilateral and loop-triangle substitution rules.
 
     Each identity states that a matrix word through the flipped region
     equals the corresponding word in the new letters.  The new letters
-    involve u = sqrt(1+t^2) (or v = sqrt(1 + w t^2 + t^4) at a loop), so
-    the check runs in the square-root extension and clears the
-    denominators u^2 and v^2 by cross-multiplication.
+    carry one radical each, rho = sqrt(rad): u = sqrt(1 + t_Z^2) in a
+    quadrilateral and v = sqrt(1 + w t_Z^2 + t_Z^4) at a loop, with
+    t~ = t rho on a grow slot and t~ = t t_Z^k/rho on a shrink slot
+    (k = 1, 2).  Either way X(t~) = (rho/rad) N for a plain Laurent
+    matrix N.  Every right-hand side holds exactly two new letters, so
+    it is rho^2/rad^2 = 1/rad times a product of plain matrices, and
+    each identity is checked as rad * lhs == that product over the
+    Laurent ring alone.
     """
-    results = []
+    t = {n: LaurentPoly.var("t_" + n) for n in "ABCDZ"}
+    tz, w = t["Z"], LaurentPoly.var("w")
+    x = {n: _x(p, p.inverse()) for n, p in t.items()}
+    xz_t = _x(tz.inverse(), tz)
+    el, er = Mat2(0, 1, -1, -1), Mat2(1, 1, -1, 0)
+    fw, fw_i = Mat2(0, 1, -1, -w), Mat2(w, 1, -1, 0)
 
-    tz = LaurentPoly.var("t_Z")
-    r = LaurentPoly.const(1) + tz * tz
-    gens = (("u", r),)
-    u = SqrtExtension.gen(gens, "u")
-    xa = _x_mat(gens, "t_A")
-    xb = _x_mat(gens, "t_B")
-    xc = _x_mat(gens, "t_C")
-    xd = _x_mat(gens, "t_D")
-    xz = _x_mat(gens, "t_Z")
-    xz_t = _ext_mat(gens, [[LaurentPoly(), -tz.inverse()], [tz, LaurentPoly()]])
-    el, er = _turn_l(gens), _turn_r(gens)
+    def new_letters(k: int, rad: LaurentPoly) -> dict[str, Mat2]:
+        # N for t~ = t rho on the grow slots A, C and t~ = t t_Z^k/rho on B, D
+        out = {n: _x(t[n] * rad, t[n].inverse()) for n in "AC"}
+        out.update({n: _x(t[n] * tz ** k, rad * (t[n] * tz ** k).inverse()) for n in "BD"})
+        return out
 
-    def scaled_x(tpoly: LaurentPoly, tinv: LaurentPoly) -> Mat2:
-        # r * [[0, -t~], [t~^{-1}, 0]] with t~ = tpoly*u, t~^{-1} = tinv*u/r
-        return _ext_mat(gens, [[_ext_const(gens, 0), -(_ext_poly(gens, tpoly * r) * u)],
-                               [_ext_poly(gens, tinv) * u, _ext_const(gens, 0)]])
-
-    ta, tb = LaurentPoly.var("t_A"), LaurentPoly.var("t_B")
-    tc, td = LaurentPoly.var("t_C"), LaurentPoly.var("t_D")
-    na = scaled_x(ta, ta.inverse())
-    # t_B~ = t_B t_Z/u: r*X becomes [[0, -t_B t_Z u], [r u/(t_B t_Z), 0]]
-    nb = _ext_mat(gens, [[0, -(_ext_poly(gens, tb * tz) * u)],
-                         [_ext_poly(gens, (tb * tz).inverse() * r) * u, 0]])
-    nc = scaled_x(tc, tc.inverse())
-    nd = _ext_mat(gens, [[0, -(_ext_poly(gens, td * tz) * u)],
-                         [_ext_poly(gens, (td * tz).inverse() * r) * u, 0]])
-    rr = _ext_poly(gens, r * r)
-
-    lhs = _prod(xd, er, xz, er, xa)
-    rhs = _prod(nd, er, na)
-    results.append(("quad-right-right", _eq_scaled(lhs, rhs, rr)))
-
-    lhs = _prod(xd, er, xz, el, xb)
-    rhs = _prod(nd, el, xz_t, er, nb)
-    results.append(("quad-right-left", _eq_scaled(lhs, rhs, rr)))
-
-    lhs = _prod(xc, er, xd)
-    rhs = _prod(nc, er, xz_t, er, nd)
-    results.append(("quad-adjacent", _eq_scaled(lhs, rhs, rr)))
-
-    w = LaurentPoly.var("w")
-    s = LaurentPoly.const(1) + w * tz * tz + tz ** 4
-    gens2 = (("v", s),)
-    v = SqrtExtension.gen(gens2, "v")
-    xa2 = _x_mat(gens2, "t_A")
-    xb2 = _x_mat(gens2, "t_B")
-    xz2 = _x_mat(gens2, "t_Z")
-    xz2_t = _ext_mat(gens2, [[LaurentPoly(), -tz.inverse()], [tz, LaurentPoly()]])
-    el2, er2 = _turn_l(gens2), _turn_r(gens2)
-    fw = _ext_mat(gens2, [[LaurentPoly(), LaurentPoly.const(1)], [LaurentPoly.const(-1), -w]])
-    fw_i = _ext_mat(gens2, [[w, LaurentPoly.const(1)], [LaurentPoly.const(-1), LaurentPoly()]])
-    na2 = _ext_mat(gens2, [[0, -(_ext_poly(gens2, ta * s) * v)],
-                           [_ext_poly(gens2, ta.inverse()) * v, 0]])
-    nb2 = _ext_mat(gens2, [[0, -(_ext_poly(gens2, tb * tz * tz) * v)],
-                           [_ext_poly(gens2, (tb * tz * tz).inverse() * s) * v, 0]])
-    ss = _ext_poly(gens2, s * s)
-
-    lhs = _prod(xb2, el2, xa2)
-    rhs = _prod(nb2, el2, xz2_t, fw, xz2_t, el2, na2)
-    results.append(("loop-left", _eq_scaled(lhs, rhs, ss)))
-
-    lhs = _prod(xb2, er2, xz2, fw_i, xz2, er2, xa2)
-    rhs = _prod(nb2, er2, na2)
-    results.append(("loop-right", _eq_scaled(lhs, rhs, ss)))
-
-    return results
+    r, s = 1 + tz * tz, 1 + w * tz * tz + tz ** 4
+    q, lp = new_letters(1, r), new_letters(2, s)
+    checks = (
+        ("quad-right-right", r, (x["D"], er, x["Z"], er, x["A"]), (q["D"], er, q["A"])),
+        ("quad-right-left", r, (x["D"], er, x["Z"], el, x["B"]), (q["D"], el, xz_t, er, q["B"])),
+        ("quad-adjacent", r, (x["C"], er, x["D"]), (q["C"], er, xz_t, er, q["D"])),
+        ("loop-left", s, (x["B"], el, x["A"]), (lp["B"], el, xz_t, fw, xz_t, el, lp["A"])),
+        ("loop-right", s, (x["B"], er, x["Z"], fw_i, x["Z"], er, x["A"]), (lp["B"], er, lp["A"])),
+    )
+    return [(name, Mat2(rad, 0, 0, rad) * _prod(*lhs) == _prod(*rhs)) for name, rad, lhs, rhs in checks]

@@ -396,7 +396,6 @@ def _unpack(entries: tuple[dict[int, int], ...], names: list[str], width: int) -
     pairs.  The names are sorted, so the joined pairs are canonical.
     """
     half = 1 << (width - 1)
-    field = (1 << width) - 1
     span = width * _CHUNK
     mask = (1 << span) - 1
     bias = sum(half << (width * i) for i in range(len(names)))

@@ -1,5 +1,5 @@
 """Exact-arithmetic building blocks: Laurent polynomials, quadratic
-surds, 2x2 matrices, and the square-root extension ring."""
+surds, 2x2 matrices and rational linear algebra."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spineforms.algebra import (
     LaurentPoly,
     Mat2,
-    SqrtExtension,
     SqrtRational,
     frac_inverse,
     frac_kernel,
@@ -211,26 +210,6 @@ def test_trace_of_product_commutes():
     m = _int_mat(1, 2, 3, 4)
     n = _int_mat(0, 1, -1, 5)
     assert (m * n).trace() == (n * m).trace()
-
-
-# -- square-root extension --------------------------------------------
-
-
-def test_extension_generator_squares_to_radicand():
-    t = lp("t_Z")
-    r = LaurentPoly.const(1) + t * t
-    gens = (("u", r),)
-    u = SqrtExtension.gen(gens, "u")
-    assert u * u == SqrtExtension.from_poly(gens, r)
-
-
-def test_extension_conjugate_product():
-    t = lp("t")
-    r = LaurentPoly.const(1) + t * t
-    gens = (("u", r),)
-    one = SqrtExtension.from_poly(gens, 1)
-    u = SqrtExtension.gen(gens, "u")
-    assert (one + u) * (one - u) == SqrtExtension.from_poly(gens, LaurentPoly.const(1) - r)
 
 
 # -- fraction linear algebra -------------------------------------------

@@ -386,6 +386,14 @@ def test_fuzz_unknown_suite(capsys):
     assert "unknown suite 'bogus'" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fuzz_refuses_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "fuzz", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials must be at least 1, got %s\n" % trials
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

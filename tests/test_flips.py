@@ -1,6 +1,7 @@
 """Flip moves: matrix identities, rewiring, coordinate rules, lambda
 mutation, and their exact involutivity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,71 @@ def test_symbolic_identities_all_hold():
         "loop-right",
     ]
     assert all(ok for _, ok in results)
+
+
+# Float oracle: both sides of each identity multiplied out as plain 2x2
+# float products, with t_A~ = t_A u, t_B~ = t_B t_Z/u, u = sqrt(1 + t_Z^2)
+# in a quadrilateral and t_A~ = t_A v, t_B~ = t_B t_Z^2/v,
+# v = sqrt(1 + w t_Z^2 + t_Z^4), at a loop.
+
+
+def _mul(m, n):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _word(*mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = _mul(out, m)
+    return out
+
+
+def _edge(t):
+    return ((0.0, -t), (1 / t, 0.0))
+
+
+_EL = ((0.0, 1.0), (-1.0, -1.0))
+_ER = ((1.0, 1.0), (-1.0, 0.0))
+
+
+def _identity_sides(ta, tb, tc, td, tz, w):
+    u = math.sqrt(1 + tz * tz)
+    v = math.sqrt(1 + w * tz * tz + tz ** 4)
+    x, zt = _edge, _edge(1 / tz)
+    fw, fw_inv = ((0.0, 1.0), (-1.0, -w)), ((w, 1.0), (-1.0, 0.0))
+    return {
+        "quad-right-right": (_word(x(td), _ER, x(tz), _ER, x(ta)),
+                             _word(x(td * tz / u), _ER, x(ta * u))),
+        "quad-right-left": (_word(x(td), _ER, x(tz), _EL, x(tb)),
+                            _word(x(td * tz / u), _EL, zt, _ER, x(tb * tz / u))),
+        "quad-adjacent": (_word(x(tc), _ER, x(td)),
+                          _word(x(tc * u), _ER, zt, _ER, x(td * tz / u))),
+        "loop-left": (_word(x(tb), _EL, x(ta)),
+                      _word(x(tb * tz * tz / v), _EL, zt, fw, zt, _EL, x(ta * v))),
+        "loop-right": (_word(x(tb), _ER, x(tz), fw_inv, x(tz), _ER, x(ta)),
+                       _word(x(tb * tz * tz / v), _ER, x(ta * v))),
+    }
+
+
+def _close(m, n, rel=1e-9):
+    scale = max(abs(e) for row in m + n for e in row)
+    return all(abs(a - b) <= rel * scale for ra, rb in zip(m, n) for a, b in zip(ra, rb))
+
+
+def test_identities_hold_in_floats():
+    rng = random.Random(2024)
+    for _ in range(50):
+        ta, tb, tc, td, tz = (rng.uniform(0.2, 5.0) for _ in range(5))
+        w = rng.uniform(-1.9, 6.0)
+        sides = _identity_sides(ta, tb, tc, td, tz, w)
+        for label, (lhs, rhs) in sides.items():
+            assert _close(lhs, rhs), (label, ta, tb, tc, td, tz, w)
+        # the oracle tells a wrong B-rule, t_B~ = t_B u, from the right one
+        u = math.sqrt(1 + tz * tz)
+        wrong = _word(_edge(td * tz / u), _EL, _edge(1 / tz), _ER, _edge(tb * u))
+        assert not _close(sides["quad-right-left"][0], wrong)
 
 
 def test_inner_flip_slots_and_values(four_cusps):
