@@ -3,13 +3,15 @@
 Every subcommand reads the line-oriented graph format, prints
 deterministic text (exact values as integers or fractions, floats with
 explicit precision), and exits 0 on success and nonzero with a
-diagnostic on stderr otherwise.  Output is byte-identical for identical
-command, input, and seed.
+diagnostic on stderr otherwise.  Every subcommand but ``validate``
+refuses, with exit code 2, a graph that fails a check of ``validate``.
+Output is byte-identical for identical command, input, and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -30,9 +32,19 @@ def _die(msg: str) -> int:
     return 2
 
 
-def _load(path: str) -> FatGraph:
+def _read(path: str) -> FatGraph:
     with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())
+
+
+def _load(path: str) -> FatGraph:
+    """The graph in the file, refused with the first check of validate
+    that it fails: the computing subcommands take spines only."""
+    graph = _read(path)
+    for name, passed, detail in validate(graph).checks:
+        if not passed:
+            raise GraphError("not a spine: check %s failed%s" % (name, " (%s)" % detail if detail else ""))
+    return graph
 
 
 def _render(v) -> str:
@@ -42,7 +54,7 @@ def _render(v) -> str:
 
 
 def cmd_validate(args) -> int:
-    graph = _load(args.graph)
+    graph = _read(args.graph)
     report = validate(graph)
     for line in report.lines():
         print(line)
@@ -287,7 +299,10 @@ def cmd_fuzz(args) -> int:
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use, not at import, and reused: parse_args leaves
+    the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="spineforms",
         description="Exact fat-graph spines: windows, lambda-lengths, flips, Poisson and symplectic forms.",

@@ -26,9 +26,16 @@ rightmost factor.  Evaluation applies each atom to the running entries
 
 Formal entries stay dicts over packed monomials while the product runs:
 the exponent vector sits in one int, a signed bit field per variable of
-the word, wide enough for any exponent the word can reach, so a product
-with t, 1/t or w adds one int to each key (Monagan & Pearce, CASC 2007).
-LaurentPolys are built once, at the end.
+the word, wide enough for any exponent the word can reach, so that a
+monomial product is one int add (Monagan & Pearce, CASC 2007).  Each
+entry is sign * m * (its dict) for one packed monomial m, its shift: a
+product with t, 1/t or w moves the shift, a negation flips the sign,
+and neither touches the dict.  A sum copies the larger operand's dict
+and merges the smaller one's terms into it, moved by the difference of
+the shifts.  LaurentPolys are built once, at the end.
+
+The row operations act on each column alone, so lambda_length, which
+reads b only, runs the (b, d) column and leaves a and c zero.
 
 Exact entries are four ints over one common int denominator, times one
 radical shared by the whole word: every entry is a rational multiple of
@@ -323,77 +330,100 @@ def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat
     crossed an odd number of times, folded in the point's edge order;
     on a dual arc that is the form lambda_of_dual_arcs prints.
     """
+    return _evaluate(word, point, 1)
+
+
+def _evaluate(word: MatrixWord, point: Optional["CoordinatePoint"], a0: int) -> Mat2:
+    """The kernels start from [[a0, 0], [0, 1]]: a0 = 1 gives the whole
+    product, a0 = 0 only its (b, d) column, with a and c zero."""
     if not word.atoms:
         raise ValueError("empty word")
     if point is None:
-        return _evaluate_formal(word.atoms)
+        return _evaluate_formal(word.atoms, a0)
     if point.exact:
-        return _evaluate_exact(word.atoms, point)
-    return _evaluate_float(word.atoms, point)
+        return _evaluate_exact(word.atoms, point, a0)
+    return _evaluate_float(word.atoms, point, a0)
 
 
-def _evaluate_formal(atoms: tuple[Atom, ...]) -> Mat2:
-    # Entries are {packed exponent vector: coefficient}.  Variable i
-    # (in name order) owns the signed field of `width` bits at bit
-    # width*i; an exponent never exceeds the atom count in size, so the
-    # fields never overflow and a monomial product is one int add.
+# A formal entry (terms, shift, sign) is sign * m_shift * (sum of terms),
+# terms {packed exponent vector: coefficient}.  No terms dict changes
+# once built, so entries share them.
+_Entry = tuple[dict[int, int], int, int]
+
+
+def _evaluate_formal(atoms: tuple[Atom, ...], a0: int) -> Mat2:
+    # Variable i (in name order) owns the signed field of `width` bits
+    # at bit width*i.  No exponent of a value exceeds the atom count in
+    # size, so the fields of shift + key never overflow; keys alone may
+    # leave the fields, but int adds carry them exactly.
     names = sorted({t_var(a[1]) if a[0] == "X" else w_var(a[1]) for a in atoms if len(a) > 1})
     width = len(atoms).bit_length() + 1
     unit = {name: 1 << (width * i) for i, name in enumerate(names)}
-    a: dict[int, int] = {0: 1}
-    b: dict[int, int] = {}
-    c: dict[int, int] = {}
-    d: dict[int, int] = {0: 1}
+    zero: _Entry = ({}, 0, 1)
+    one: _Entry = ({0: 1}, 0, 1)
+    a, b, c, d = one if a0 else zero, zero, zero, one
     for atom in atoms:
         kind = atom[0]
         if kind == "X":
             u = unit[t_var(atom[1])]
-            a, b, c, d = (_packed_scale(c, u, -1), _packed_scale(d, u, -1),
-                          _packed_scale(a, -u, 1), _packed_scale(b, -u, 1))
+            a, b, c, d = ((c[0], c[1] + u, -c[2]), (d[0], d[1] + u, -d[2]),
+                          (a[0], a[1] - u, a[2]), (b[0], b[1] - u, b[2]))
         elif kind == "L":
             a, b, c, d = c, d, _packed_sum(a, c, 0, -1), _packed_sum(b, d, 0, -1)
         elif kind == "R":
             a, b, c, d = (_packed_sum(a, c, 0, 1), _packed_sum(b, d, 0, 1),
-                          _packed_scale(a, 0, -1), _packed_scale(b, 0, -1))
+                          (a[0], a[1], -a[2]), (b[0], b[1], -b[2]))
         elif kind == "F":
             u = unit[w_var(atom[1])]
             a, b, c, d = c, d, _packed_sum(a, c, u, -1), _packed_sum(b, d, u, -1)
         elif kind == "Fi":
             u = unit[w_var(atom[1])]
             a, b, c, d = (_packed_sum(c, a, u, 1), _packed_sum(d, b, u, 1),
-                          _packed_scale(a, 0, -1), _packed_scale(b, 0, -1))
+                          (a[0], a[1], -a[2]), (b[0], b[1], -b[2]))
         else:
             raise ValueError("unknown atom %r" % (atom,))
     return Mat2(*_unpack((a, b, c, d), names, width))
 
 
-def _packed_sum(p: dict[int, int], q: dict[int, int], u: int, sign: int) -> dict[int, int]:
-    """sign * (p + m*q) for the monomial m packed as u."""
-    out = dict(p) if sign == 1 else {k: -v for k, v in p.items()}
-    for k, v in q.items():
-        k += u
-        v = out.get(k, 0) + sign * v
+def _packed_sum(p: _Entry, q: _Entry, u: int, sign: int) -> _Entry:
+    """sign * (p + m*q) for the monomial m packed as u.
+
+    The larger operand's terms are copied as they are and keep their
+    shift and sign; the smaller operand's terms are merged into the
+    copy, moved by the difference of the shifts and multiplied by the
+    product of the signs.
+    """
+    pt, ps, pg = p
+    qt, qs, qg = q
+    qs += u
+    if len(pt) < len(qt):
+        pt, ps, pg, qt, qs, qg = qt, qs, qg, pt, ps, pg
+    if not qt:
+        return pt, ps, sign * pg
+    out = dict(pt)
+    offset = qs - ps
+    f = pg * qg
+    for k, v in qt.items():
+        k += offset
+        v = out.get(k, 0) + f * v
         if v:
             out[k] = v
         else:
             del out[k]
-    return out
-
-
-def _packed_scale(p: dict[int, int], u: int, sign: int) -> dict[int, int]:
-    """sign * m*p for the monomial m packed as u."""
-    return {k + u: sign * v for k, v in p.items()}
+    return out, ps, sign * pg
 
 
 _CHUNK = 4  # packed fields decoded per memo lookup
 
 
-def _unpack(entries: tuple[dict[int, int], ...], names: list[str], width: int) -> list[LaurentPoly]:
+def _unpack(entries: tuple[_Entry, ...], names: list[str], width: int) -> list[LaurentPoly]:
     """LaurentPolys with the usual tuple keys from packed entries.
 
-    A bias makes every field non-negative; keys are then read _CHUNK
-    fields at a time through a memo of chunk value -> (name, exponent)
-    pairs.  The names are sorted, so the joined pairs are canonical.
+    Each key is moved by its entry's shift plus a bias that makes every
+    field non-negative, and each coefficient takes the entry's sign;
+    keys are then read _CHUNK fields at a time through a memo of chunk
+    value -> (name, exponent) pairs.  The names are sorted, so the
+    joined pairs are canonical.
     """
     half = 1 << (width - 1)
     span = width * _CHUNK
@@ -402,10 +432,11 @@ def _unpack(entries: tuple[dict[int, int], ...], names: list[str], width: int) -
     chunks = [names[i:i + _CHUNK] for i in range(0, len(names), _CHUNK)]
     memos: list[dict[int, tuple]] = [{} for _ in chunks]
     polys = []
-    for packed in entries:
+    for packed, shift, sign in entries:
         terms = {}
+        shift += bias
         for key, coeff in packed.items():
-            key += bias
+            key += shift
             exps: tuple = ()
             for chunk, memo in zip(chunks, memos):
                 value = key & mask
@@ -414,7 +445,7 @@ def _unpack(entries: tuple[dict[int, int], ...], names: list[str], width: int) -
                     pairs = memo[value] = _chunk_pairs(value, chunk, width)
                 exps += pairs
                 key >>= span
-            terms[exps] = coeff
+            terms[exps] = sign * coeff
         poly = LaurentPoly.__new__(LaurentPoly)
         poly.terms = terms
         polys.append(poly)
@@ -434,10 +465,10 @@ def _chunk_pairs(value: int, chunk: list[str], width: int) -> tuple:
     return tuple(pairs)
 
 
-def _evaluate_exact(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
+def _evaluate_exact(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) -> Mat2:
     # entry = int / den * sqrt(prod_{j in odd} q_j)
     q, omega = point.q, point.omega
-    a, b, c, d, den = 1, 0, 0, 1, 1
+    a, b, c, d, den = a0, 0, 0, 1, 1
     odd: set[str] = set()
     for atom in atoms:
         kind = atom[0]
@@ -471,8 +502,8 @@ def _evaluate_exact(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
     return Mat2(root.scaled(a, den), root.scaled(b, den), root.scaled(c, den), root.scaled(d, den))
 
 
-def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint") -> Mat2:
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) -> Mat2:
+    a, b, c, d = float(a0), 0.0, 0.0, 1.0
     for atom in atoms:
         kind = atom[0]
         if kind == "X":
@@ -516,7 +547,7 @@ def lambda_length(graph: "FatGraph", path: PathWord, point: Optional["Coordinate
     """Sign-normalized upper-right entry of the compiled path."""
     if path.closed:
         raise ValueError("closed path has no lambda-length; use geodesic_function")
-    m = evaluate(compile_path(graph, path), point)
+    m = _evaluate(compile_path(graph, path), point, 0)
     return _sign_normalize(m.b)
 
 

@@ -408,10 +408,74 @@ def test_fuzz_matches_readme_block(capsys):
     assert out == block
 
 
-def test_package_runs_as_a_module():
+def _fresh(*argv):
+    """The command run in a fresh interpreter: exit code, stdout, stderr."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-m", "spineforms", "validate", fx("t3")],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("header")
+    proc = subprocess.run([sys.executable, "-m", "spineforms", *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_package_runs_as_a_module():
+    code, out, err = _fresh("validate", fx("t3"))
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("header")
+
+
+def test_reused_parser_leaks_nothing_between_subcommands(capsys, tmp_path):
+    """One process runs a usage error, validate, forms --format tsv and
+    flip -o, each followed by the next with the option left at its
+    default; each prints what it prints in a fresh process."""
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flip", fx("t3")])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == _fresh("flip", fx("t3"))
+    target, fresh_target = tmp_path / "in.graph", tmp_path / "fresh.graph"
+    for argv, fresh_argv in (
+        (["validate", fx("sigma_0_5_1")],) * 2,
+        (["forms", fx("t3"), "--format", "tsv"],) * 2,
+        (["forms", fx("t3")],) * 2,
+        (["flip", fx("sigma_0_1_4"), "e", "-o", str(target)],
+         ["flip", fx("sigma_0_1_4"), "e", "-o", str(fresh_target)]),
+        (["flip", fx("sigma_0_1_4"), "e"],) * 2,
+    ):
+        assert run(capsys, *argv) == _fresh(*fresh_argv), argv
+    assert target.read_text() == fresh_target.read_text()
+
+
+def _disconnected_text():
+    """Two copies of t3 with the second one's ids renamed."""
+    body = "".join(ln + "\n" for ln in fixture_text("t3").splitlines() if not ln.startswith(("#", "surface")))
+    copy = body.replace("vertex v ", "vertex u ")
+    for i in "123":
+        copy = copy.replace("p" + i, "q" + i).replace("c" + i, "d" + i)
+    return body + copy
+
+
+@pytest.mark.parametrize("text", ["", _disconnected_text()], ids=["empty", "disconnected"])
+@pytest.mark.parametrize("argv", [
+    ["windows"], ["dual-arcs"], ["lambda", "p1,p2"], ["geodesic", "p1,p2,p1"], ["lambda-from-shear"],
+    ["shear-from-lambda", "LAMBDAS"], ["flip", "p1"], ["forms"], ["forms", "--format", "tsv"], ["verify-inverse"],
+])
+def test_computing_subcommands_refuse_non_spines(capsys, tmp_path, text, argv):
+    """Every subcommand but validate exits 2 with one stderr line naming
+    the first check of validate that the graph fails."""
+    target = tmp_path / "bad.graph"
+    target.write_text(text)
+    lambdas = tmp_path / "lambdas.txt"
+    lambdas.write_text("lambda p1 = 1\n")
+    argv = [argv[0], str(target)] + [str(lambdas) if a == "LAMBDAS" else a for a in argv[1:]]
+    assert run(capsys, *argv) == (2, "", "error: not a spine: check connected failed\n")
+    code, out, _ = run(capsys, "validate", str(target))
+    assert code == 1
+    assert [ln.split()[0] for ln in out.splitlines() if " FAIL" in ln][0] == "connected"
+
+
+def test_non_spine_refusal_names_the_detail(capsys, tmp_path):
+    target = tmp_path / "claim.graph"
+    target.write_text(fixture_text("t3").replace("surface g=0", "surface g=1"))
+    code, out, err = run(capsys, "windows", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: not a spine: check header failed "
+                   "(declared g=1 sh=1 so=0 n=3, computed g=0 sh=1 so=0 n=3)\n")

@@ -15,11 +15,12 @@ from spineforms import (
     evaluate,
     geodesic_function,
     lambda_length,
+    paths,
 )
 from spineforms.algebra import fraction_sqrt
 from spineforms.coords import CoordinatePoint, lambda_of_dual_arcs
 from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, random_spine
-from spineforms.paths import MatrixWord, t_var, w_var
+from spineforms.paths import MatrixWord, _packed_sum, t_var, w_var
 from spineforms.ribbon import dual_arc
 
 from conftest import ALL_FIXTURES, load_fixture
@@ -187,6 +188,14 @@ def oracle_evaluate(word, point=None):
     return result
 
 
+def _assert_canonical(poly):
+    """No zero coefficient, no zero exponent, variables sorted in each key."""
+    for key, coeff in poly.terms.items():
+        assert coeff != 0, poly.terms
+        assert all(e != 0 for _, e in key), key
+        assert list(key) == sorted(key), key
+
+
 def test_evaluate_matches_matrix_product_oracle():
     """Formal, exact and float values are equal to the oracle's; formal
     values print the same and floats agree to the last bit.  Exact
@@ -205,6 +214,8 @@ def test_evaluate_matches_matrix_product_oracle():
             word = compile_path(graph, path)
             got, want = evaluate(word), oracle_evaluate(word)
             assert got == want and str(got) == str(want), path.token_string()
+            for entry in (got.a, got.b, got.c, got.d):
+                _assert_canonical(entry)
             assert evaluate(word, point) == oracle_evaluate(word, point), (path.token_string(), point)
             assert evaluate(word, fpoint) == oracle_evaluate(word, fpoint), path.token_string()
             words += 1
@@ -285,3 +296,100 @@ def test_long_word_with_high_exponents():
 def test_empty_word_rejected():
     with pytest.raises(ValueError, match="empty word"):
         evaluate(MatrixWord(()))
+
+
+def _assert_oracle(atoms):
+    word = MatrixWord(tuple(atoms))
+    got, want = evaluate(word), oracle_evaluate(word)
+    assert got == want and str(got) == str(want), str(word)
+    for entry in (got.a, got.b, got.c, got.d):
+        _assert_canonical(entry)
+    return got
+
+
+# Prefixes whose running entries carry different shifts and signs: the
+# X atoms move shifts, F[w] F[w] and -F[w]^-1 -F[w]^-1 grow one entry of
+# each column more than the other.
+_PREFIXES = (
+    [("L",), ("F", "w"), ("F", "w"), ("L",)],
+    [("X", "a"), ("L",), ("F", "w"), ("F", "w"), ("L",), ("X", "b")],
+    [("X", "a"), ("X", "a"), ("R",), ("Fi", "w"), ("Fi", "w"), ("R",), ("X", "a")],
+)
+
+
+def test_r_cubed_is_minus_identity(monkeypatch):
+    """R*R*R = -I alone and after each prefix: the R atoms add entries
+    whose terms cancel, one operand holding them at another shift and
+    with the opposite sign."""
+    r3 = _assert_oracle([("R",)] * 3)
+    assert r3 == Mat2(*(LaurentPoly.const(v) for v in (-1, 0, 0, -1)))
+    cancelled = []
+
+    def spy(p, q, u, sign):
+        out = _packed_sum(p, q, u, sign)
+        if p[1] != q[1] + u and p[2] != q[2] and len(out[0]) < max(len(p[0]), len(q[0])):
+            cancelled.append(out)
+        return out
+
+    monkeypatch.setattr(paths, "_packed_sum", spy)
+    for prefix in _PREFIXES:
+        before = _assert_oracle(prefix)
+        cancelled.clear()
+        assert _assert_oracle(prefix + [("R",)] * 3) == -before
+        assert cancelled, prefix
+
+
+def test_sums_with_the_smaller_operand_on_either_side():
+    """After L F F L the first column's a is smaller than its c and the
+    second column's b larger than its d, so L, R, F and -F^-1 next sum
+    with the smaller operand first in one column and second in the
+    other; after the other prefixes as well."""
+    for prefix in _PREFIXES:
+        m = oracle_evaluate(MatrixWord(tuple(prefix)))
+        sizes = [len(e.terms) for e in (m.a, m.c, m.b, m.d)]
+        assert (sizes[0] < sizes[1]) != (sizes[2] < sizes[3]), (prefix, sizes)
+        for atom in (("L",), ("R",), ("F", "w"), ("Fi", "w"), ("F", "v"), ("Fi", "v")):
+            _assert_oracle(prefix + [atom])
+            _assert_oracle(prefix + [atom, ("X", "a"), atom])
+
+
+def test_x_only_and_minus_f_inverse_runs():
+    """Runs of X only move shifts and flip signs; runs of -F^-1 sum at
+    one shift again and again."""
+    got = _assert_oracle([("X", "a"), ("X", "b"), ("X", "a"), ("X", "a"), ("X", "c")])
+    assert sum(len(e.terms) for e in (got.a, got.b, got.c, got.d)) == 2
+    _assert_oracle([("X", "a")] * 8)
+    _assert_oracle([("Fi", "w")] * 9)
+    _assert_oracle([("Fi", "w"), ("Fi", "v")] * 4)
+    _assert_oracle(([("X", "a")] * 3 + [("Fi", "w")] * 3) * 3)
+
+
+def _expand(entry):
+    terms, shift, sign = entry
+    return {shift + k: sign * v for k, v in terms.items()}
+
+
+def test_packed_sum_against_expanded_entries():
+    """sign * (p + m*q) on (terms, shift, sign) entries equals the sum of
+    the expanded entries, whichever operand is smaller, and terms that
+    cancel across shifts and signs leave no zero coefficient."""
+    unit = 1 << 8
+    one_plus_2m = ({0: 1, unit: 2}, 0, 1)
+    # -m * (1/m + 2) = -(1 + 2m), held at another shift with the other sign
+    minus = ({-unit: 1, 0: 2}, unit, -1)
+    assert _packed_sum(one_plus_2m, minus, 0, 1)[0] == {}
+    assert _packed_sum(minus, one_plus_2m, 0, -1)[0] == {}
+    assert _packed_sum(one_plus_2m, ({0: -1, unit: -2}, -unit, 1), unit, 1)[0] == {}
+    rng = random.Random(3)
+    for _ in range(500):
+        p, q = [({unit * rng.randint(-3, 3) + rng.randint(-3, 3): rng.choice((-2, -1, 1, 3))
+                  for _ in range(rng.randint(0, 6))}, unit * rng.randint(-2, 2), rng.choice((-1, 1)))
+                for _ in range(2)]
+        u, sign = rng.choice((0, unit, 1, -unit)), rng.choice((-1, 1))
+        want = {}
+        for k, v in _expand(p).items():
+            want[k] = want.get(k, 0) + sign * v
+        for k, v in _expand(q).items():
+            want[k + u] = want.get(k + u, 0) + sign * v
+        got = _expand(_packed_sum(p, q, u, sign))
+        assert got == {k: v for k, v in want.items() if v}, (p, q, u, sign)
