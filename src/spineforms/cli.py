@@ -32,9 +32,20 @@ def _die(msg: str) -> int:
     return 2
 
 
+def _read_text(path: str) -> str:
+    """The file's text with universal newlines, as text mode reads it;
+    a file that is not UTF-8 is refused with its name."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: not UTF-8 text (byte 0x%02x at offset %d)" % (path, data[exc.start], exc.start)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read(path: str) -> FatGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def _load(path: str) -> FatGraph:
@@ -162,27 +173,26 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
     omega: dict[str, object] = {}
     radical = None  # the first omega line whose value is not rational
     exact = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = re.match(r"^(lambda|omega)\s+(\S+)\s*=\s*(\S+)$", line)
-            if not m:
-                raise ValueError("line %d: expected 'lambda <edge> = <value>' or 'omega <loop> = <value>'" % lineno)
-            kind, name, text = m.groups()
-            try:
-                value = _parse_value(text)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("line %d: %s %s = %s is not a number" % (lineno, kind, name, text)) from None
-            target = values if kind == "lambda" else omega
-            if name in target:
-                raise ValueError("line %d: %s %s is given twice" % (lineno, kind, name))
-            target[name] = value
-            if isinstance(value, float):
-                exact = False
-            elif kind == "omega" and value.rad != 1 and radical is None:
-                radical = "line %d: omega %s = %s is not rational" % (lineno, name, text)
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = re.match(r"^(lambda|omega)\s+(\S+)\s*=\s*(\S+)$", line)
+        if not m:
+            raise ValueError("line %d: expected 'lambda <edge> = <value>' or 'omega <loop> = <value>'" % lineno)
+        kind, name, text = m.groups()
+        try:
+            value = _parse_value(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("line %d: %s %s = %s is not a number" % (lineno, kind, name, text)) from None
+        target = values if kind == "lambda" else omega
+        if name in target:
+            raise ValueError("line %d: %s %s is given twice" % (lineno, kind, name))
+        target[name] = value
+        if isinstance(value, float):
+            exact = False
+        elif kind == "omega" and value.rad != 1 and radical is None:
+            radical = "line %d: omega %s = %s is not rational" % (lineno, name, text)
     if not exact:
         values = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in values.items()}
         omega = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in omega.items()}

@@ -32,7 +32,9 @@ entry is sign * m * (its dict) for one packed monomial m, its shift: a
 product with t, 1/t or w moves the shift, a negation flips the sign,
 and neither touches the dict.  A sum copies the larger operand's dict
 and merges the smaller one's terms into it, moved by the difference of
-the shifts.  LaurentPolys are built once, at the end.
+the shifts.  The product returns LaurentPolys that hold their packed
+entry and decode it into the usual tuple keys the first time their
+terms are read, so an entry the caller never reads is never decoded.
 
 The row operations act on each column alone, so lambda_length, which
 reads b only, runs the (b, d) column and leaves a and c zero.
@@ -268,7 +270,9 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
     One X per pending/inner traversal; between consecutive coordinate
     edges a turn atom L (exit right after arrival in the stored cyclic
     order) or R (right before); a loop step becomes the single atom F
-    for '+' or -F^-1 for '-', with no adjacent turns.
+    for '+' or -F^-1 for '-', with no adjacent turns.  Raises
+    ValueError when the last step enters no cusp (a one-token path
+    leaves its cusp and stops at a vertex).
     """
     steps = _resolve_steps(graph, path)
     atoms: list[Atom] = []
@@ -303,6 +307,8 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
                 raise ValueError("steps %s -> %s do not meet at a vertex" % (prev_arrival, exit_half))
         atoms.append(("X", step.edge))
         prev_arrival = graph.mate(step.exit_half)
+    if prev_arrival is None or not graph.is_cusp_half(prev_arrival):
+        raise ValueError("path must end by entering a cusp; its last step %s does not" % steps[-1].token())
     return MatrixWord(tuple(atoms))
 
 
@@ -352,6 +358,9 @@ _Entry = tuple[dict[int, int], int, int]
 
 
 def _evaluate_formal(atoms: tuple[Atom, ...], a0: int) -> Mat2:
+    """The product over packed entries.  Its four entries are
+    LaurentPolys decoded on the first read of their terms, through one
+    _Decoder the four share."""
     # Variable i (in name order) owns the signed field of `width` bits
     # at bit width*i.  No exponent of a value exceeds the atom count in
     # size, so the fields of shift + key never overflow; keys alone may
@@ -382,7 +391,8 @@ def _evaluate_formal(atoms: tuple[Atom, ...], a0: int) -> Mat2:
                           (a[0], a[1], -a[2]), (b[0], b[1], -b[2]))
         else:
             raise ValueError("unknown atom %r" % (atom,))
-    return Mat2(*_unpack((a, b, c, d), names, width))
+    decoder = _Decoder(names, width)
+    return Mat2(_LazyPoly(a, decoder), _LazyPoly(b, decoder), _LazyPoly(c, decoder), _LazyPoly(d, decoder))
 
 
 def _packed_sum(p: _Entry, q: _Entry, u: int, sign: int) -> _Entry:
@@ -416,40 +426,70 @@ def _packed_sum(p: _Entry, q: _Entry, u: int, sign: int) -> _Entry:
 _CHUNK = 4  # packed fields decoded per memo lookup
 
 
-def _unpack(entries: tuple[_Entry, ...], names: list[str], width: int) -> list[LaurentPoly]:
-    """LaurentPolys with the usual tuple keys from packed entries.
+class _Decoder:
+    """Turns the packed entries of one word into LaurentPoly terms.
 
     Each key is moved by its entry's shift plus a bias that makes every
     field non-negative, and each coefficient takes the entry's sign;
     keys are then read _CHUNK fields at a time through a memo of chunk
-    value -> (name, exponent) pairs.  The names are sorted, so the
-    joined pairs are canonical.
+    value -> (name, exponent) pairs, one memo per chunk of names, which
+    the word's four entries share.  The names are sorted, so the joined
+    pairs are canonical.
     """
-    half = 1 << (width - 1)
-    span = width * _CHUNK
-    mask = (1 << span) - 1
-    bias = sum(half << (width * i) for i in range(len(names)))
-    chunks = [names[i:i + _CHUNK] for i in range(0, len(names), _CHUNK)]
-    memos: list[dict[int, tuple]] = [{} for _ in chunks]
-    polys = []
-    for packed, shift, sign in entries:
+
+    __slots__ = ("width", "bias", "chunks")
+
+    def __init__(self, names: list[str], width: int):
+        self.width = width
+        self.bias = sum((1 << (width - 1)) << (width * i) for i in range(len(names)))
+        self.chunks = [(names[i:i + _CHUNK], {}) for i in range(0, len(names), _CHUNK)]
+
+    def decode(self, entry: _Entry) -> dict[tuple, int]:
+        packed, shift, sign = entry
+        width, chunks = self.width, self.chunks
+        span = width * _CHUNK
+        mask = (1 << span) - 1
+        shift += self.bias
         terms = {}
-        shift += bias
         for key, coeff in packed.items():
             key += shift
             exps: tuple = ()
-            for chunk, memo in zip(chunks, memos):
+            for names, memo in chunks:
                 value = key & mask
                 pairs = memo.get(value)
                 if pairs is None:
-                    pairs = memo[value] = _chunk_pairs(value, chunk, width)
+                    pairs = memo[value] = _chunk_pairs(value, names, width)
                 exps += pairs
                 key >>= span
             terms[exps] = sign * coeff
-        poly = LaurentPoly.__new__(LaurentPoly)
-        poly.terms = terms
-        polys.append(poly)
-    return polys
+        return terms
+
+
+class _LazyPoly(LaurentPoly):
+    """A LaurentPoly holding a packed entry and its word's decoder until
+    its terms are first read.  Copies and pickles are plain
+    LaurentPolys."""
+
+    # (entry, decoder) in one slot, so that one read sees both or, once
+    # another thread has decoded the terms, neither
+    __slots__ = ("_source",)
+
+    def __init__(self, entry: _Entry, decoder: _Decoder):
+        self._source = entry, decoder
+
+    def __getattr__(self, name):
+        # runs only while the terms slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        source = self._source
+        if source is None:
+            return self.terms
+        terms = self.terms = source[1].decode(source[0])
+        self._source = None
+        return terms
+
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
 
 
 def _chunk_pairs(value: int, chunk: list[str], width: int) -> tuple:

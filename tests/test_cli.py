@@ -479,3 +479,76 @@ def test_non_spine_refusal_names_the_detail(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: not a spine: check header failed "
                    "(declared g=1 sh=1 so=0 n=3, computed g=0 sh=1 so=0 n=3)\n")
+
+
+def test_one_token_path_is_refused(capsys):
+    """A lone pending edge ends at a vertex, not at a cusp."""
+    for command in ("lambda", "geodesic"):
+        assert run(capsys, command, fx("t3"), "p1") == (
+            2, "", "error: path must end by entering a cusp; its last step p1 does not\n")
+
+
+def test_undecodable_file_is_named(capsys, tmp_path):
+    target = tmp_path / "bin.graph"
+    target.write_bytes(b"#\xff\xfe\x00")
+    message = "error: %s: not UTF-8 text (byte 0xff at offset 1)\n" % target
+    assert run(capsys, "validate", str(target)) == (2, "", message)
+    assert run(capsys, "shear-from-lambda", fx("t3"), str(target)) == (2, "", message)
+
+
+def test_any_newline_convention_reads_the_same(capsys, tmp_path):
+    """Graph and lambda files read with universal newlines: CRLF and CR
+    files give the output of the LF file."""
+    _, lambdas, _ = run(capsys, "lambda-from-shear", fx("sigma_0_3_1"))
+    lf = tmp_path / "lf.lam"
+    lf.write_text(lambdas)
+    want = [run(capsys, "windows", fx("sigma_0_3_1")), run(capsys, "validate", fx("sigma_0_3_1")),
+            run(capsys, "shear-from-lambda", fx("sigma_0_3_1"), str(lf))]
+    assert want[2][0] == 0
+    for newline in ("\r\n", "\r"):
+        graph, lam = tmp_path / "g.graph", tmp_path / "g.lam"
+        graph.write_bytes(fixture_text("sigma_0_3_1").replace("\n", newline).encode())
+        lam.write_bytes(lambdas.replace("\n", newline).encode())
+        assert [run(capsys, "windows", str(graph)), run(capsys, "validate", str(graph)),
+                run(capsys, "shear-from-lambda", str(graph), str(lam))] == want
+
+
+_GARBAGE = {
+    "text": b"hello world\nthis is not a graph = 3\n",
+    "binary": b"\x00\xff\xfe\x01binary\x80\n",
+    "nul": b"lambda x = \x00\n",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GARBAGE))
+@pytest.mark.parametrize("argv", [
+    ["validate", "BAD"], ["windows", "BAD"], ["windows", "BAD", "--format", "tsv"], ["dual-arcs", "BAD"],
+    ["lambda", "BAD", "p1,p2"], ["geodesic", "BAD", "p1,p2,p1"], ["lambda-from-shear", "BAD"],
+    ["shear-from-lambda", "BAD", "T3"], ["shear-from-lambda", "T3", "BAD"], ["flip", "BAD", "e"],
+    ["forms", "BAD"], ["forms", "BAD", "--format", "tsv"], ["verify-inverse", "BAD"],
+    ["verify-inverse", "BAD", "--leaf"],
+])
+def test_garbage_input_exits_2_with_one_line(capsys, tmp_path, kind, argv):
+    """Every subcommand that reads a file, given garbage text, a binary
+    file or a missing path: exit 2, no stdout, one stderr line."""
+    target = tmp_path / "bad.graph"
+    if _GARBAGE[kind] is not None:
+        target.write_bytes(_GARBAGE[kind])
+    argv = [str(target) if a == "BAD" else fx("t3") if a == "T3" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("graph, path", [
+    ("t3", ""), ("t3", ","), ("t3", "p1"), ("t3", "p1,p1"), ("t3", "p1,zz"), ("t3", "p1+,p2"), ("t3", "p1,p2,p3"),
+    ("sigma_0_1_4", "p1,e"), ("sigma_0_1_4", "e,p3"), ("sigma_0_1_4", "p1,p3"),
+    ("sigma_0_2_1", "pi"), ("sigma_0_2_1", "pi,w,pi"), ("sigma_0_2_1", "pi,w+"), ("sigma_0_2_1", "w+,pi"),
+    ("sigma_0_2_1", "pi,w+,w-"), ("sigma_0_2_1", "pi,w+,pi,pi"),
+])
+@pytest.mark.parametrize("command", ["lambda", "geodesic"])
+def test_bad_path_tokens_exit_2_with_one_line(capsys, command, graph, path):
+    code, out, err = run(capsys, command, fx(graph), path)
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err

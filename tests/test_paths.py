@@ -1,6 +1,8 @@
 """Path compilation and evaluation: matrix words, lambda-lengths,
 geodesic functions, sign normalization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -131,6 +133,24 @@ def test_from_tokens_rejects_backtracking(t3):
 def test_from_tokens_rejects_nonincident_jump(four_cusps):
     with pytest.raises(ValueError):
         tokens(four_cusps, "p1,p3")
+
+
+def test_one_token_path_is_refused(t3, one_loop):
+    """A lone pending edge leaves its cusp and stops at a vertex; the
+    path must enter a cusp at its end, whether it was built from tokens
+    or by hand."""
+    for graph, name in ((t3, "p1"), (one_loop, "pi")):
+        path = tokens(graph, name)
+        for call in (compile_path, lambda_length, geodesic_function):
+            with pytest.raises(ValueError, match="must end by entering a cusp; its last step %s" % name):
+                call(graph, path)
+    arc = tokens(t3, "p1,p2")
+    cut = PathWord(arc.start_cusp, arc.steps[:1], arc.end_cusp)
+    with pytest.raises(ValueError, match="must end by entering a cusp"):
+        compile_path(t3, cut)
+    bare = PathWord(arc.start_cusp, (paths.Step("p1"),), arc.end_cusp)
+    with pytest.raises(ValueError, match="must end by entering a cusp"):
+        compile_path(t3, bare)
 
 
 def test_loop_sign_mandatory(one_loop):
@@ -393,3 +413,160 @@ def test_packed_sum_against_expanded_entries():
             want[k + u] = want.get(k + u, 0) + sign * v
         got = _expand(_packed_sum(p, q, u, sign))
         assert got == {k: v for k, v in want.items() if v}, (p, q, u, sign)
+
+
+def _entries(m):
+    return m.a, m.b, m.c, m.d
+
+
+def _spy_decodes(monkeypatch):
+    """Every entry the decoder decodes, as the letter it has in the
+    Mat2 that _evaluate_formal returned last."""
+    letters, decoded = {}, []
+    formal, decode = paths._evaluate_formal, paths._Decoder.decode
+
+    def spy_formal(atoms, a0):
+        m = formal(atoms, a0)
+        letters.clear()
+        letters.update((id(e._source[0]), x) for x, e in zip("abcd", _entries(m)))
+        assert len(letters) == 4
+        return m
+
+    def spy_decode(self, entry):
+        decoded.append(letters[id(entry)])
+        return decode(self, entry)
+
+    monkeypatch.setattr(paths, "_evaluate_formal", spy_formal)
+    monkeypatch.setattr(paths._Decoder, "decode", spy_decode)
+    return decoded
+
+
+def _lazy_words():
+    """Dual arcs, random arcs and closed words of the fixtures and of
+    30 random spines, with loop weights, mixed signs and cancellations."""
+    rng = random.Random(20261018)
+    out = []
+    graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(30)]
+    for graph in graphs:
+        out += [(graph, dual_arc(graph, name)) for name in graph.coordinate_edges()]
+        for _ in range(3):
+            out += [(graph, p) for p in (random_arc(rng, graph), random_closed_word(rng, graph, max_len=16))
+                    if p is not None]
+    return out
+
+
+def test_formal_entries_decode_on_first_read(monkeypatch):
+    """evaluate decodes nothing; each entry decodes once, on the first
+    read of its terms; lambda_length decodes b alone and
+    geodesic_function a and d alone."""
+    decoded = _spy_decodes(monkeypatch)
+    closed = 0
+    for graph, path in _lazy_words():
+        word = compile_path(graph, path)
+        m = evaluate(word)
+        assert decoded == []
+        for letter in "dbdcab":
+            getattr(m, letter).terms
+        assert decoded == ["d", "b", "c", "a"]
+        decoded.clear()
+        if not path.closed:
+            lambda_length(graph, path)
+            assert decoded == ["b"], path.token_string()
+            decoded.clear()
+        if path.start_cusp == path.end_cusp:
+            geodesic_function(graph, path)
+            assert sorted(decoded) == ["a", "d"], path.token_string()
+            decoded.clear()
+            closed += 1
+    assert closed > 20
+
+
+def _field_decode(entry, decoder):
+    """The terms of a packed entry, read field by field with no memo."""
+    packed, shift, sign = entry
+    names = [name for chunk, _ in decoder.chunks for name in chunk]
+    width = decoder.width
+    terms = {}
+    for key, coeff in packed.items():
+        key += shift
+        exps = []
+        for name in names:
+            e = ((key + (1 << (width - 1))) & ((1 << width) - 1)) - (1 << (width - 1))
+            if e:
+                exps.append((name, e))
+            key = (key - e) >> width
+        terms[tuple(exps)] = sign * coeff
+    return terms
+
+
+def test_undecoded_entries_act_as_their_values():
+    """Each operation on an entry nobody has read yet agrees with the
+    oracle's entry and leaves canonical form; the first read gives the
+    keys in the order of the packed terms."""
+    values, kinds = {}, set()
+    words = [compile_path(graph, path) for graph, path in _lazy_words()]
+    small = [word for word in words if max(len(e.terms) for e in _entries(evaluate(word))) <= 24]
+    # the prefixes add mixed signs (w^2 - 1) and R^3 zero entries
+    for word in small[::4] + [MatrixWord(tuple(p)) for p in _PREFIXES + ([("R",)] * 3,)]:
+        want = oracle_evaluate(word)
+        kinds.update((e.sign_definite(), any(v.startswith("w_") for key in e.terms for v, _ in key))
+                     for e in _entries(want))
+        for x in "abcd":
+            def fresh():
+                return getattr(evaluate(word), x)
+
+            w = getattr(want, x)
+            assert fresh() == w and w == fresh() and fresh() != w + 1 and not (w + 1 == fresh())
+            assert fresh() == fresh() and hash(fresh()) == hash(w)
+            assert str(fresh()) == str(w) and repr(fresh()) == repr(w)
+            assert fresh().sign_definite() == w.sign_definite()
+            for result, expected in ((-fresh(), -w), (fresh() + w, w + w), (w + fresh(), w + w),
+                                     (fresh() + fresh(), w + w), (fresh() + 1, w + 1), (1 - fresh(), 1 - w),
+                                     (fresh() * w, w * w), (fresh() * fresh(), w * w), (3 * fresh(), 3 * w),
+                                     (copy.deepcopy(fresh()), w), (copy.copy(fresh()), w),
+                                     (pickle.loads(pickle.dumps(fresh())), w)):
+                assert result == expected and str(result) == str(expected)
+                _assert_canonical(result)
+            assert type(copy.deepcopy(fresh())) is LaurentPoly
+            assert type(pickle.loads(pickle.dumps(fresh()))) is LaurentPoly
+            for v in set(var for key in w.terms for var, _ in key):
+                values.setdefault(v, Fraction(len(values) % 5 + 2, len(values) % 3 + 1))
+            assert fresh().subs(values) == w.subs(values)
+            entry = fresh()
+            source = entry._source
+            assert list(entry.terms) == list(_field_decode(*source)) and entry.terms == w.terms
+            assert entry._source is None
+            with pytest.raises(AttributeError):
+                entry.shift
+    assert {(1, True), (-1, True), (None, True), (0, False)} <= kinds, kinds
+
+
+def test_threads_reading_one_entry_all_get_its_terms():
+    """Four threads read the terms of the same undecoded entries at
+    once, with the interpreter switching threads every microsecond:
+    each gets the terms the entry decodes to alone."""
+    import sys
+    import threading
+
+    words = [compile_path(graph, path) for graph, path in _lazy_words()]
+    want = [[e.terms for e in _entries(evaluate(word))] for word in words]
+    mats = [evaluate(word) for word in words for _ in range(4)]
+    got = [[] for _ in range(4)]
+
+    def read(out):
+        for m in mats:
+            out.append([e.terms for e in _entries(m)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in got:
+        assert out == [w for w in want for _ in range(4)]
