@@ -9,7 +9,10 @@ Three value families cover every computation in the package:
   ``a, b`` (lambda-lengths at exact points live here).
 
 2x2 matrices over any of these are handled by ``Mat2``, which is ring
-agnostic: entries only need ``+``, ``*`` and unary ``-``.
+agnostic: entries only need ``+``, ``*`` and unary ``-``.  There is
+no general matrix type: the coordinate matrices (the bracket table, the
+dual-arc counts, the forms) are sparse and integral, and coords and
+forms work on the nonzero entries of their rows.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ __all__ = [
     "Mat2",
     "SqrtRational",
     "fraction_sqrt",
-    "frac_matmul",
-    "frac_inverse",
-    "frac_kernel",
 ]
 
 
@@ -472,75 +472,3 @@ class Mat2:
         return "[[%s, %s], [%s, %s]]" % (self.a, self.b, self.c, self.d)
 
     __repr__ = __str__
-
-
-# Small exact linear algebra over Fraction, list-of-lists convention.
-
-
-def frac_matmul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += a * Bt[j]
-    return out
-
-
-def frac_inverse(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse via Gauss-Jordan; raises ValueError when singular."""
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def frac_kernel(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of A (rows are basis vectors)."""
-    if not A:
-        return []
-    rows = [list(map(Fraction, row)) for row in A]
-    n, m = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -rows[prow][fc]
-        basis.append(vec)
-    return basis

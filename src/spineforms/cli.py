@@ -15,6 +15,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import SqrtRational
 from .coords import LambdaAssignment, lambda_of_dual_arcs, shear_from_lambda
@@ -203,9 +204,20 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
     return LambdaAssignment(values, exact, omega)
 
 
+def _named(path: str, read: Callable):
+    """read(path) for a subcommand that reads two files: an error on a
+    line of the file names the file, as the not-UTF-8 error does."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        if not str(exc).startswith("line "):
+            raise
+        raise type(exc)("%s: %s" % (path, exc)) from None
+
+
 def cmd_shear_from_lambda(args) -> int:
-    graph = _load(args.graph)
-    assignment = _read_lambda_file(args.lambdas)
+    graph = _named(args.graph, _load)
+    assignment = _named(args.lambdas, _read_lambda_file)
     point = shear_from_lambda(graph, assignment)
     sys.stdout.write(emit_graph(graph, point))
     return 0

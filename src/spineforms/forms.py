@@ -21,11 +21,11 @@ are parameters rather than coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .algebra import frac_inverse, frac_kernel, frac_matmul
 from .coords import CoordinatePoint, _fock_table, dual_view
 from .ribbon import FatGraph, windows
 
@@ -179,6 +179,24 @@ def center_vectors(graph: FatGraph) -> CenterBasis:
     return CenterBasis(names, holes, graph.loop_edges())
 
 
+def _int_rows(m: CoordinateIndexedMatrix) -> tuple[list[dict[int, int]], int]:
+    """(rows, d) with m = rows / d, each row {column: nonzero int}."""
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    return [{j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x} for row in m.data], d
+
+
+def _times(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Product of two matrices given as rows of {column: entry}."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
+
+
 def verify_inverse(
     form: CoordinateIndexedMatrix,
     bracket: CoordinateIndexedMatrix,
@@ -186,53 +204,39 @@ def verify_inverse(
 ) -> tuple[Optional[Fraction], Fraction]:
     """Check that form*bracket is a scalar multiple of the identity.
 
-    With ``leaf=True`` both sides are compared after projecting off the
-    kernel of the bracket (the direction of the Casimirs), i.e. the
-    product is compared to c * P where P projects onto a complement of
-    the kernel.  Returns (c, residual); c is None when the product has
-    no nonzero entry to read the scalar from.
+    With ``leaf=True`` the check is made on the symplectic leaf: P W P
+    is compared to c * P, W the form and P the bracket.  This is the
+    check after projecting off the kernel of P (the direction of the
+    Casimirs): P is antisymmetric, so the orthogonal projector T off its
+    kernel has T P = P T = P, and T (W P) T = c T exactly when
+    P W P = c P.  The products run over the nonzero entries of each row,
+    in integers once each matrix's denominators are cleared.
+
+    c is read from the first nonzero entry of the target (I, or P with
+    ``leaf``) in row-major order and the residual is
+    max |product - c * target|.  Returns (c, residual); c is None when
+    the target has no nonzero entry, the residual then max |product|.
     """
     if form.names != bracket.names:
         raise ValueError("mismatched coordinate labels")
-    f = form.data
-    p = bracket.data
-    n = len(f)
-    prod = frac_matmul(f, p)
+    (w, dw), (p, dp) = _int_rows(form), _int_rows(bracket)
+    # product = prod / scale, target = want / unit
+    prod, scale = _times(w, p), dw * dp
     if leaf:
-        kernel = frac_kernel(p)
-        target = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        if kernel:
-            k = len(kernel)
-            bt = [[kernel[r][c] for r in range(k)] for c in range(n)]
-            gram = frac_matmul(kernel, bt)
-            ginv = frac_inverse(gram)
-            proj = frac_matmul(frac_matmul(bt, ginv), kernel)
-            target = [
-                [target[i][j] - proj[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            prod = frac_matmul(frac_matmul(target, prod), target)
+        prod, scale, want, unit = _times(p, prod), scale * dp, p, dp
     else:
-        target = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    c: Optional[Fraction] = None
-    for i in range(n):
-        for j in range(n):
-            if target[i][j] != 0:
-                c = prod[i][j] / target[i][j]
-                break
-        if c is not None:
-            break
-    if c is None:
-        residual = max((abs(x) for row in prod for x in row), default=Fraction(0))
-        return None, residual
-    residual = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            diff = abs(prod[i][j] - c * target[i][j])
-            if diff > residual:
-                residual = diff
-    return c, residual
+        want, unit = [{i: 1} for i in range(len(p))], 1
+    first = next(((i, j) for i, row in enumerate(want) for j in row), None)
+    if first is None:
+        return None, Fraction(max((abs(x) for row in prod for x in row.values()), default=0), scale)
+    i, j = first
+    r = Fraction(prod[i].get(j, 0), want[i][j])
+    residual = max(
+        abs(r.denominator * got.get(k, 0) - r.numerator * row.get(k, 0))
+        for got, row in zip(prod, want)
+        for k in got.keys() | row.keys()
+    )
+    return r * unit / scale, Fraction(residual, r.denominator * scale)
 
 
 def poisson_bracket_numeric(

@@ -9,8 +9,8 @@ driven by one ``random.Random`` so a seed reproduces the corpus.
 The suites re-check the structural invariants on that corpus: dual-arc
 lambdas stay monomial, compiled words stay sign-definite, flips are
 involutions, lambda-lengths invert back to the coordinates by the
-local rule, which is twice the inverse of the dual-arc matrix, hole
-vectors stay central, and the boundary-ordered form stays proportional
+local rule, which DualView.inverse() checks exactly to be twice the
+inverse of the dual-arc matrix, hole vectors stay central, and the boundary-ordered form stays proportional
 to the vertex-sum form.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import LaurentPoly, frac_inverse
+from .algebra import LaurentPoly
 from .coords import CoordinatePoint, dual_view, lambda_of_dual_arcs, shear_from_lambda
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
@@ -299,25 +299,11 @@ def suite_involution(trials: int, seed: int) -> SuiteResult:
     return res
 
 
-def _local_rule_mismatches(graph: FatGraph) -> list[tuple[str, list[int], list[Fraction]]]:
-    """(edge, row of the DualView's local rule, row of 2 M^{-1}) for
-    every coordinate edge where the two differ, M^{-1} by Gauss-Jordan."""
-    view = dual_view(graph)
-    inverse = frac_inverse([[Fraction(x) for x in row] for row in view.rows])
-    out = []
-    for name, terms, inv in zip(view.names, view.local, inverse):
-        row = [0] * len(view.names)
-        for j, k in terms:
-            row[j] = k
-        twice = [2 * x for x in inv]
-        if row != twice:
-            out.append((name, row, twice))
-    return out
-
-
 def suite_roundtrip(trials: int, seed: int) -> SuiteResult:
-    """shear_from_lambda undoes lambda_of_dual_arcs exactly, and its
-    local rule is twice the inverse of the dual-arc matrix."""
+    """shear_from_lambda undoes lambda_of_dual_arcs exactly.  Each call
+    goes through DualView.inverse(), which checks K M = 2I exactly for
+    the local rule K and the dual-arc matrix M; M is square, so that is
+    K = 2 M^{-1}, and a graph where it fails fails the trial."""
     rng = random.Random(seed)
     res = SuiteResult("roundtrip", trials)
     for k in range(trials):
@@ -326,15 +312,11 @@ def suite_roundtrip(trials: int, seed: int) -> SuiteResult:
         try:
             lam = lambda_of_dual_arcs(graph, point)
             back = shear_from_lambda(graph, lam)
-            mismatches = _local_rule_mismatches(graph)
         except ValueError as exc:
             res.failures.append("trial %d: %s" % (k, exc))
             continue
         if back != point:
             res.failures.append("trial %d: reconstruction differs" % k)
-        for name, row, twice in mismatches:
-            res.failures.append("trial %d edge %s: local row [%s], 2 M^-1 row [%s]" % (
-                k, name, " ".join(map(str, row)), " ".join(map(str, twice))))
     return res
 
 

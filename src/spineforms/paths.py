@@ -271,18 +271,19 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
     edges a turn atom L (exit right after arrival in the stored cyclic
     order) or R (right before); a loop step becomes the single atom F
     for '+' or -F^-1 for '-', with no adjacent turns.  Raises
-    ValueError when the last step enters no cusp (a one-token path
-    leaves its cusp and stops at a vertex).
+    ValueError when the first step does not leave ``start_cusp``, or
+    when the last step enters no cusp (a one-token path leaves its cusp
+    and stops at a vertex) or another cusp than ``end_cusp``.
     """
     steps = _resolve_steps(graph, path)
+    if not steps or steps[0].exit_half != graph.cusps.get(path.start_cusp):
+        raise ValueError("path does not start at cusp %s" % path.start_cusp)
     atoms: list[Atom] = []
     prev_arrival: Optional[str] = None
     forced_stem: Optional[str] = None
-    for i, step in enumerate(steps):
+    for step in steps:
         kind = graph.edges[step.edge].kind
         if kind == "loop":
-            if i == 0:
-                raise ValueError("path cannot start on a loop edge")
             if prev_arrival is not None and step.exit_half != _turn(graph, prev_arrival, step.sign):
                 raise ValueError("loop sign %s%s disagrees with the cyclic order" % (step.edge, step.sign))
             atoms.append(("F", step.edge) if step.sign == "+" else ("Fi", step.edge))
@@ -309,21 +310,21 @@ def compile_path(graph: "FatGraph", path: PathWord) -> MatrixWord:
         prev_arrival = graph.mate(step.exit_half)
     if prev_arrival is None or not graph.is_cusp_half(prev_arrival):
         raise ValueError("path must end by entering a cusp; its last step %s does not" % steps[-1].token())
+    if graph.vertex_of(prev_arrival) != path.end_cusp:
+        raise ValueError("path does not end at cusp %s" % path.end_cusp)
     return MatrixWord(tuple(atoms))
 
 
 def _resolve_steps(graph: "FatGraph", path: PathWord) -> tuple[Step, ...]:
     """Ensure every step carries its exit half, re-deriving from token
-    names when the path was built by hand."""
+    names when the path was built by hand; compile_path checks the
+    rebuilt steps against the declared cusps like any others."""
     if all(s.exit_half is not None for s in path.steps):
         for s in path.steps:
             if graph.edges[s.edge].kind == "loop" and s.sign is None:
                 raise ValueError("loop step %s lacks a direction sign" % s.edge)
         return path.steps
-    rebuilt = PathWord.from_tokens(graph, path.tokens, path.closed)
-    if rebuilt.start_cusp != path.start_cusp:
-        raise ValueError("path does not start at cusp %s" % path.start_cusp)
-    return rebuilt.steps
+    return PathWord.from_tokens(graph, path.tokens, path.closed).steps
 
 
 def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat2:

@@ -18,11 +18,12 @@ from spineforms import (
 from spineforms import coords
 from spineforms.algebra import SqrtRational
 from spineforms.flips import flip_edge
-from spineforms.fuzz import _flippable, _local_rule_mismatches, random_exact_point, random_spine
+from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.paths import lambda_length
 from spineforms.ribbon import GraphError, dual_arc, parse_graph
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from dense_oracle import frac_inverse, local_rule_mismatches
 
 
 def rational_point(graph, rng):
@@ -106,8 +107,6 @@ def test_round_trip_float(two_loops):
 
 
 def test_multiplicity_matrix_is_invertible_on_fixtures():
-    from spineforms.algebra import frac_inverse
-
     for name in ALL_FIXTURES:
         graph = load_fixture(name)
         m = [[Fraction(x) for x in row] for row in coords.dual_view(graph).rows]
@@ -225,7 +224,7 @@ def test_local_rule_is_twice_the_inverse():
             graphs.append(flip_edge(graph, rng.choice(options))[0])
     assert len(graphs) > 500
     for k, graph in enumerate(graphs):
-        assert _local_rule_mismatches(graph) == [], k
+        assert local_rule_mismatches(graph) == [], k
 
 
 def local_rows(graph):

@@ -22,6 +22,7 @@ from spineforms.paths import PathWord
 from spineforms.ribbon import emit_graph, parse_graph
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from dense_oracle import dense_verify_inverse
 
 
 def as_ints(mat):
@@ -105,6 +106,37 @@ def test_four_cusp_product_is_not_scalar(four_cusps):
     table = poisson_matrix(four_cusps)
     c, residual = verify_inverse(window, table)
     assert c is None or residual != 0
+
+
+def _inverse_cases():
+    """(form, bracket) for every fixture and 200 seeded spines, whole
+    and restricted to the nonzero block of the window form."""
+    rng = random.Random(1)
+    for graph in [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(200)]:
+        window, table = window_form_matrix(graph), poisson_matrix(graph)
+        yield window, table
+        block = window.nonzero_row_names()
+        if block:
+            yield window.restrict(block), table.restrict(block)
+
+
+def test_inverse_check_matches_the_dense_oracle():
+    """Without leaf, (c, residual) is the dense W P's.  With leaf,
+    P W P = c P passes exactly where the projection T (W P) T = c T
+    does, with the same c."""
+    def passes(result):
+        return result[0] is not None and result[1] == 0
+
+    cases = failing = 0
+    for k, (form, bracket) in enumerate(_inverse_cases()):
+        assert verify_inverse(form, bracket) == dense_verify_inverse(form, bracket), k
+        got, want = verify_inverse(form, bracket, leaf=True), dense_verify_inverse(form, bracket, leaf=True)
+        assert passes(got) == passes(want), k
+        if passes(want):
+            assert got[0] == want[0], k
+        cases += 1
+        failing += not passes(want)
+    assert cases > 300 and failing > 50
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

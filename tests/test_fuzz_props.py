@@ -15,6 +15,7 @@ from spineforms.fuzz import (
     random_spine,
     run_suite,
 )
+from spineforms import coords
 from spineforms.coords import lambda_of_dual_arcs, shear_from_lambda
 from spineforms.paths import PathWord, compile_path, evaluate
 from spineforms.ribbon import dual_arc, emit_graph
@@ -84,6 +85,23 @@ def test_suite_passes_smoke(suite):
     trials = {"positivity": 25, "mutation": 5}.get(suite, 8)
     result = run_suite(suite, trials, seed=424)
     assert result.ok, result.summary()
+
+
+def test_roundtrip_fails_a_broken_local_rule(monkeypatch):
+    """The suite's check of K = 2 M^{-1} is DualView.inverse()'s exact
+    K M = 2I test: one wrong entry of K fails every trial."""
+    build = coords.DualView.__init__
+
+    def broken(self, graph):
+        build(self, graph)
+        (j, k), *rest = self.local[0]
+        self.local = (((j, k + 1), *rest),) + self.local[1:]
+
+    monkeypatch.setattr(coords.DualView, "__init__", broken)
+    result = run_suite("roundtrip", 20, 1)
+    assert not result.ok
+    assert len(result.failures) == 20
+    assert all("not inverted by the local rule" in f for f in result.failures)
 
 
 def test_unknown_suite_rejected():

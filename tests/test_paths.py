@@ -169,6 +169,25 @@ def test_compile_checks_loop_sign_against_order(two_loops):
         compile_path(two_loops, bad)
 
 
+@pytest.mark.parametrize("start, cut, bare, end, closed, message", [
+    ("c1", 1, False, "c3", False, "start at cusp c1"),  # first step leaves no cusp
+    ("c4", 0, False, "c2", False, "start at cusp c4"),  # cusps the steps never visit
+    ("zz", 0, False, "c3", False, "start at cusp zz"),  # no such cusp
+    ("c1", 0, False, "c2", False, "end at cusp c2"),
+    ("c1", 0, True, "c2", False, "end at cusp c2"),  # steps rebuilt from their tokens
+    ("c1", 0, False, "c1", True, "end at cusp c1"),  # a "closed" word that ends at c3
+])
+def test_compile_refuses_steps_off_the_declared_cusps(four_cusps, start, cut, bare, end, closed, message):
+    """The steps p1,e,p3 run from c1 to c3; declared cusps must match."""
+    steps = PathWord.from_tokens(four_cusps, ["p1", "e", "p3"]).steps[cut:]
+    if bare:
+        steps = tuple(paths.Step(s.edge) for s in steps)
+    path = PathWord(start, steps, end, closed)
+    for call in (compile_path, geodesic_function if closed else lambda_length):
+        with pytest.raises(ValueError, match="path does not " + message):
+            call(four_cusps, path)
+
+
 def test_tokens_round_trip(five_holes):
     path = tokens(five_holes, "pi,a1,w1+,a1,pi", closed=True)
     assert path.tokens == ["pi", "a1", "w1+", "a1", "pi"]
