@@ -54,7 +54,11 @@ def _promote(v):
 
 
 class CoordinatePoint:
-    """Values for every edge of one graph, all exact or all float."""
+    """Values for every edge of one graph, all exact or all float.
+
+    Exact q must be positive and float y finite; loop weights must be
+    finite and >= 0, as in a graph file.
+    """
 
     __slots__ = ("exact", "q", "y", "omega")
 
@@ -82,7 +86,15 @@ class CoordinatePoint:
         else:
             if self.q:
                 raise ValueError("float point carries y values, not q")
+            for k, v in self.y.items():
+                if not math.isfinite(v):
+                    raise ValueError("y[%s] = %s must be finite" % (k, v))
             self.omega = {k: float(v) for k, v in self.omega.items()}
+        for k, v in self.omega.items():
+            if not v >= 0:
+                raise ValueError("loop weight omega[%s] = %s must be >= 0" % (k, v))
+            if v == math.inf:
+                raise ValueError("loop weight omega[%s] = %s must be finite" % (k, v))
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":
@@ -150,10 +162,7 @@ class CoordinatePoint:
     def shifted(self, edge: str, delta: float) -> "CoordinatePoint":
         """Float copy with one coordinate nudged; finite differences."""
         pt = self.as_float()
-        if edge not in pt.y:
-            raise ValueError("unknown coordinate edge %s" % edge)
-        pt.y[edge] += delta
-        return pt
+        return pt.with_updates(y={edge: pt.y.get(edge, 0.0) + delta})
 
     def with_updates(self, q=(), y=(), omega=()) -> "CoordinatePoint":
         if self.exact:
@@ -373,8 +382,8 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     exactly the coordinate edges and must be positive.  Loop weights are
     not determined by lambda-lengths: they are the weights carried by a
     LambdaAssignment, which must then name exactly the graph's loops,
-    or else the graph's stored values; they must be finite and >= 0, as
-    in a graph file.
+    or else the graph's stored values; CoordinatePoint refuses weights
+    that are negative or not finite.
     """
     if isinstance(lambdas, LambdaAssignment):
         lam = dict(lambdas.values)
@@ -407,11 +416,6 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
             omegas[k] = Fraction(v)
     else:
         omegas = {k: float(v) for k, v in omegas.items()}
-    for k, v in omegas.items():
-        if not v >= 0:
-            raise ValueError("loop weight omega[%s] = %s must be >= 0" % (k, v))
-        if v == math.inf:
-            raise ValueError("loop weight omega[%s] = %s must be finite" % (k, v))
 
     view = dual_view(graph)
     if exact:

@@ -14,6 +14,9 @@ Three coordinate-indexed matrices are built combinatorially:
   through log lambda = 1/2 M Y to 1/4 M^T P M, M the dual-arc traversal
   counts.  The window form equals M^T P M on every spine.
 
+P and W are tables of ints; Penner's form, with its entries x/4, is the
+one table of Fractions.
+
 Centers of the bracket: one counting vector per cusped hole (the
 traversal counts of its full boundary walk) and the loop weights, which
 are parameters rather than coordinates.
@@ -42,30 +45,22 @@ __all__ = [
 
 
 class CoordinateIndexedMatrix:
-    """Square matrix with rows and columns labeled by edge names."""
+    """Square matrix with rows and columns labeled by edge names; the
+    rows are stored as given (ints, or Fractions for Penner's form)."""
 
     __slots__ = ("names", "data", "_index")
 
-    def __init__(self, names: Sequence[str], data=None):
+    def __init__(self, names: Sequence[str], data: list[list]):
         self.names = tuple(names)
         n = len(self.names)
-        if data is None:
-            self.data = [[Fraction(0)] * n for _ in range(n)]
-        else:
-            if len(data) != n or any(len(row) != n for row in data):
-                raise ValueError("data shape does not match names")
-            self.data = [[Fraction(x) for x in row] for row in data]
+        if len(data) != n or any(len(row) != n for row in data):
+            raise ValueError("data shape does not match names")
+        self.data = data
         self._index = {nm: i for i, nm in enumerate(self.names)}
-
-    def add_at(self, u: str, v: str, amount) -> None:
-        self.data[self._index[u]][self._index[v]] += Fraction(amount)
 
     def __getitem__(self, key):
         u, v = key
         return self.data[self._index[u]][self._index[v]]
-
-    def row(self, u: str) -> list[Fraction]:
-        return list(self.data[self._index[u]])
 
     def restrict(self, names: Sequence[str]) -> "CoordinateIndexedMatrix":
         idx = [self._index[n] for n in names]
@@ -76,12 +71,7 @@ class CoordinateIndexedMatrix:
         return [nm for i, nm in enumerate(self.names) if any(x != 0 for x in self.data[i])]
 
     def scaled(self, c) -> "CoordinateIndexedMatrix":
-        c = Fraction(c)
         return CoordinateIndexedMatrix(self.names, [[c * x for x in row] for row in self.data])
-
-    def is_antisymmetric(self) -> bool:
-        n = len(self.names)
-        return all(self.data[i][j] == -self.data[j][i] for i in range(n) for j in range(i, n))
 
     def __eq__(self, other):
         if not isinstance(other, CoordinateIndexedMatrix):
@@ -89,15 +79,12 @@ class CoordinateIndexedMatrix:
         return self.names == other.names and self.data == other.data
 
     def lines(self) -> list[str]:
-        def cell(x: Fraction) -> str:
-            return str(x) if x.denominator != 1 else str(x.numerator)
-
         width = max([len(n) for n in self.names] + [4])
-        width = max(width, max((len(cell(x)) for row in self.data for x in row), default=1))
+        width = max(width, max((len(str(x)) for row in self.data for x in row), default=1))
         head = " " * (width + 1) + " ".join(n.rjust(width) for n in self.names)
         out = [head]
         for nm, row in zip(self.names, self.data):
-            out.append(nm.rjust(width) + "  " + " ".join(cell(x).rjust(width) for x in row))
+            out.append(nm.rjust(width) + "  " + " ".join(str(x).rjust(width) for x in row))
         return out
 
     def __repr__(self):
@@ -112,14 +99,16 @@ def poisson_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
 def window_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     """Two-form from the window orderings: +1 for every ordered pair of
     coordinate tokens inside one window."""
-    m = CoordinateIndexedMatrix(graph.coordinate_edges())
+    names = graph.coordinate_edges()
+    index = {n: j for j, n in enumerate(names)}
+    table = [[0] * len(names) for _ in names]
     for w in windows(graph):
-        tokens = w.coordinate_tokens(graph)
-        for p in range(len(tokens)):
-            for q in range(p + 1, len(tokens)):
-                m.add_at(tokens[p], tokens[q], 1)
-                m.add_at(tokens[q], tokens[p], -1)
-    return m
+        tokens = [index[n] for n in w.coordinate_tokens(graph)]
+        for p, u in enumerate(tokens):
+            for v in tokens[p + 1:]:
+                table[u][v] += 1
+                table[v][u] -= 1
+    return CoordinateIndexedMatrix(names, table)
 
 
 def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:

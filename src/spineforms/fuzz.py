@@ -10,8 +10,8 @@ The suites re-check the structural invariants on that corpus: dual-arc
 lambdas stay monomial, compiled words stay sign-definite, flips are
 involutions, lambda-lengths invert back to the coordinates by the
 local rule, which DualView.inverse() checks exactly to be twice the
-inverse of the dual-arc matrix, hole vectors stay central, and the boundary-ordered form stays proportional
-to the vertex-sum form.
+inverse of the dual-arc matrix, hole vectors stay central, and the
+boundary-ordered form W equals M^T P M, four times the vertex-sum form.
 """
 
 from __future__ import annotations

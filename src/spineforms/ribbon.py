@@ -290,31 +290,19 @@ class Window:
 
 
 def windows(graph: FatGraph) -> list[Window]:
-    """All windows, in face order, each starting at a cusp visit."""
+    """All windows, in face order, each starting at a cusp visit: the
+    walk by '+' turns out of that cusp until it reaches the next one."""
     out: list[Window] = []
+    limit = 2 * len(graph._half_order)
     for fi, orbit in enumerate(graph.faces()):
-        cusp_pos = [i for i, h in enumerate(orbit) if graph.is_cusp_half(h)]
-        if not cusp_pos:
-            continue
-        k = len(orbit)
-        for a, i in enumerate(cusp_pos):
-            j = cusp_pos[(a + 1) % len(cusp_pos)]
-            length = (j - i) % k or k
-            steps = []
-            for off in range(length):
-                h = orbit[(i + off) % k]
-                x = graph.sigma(h)
-                name = graph.edge_of(x)
-                sign = "+" if graph.edges[name].kind == "loop" else None
-                steps.append(Step(name, sign, x))
-            out.append(
-                Window(
-                    hole=fi,
-                    start_cusp=graph.vertex_of(orbit[i]),
-                    end_cusp=graph.vertex_of(orbit[j]),
-                    steps=tuple(steps),
-                )
-            )
+        for h in filter(graph.is_cusp_half, orbit):
+            steps: list[Step] = []
+            arrival = walk_turn(graph, h, "+", steps)
+            while not graph.is_cusp_half(arrival):
+                if len(steps) > limit:
+                    raise GraphError("window walk does not reach a cusp (invalid graph?)")
+                arrival = walk_turn(graph, arrival, "+", steps)
+            out.append(Window(fi, graph.vertex_of(h), graph.vertex_of(arrival), tuple(steps)))
     return out
 
 
@@ -413,7 +401,7 @@ def validate(graph: FatGraph) -> ValidationReport:
     check("connected", connected)
 
     faces = graph.faces()
-    monogons = graph.monogon_faces()
+    monogons = set(graph.monogon_faces())
     mono_ok = True
     mono_loops = set()
     for i in monogons:
@@ -425,24 +413,15 @@ def validate(graph: FatGraph) -> ValidationReport:
     mono_ok = mono_ok and len(monogons) == len(loops) and len(mono_loops) == len(loops)
     check("monogon-loops", mono_ok, "%d monogons for %d loops" % (len(monogons), len(loops)))
 
-    cusp_halves_set = set(graph.cusps.values())
     cusped_ok = all(
-        any(h in cusp_halves_set for h in orbit)
-        for i, orbit in enumerate(faces)
-        if i not in set(monogons)
+        any(h in cusp_halves for h in orbit) for i, orbit in enumerate(faces) if i not in monogons
     )
     check("faces-have-cusps", cusped_ok)
 
-    n = len(graph.cusps)
-    s_o = len(monogons)
-    s_h = len(faces) - s_o
-    s = len(faces)
-    V = len(graph.vertices) + n
-    E = len(graph.edges)
-    F = len(faces)
-    euler = V - E + F
-    genus2x = 2 - euler
-    check("euler", genus2x >= 0 and genus2x % 2 == 0, "V-E+F = %d" % euler)
+    counts = graph.counts()
+    n, E, s = counts["cusps"], counts["edges"], counts["faces"]
+    s_o, s_h, genus2x = counts["monogons"], counts["cusped_faces"], counts["genus2x"]
+    check("euler", genus2x >= 0 and genus2x % 2 == 0, "V-E+F = %d" % (2 - genus2x))
     g = genus2x // 2 if genus2x >= 0 and genus2x % 2 == 0 else -1
 
     expected_e = 6 * g - 6 + 3 * s + 2 * n

@@ -401,6 +401,29 @@ def test_forms_tsv(capsys):
     assert "center\thole 0\tp1\t2" in lines
 
 
+FORMS_SHA256 = {
+    ("t3", "text"): "96dd9a669e5711e9862fd1d9046b307a8f00f3020fe430f8ec16d88d1834149e",
+    ("t3", "tsv"): "18775fde9e5209c821776e1e499cb5e94cd72f1cb106cb047986d2b5bd3a4abe",
+    ("sigma_0_2_1", "text"): "647e53b68fdbf694d7b4f7ac14edea746dbe3ab18a4a57a3c24741b39d9348b7",
+    ("sigma_0_2_1", "tsv"): "3a76f5be1c071dea027734f6eeaae09dbd4ab71dd2fac9d06f4a10c2fba6af15",
+    ("sigma_0_3_1", "text"): "f95a380b96dc8d6bef403504952ab55a90f0a85079f5190bb9ab3139885400b5",
+    ("sigma_0_3_1", "tsv"): "bd717ef72ed512f2fc4540384e235905459143d74ef6aad178b2f4b44ee15baa",
+    ("sigma_0_1_4", "text"): "83cb2628aa394be936b56511219b2704030e3c7c043efe1df90ad8c274379a70",
+    ("sigma_0_1_4", "tsv"): "efb0f90177a553b8747e0c0d46affda5bdf59d6be243d4706ade5dbc819e18af",
+    ("sigma_0_5_1", "text"): "9a5f2496db259677f98a6f1c201991b13d6fa8b47b7490552373cc7453d888f5",
+    ("sigma_0_5_1", "tsv"): "4736dee5b84c2b1da2183d4f5e4d835ce88b43d77e193e0bf223051ba6632767",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(FORMS_SHA256))
+def test_forms_output_is_pinned(capsys, name, fmt):
+    """sha256 of `forms` stdout from when every matrix entry was a
+    Fraction; P and W now hold ints and print the same bytes."""
+    code, out, _ = run(capsys, "forms", fx(name), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMS_SHA256[name, fmt]
+
+
 def test_fuzz_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "fuzz", "--seed", "5", "--trials", "4")
     code2, out2, _ = run(capsys, "fuzz", "--seed", "5", "--trials", "4")

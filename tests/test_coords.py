@@ -48,6 +48,32 @@ def test_exact_point_validation():
         CoordinatePoint(False, q={"e": Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "exact, values, omega, message",
+    [
+        (False, {"pi": math.nan}, {"w": 2.0}, r"y\[pi\] = nan must be finite"),
+        (True, {"pi": 1}, {"w": -7}, r"loop weight omega\[w\] = -7 must be >= 0"),
+        (False, {"pi": 0.5}, {"w": math.inf}, r"loop weight omega\[w\] = inf must be finite"),
+        (False, {"pi": 0.5}, {"w": math.nan}, r"loop weight omega\[w\] = nan must be >= 0"),
+    ],
+)
+def test_point_refuses_values_outside_the_domain(exact, values, omega, message):
+    """A float y must be finite and a loop weight finite and >= 0, as in
+    a graph file."""
+    key = "q" if exact else "y"
+    with pytest.raises(ValueError, match=message):
+        CoordinatePoint(exact, omega=omega, **{key: values})
+
+
+def test_bad_lambda_is_reported_before_bad_loop_weight(one_loop):
+    lam = LambdaAssignment({"pi": Fraction(-1)}, True, {"w": Fraction(-7)})
+    with pytest.raises(ValueError, match="lambda pi = -1 must be positive"):
+        shear_from_lambda(one_loop, lam)
+    lam = LambdaAssignment({"pi": 1.5}, False, {"w": -7.0})
+    with pytest.raises(ValueError, match=r"omega\[w\] = -7.0 must be >= 0"):
+        shear_from_lambda(one_loop, lam)
+
+
 def test_point_accessors(one_loop):
     point = CoordinatePoint(True, q={"pi": Fraction(9, 4)}, omega={"w": Fraction(3)})
     assert point.q_value("pi") == Fraction(9, 4)
@@ -143,6 +169,10 @@ def test_with_updates_and_shift(two_loops):
     assert bumped.q_value("pi") == point.q_value("pi")
     moved = point.as_float().shifted("a1", 0.25)
     assert moved.y_value("a1") == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="unknown coordinate edge zz"):
+        point.shifted("zz", 0.25)
+    with pytest.raises(ValueError, match=r"y\[a1\] = inf must be finite"):
+        moved.with_updates(y={"a1": 1.7e308}).shifted("a1", 1e308)
 
 
 def test_closed_form_matches_matrix_word_oracle():

@@ -142,6 +142,20 @@ def test_window_loop_tokens_keep_signs(one_loop):
     assert w.coordinate_tokens(one_loop) == ["pi", "pi"]
 
 
+def test_window_walk_that_skips_its_cusp_is_refused():
+    """A loop-kind edge on the cusp makes the '+' walk bounce past it;
+    windows stops with an error instead of walking forever."""
+    graph = parse_graph(
+        "vertex v ccw: pi_v w_a w_b\n"
+        "cusp c0 half: pi_c\n"
+        "edge pi loop pi_v pi_c\n"
+        "edge w pending w_a w_b\n"
+    )
+    assert not validate(graph).ok
+    with pytest.raises(GraphError, match="does not reach a cusp"):
+        windows(graph)
+
+
 def test_dual_arc_of_pending_ends_at_its_cusp(t3):
     arc = dual_arc(t3, "p3")
     assert arc.tokens == ["p2", "p3"]
