@@ -257,23 +257,23 @@ class SqrtRational:
     __slots__ = ("rat", "rad")
 
     def __init__(self, rat, rad=1):
-        rat = Fraction(rat)
-        rad = Fraction(rad)
+        if type(rat) is not Fraction:
+            rat = Fraction(rat)
+        if type(rad) is not int:
+            rad = Fraction(rad)  # sqrt(p/q) = sqrt(p*q)/q
+            rat /= rad.denominator
+            rad = rad.numerator * rad.denominator
         if rad <= 0:
             raise ValueError("radicand must be positive")
-        # sqrt(p/q) = sqrt(p*q)/q
-        if rad.denominator != 1:
-            rat /= rad.denominator
-            rad = Fraction(rad.numerator * rad.denominator)
-        n = rad.numerator
-        root = math.isqrt(n)
-        if root * root == n:
-            rat *= root
-            n = 1
-        if rat == 0:
-            n = 1
+        root = math.isqrt(rad)
+        if root * root == rad:
+            if root != 1:
+                rat *= root
+            rad = 1
+        if not rat.numerator:
+            rad = 1
         self.rat = rat
-        self.rad = n
+        self.rad = rad
 
     @classmethod
     def sqrt(cls, q) -> "SqrtRational":
@@ -336,7 +336,9 @@ class SqrtRational:
         if other is NotImplemented:
             return NotImplemented
         g = math.gcd(self.rad, other.rad)
-        return SqrtRational(self.rat * other.rat * g, (self.rad // g) * (other.rad // g))
+        x, y = self.rat, other.rat
+        return SqrtRational(Fraction(x.numerator * y.numerator * g, x.denominator * y.denominator),
+                            (self.rad // g) * (other.rad // g))
 
     __rmul__ = __mul__
 
@@ -355,7 +357,7 @@ class SqrtRational:
     def inverse(self) -> "SqrtRational":
         if self.rat == 0:
             raise ZeroDivisionError("inverse of zero")
-        return SqrtRational(1 / (self.rat * self.rad), self.rad)
+        return SqrtRational(Fraction(self.rat.denominator, self.rat.numerator * self.rad), self.rad)
 
     def __pow__(self, n: int):
         if n < 0:

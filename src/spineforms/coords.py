@@ -4,7 +4,9 @@ A coordinate point assigns a value to every non-loop edge (the shear or
 extended shear coordinate) and a weight to every loop edge.  Exact
 points store the exponentiated coordinate ``q = e^Y`` as a Fraction so
 edge matrices have ``SqrtRational`` entries ``t = sqrt(q)``; float
-points store ``Y`` itself.
+points store ``Y`` itself.  A point keeps a Fraction q as given and
+checks q > 0 on its numerator, so a flip or a parse that already built
+the Fraction pays for no second one.
 
 Lambda-lengths and coordinates are maps on integer exponent vectors.
 The dual arc of coordinate edge i runs M_ij times through edge j, and
@@ -70,14 +72,14 @@ class CoordinatePoint:
         omega: Optional[Mapping[str, Union[Fraction, float]]] = None,
     ):
         self.exact = bool(exact)
-        self.q = {k: Fraction(v) for k, v in (q or {}).items()}
+        self.q = {k: v if type(v) is Fraction else Fraction(v) for k, v in (q or {}).items()}
         self.y = {k: float(v) for k, v in (y or {}).items()}
         self.omega = dict(omega or {})
         if self.exact:
             if self.y:
                 raise ValueError("exact point carries q values, not y")
             for k, v in self.q.items():
-                if v <= 0:
+                if v.numerator <= 0:
                     raise ValueError("q[%s] = %s must be positive" % (k, v))
             for k, v in self.omega.items():
                 if not isinstance(v, (int, Fraction)):
@@ -103,10 +105,7 @@ class CoordinatePoint:
         Exact when every stored value is exact; missing values default
         to q = 1 (Y = 0) and loop weight 2.
         """
-        exact = True
-        for e in graph.edges.values():
-            if e.value is not None and e.value[0] in ("lin", "omega_float"):
-                exact = False
+        exact = not any(e.value and e.value[0] in ("lin", "omega_float") for e in graph.edges.values())
         q: dict[str, Fraction] = {}
         y: dict[str, float] = {}
         omega: dict[str, Union[Fraction, float]] = {}
@@ -119,10 +118,7 @@ class CoordinatePoint:
                 else:
                     omega[e.name] = e.value[1]
             else:
-                if e.value is None:
-                    val: tuple = ("exp", Fraction(1))
-                else:
-                    val = e.value
+                val = e.value or ("exp", Fraction(1))
                 if exact:
                     q[e.name] = val[1]
                 else:

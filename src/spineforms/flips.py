@@ -34,7 +34,6 @@ times a plain Laurent word and each check clears the radicand exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -139,32 +138,39 @@ def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> Coordi
         q_x' = q_x g on the grow slots,  q_x' = q_x q^k/g on the shrink
         slots,  q' = 1/q,
 
-    multiplied up per edge when one edge fills several slots.  A float
-    point takes the same steps on y = log q, summing each edge's shifts
-    before adding them."""
+    multiplied up per edge when one edge fills several slots.  An exact
+    point multiplies numerator and denominator ints and builds one
+    Fraction per slot.  A float point takes the same steps on y = log q,
+    summing each edge's shifts before adding them."""
     k = 1 if w is None else 2
     values = dict(point.q if point.exact else point.y)
     z = values[name]
     if point.exact:
-        g = 1 + z if w is None else 1 + w * z + z * z
-        op, unit, moves, flipped = operator.mul, Fraction(1), (g, z ** k / g), 1 / z
-    else:
+        # g = gn/gd; at a loop of weight w = wn/wd, g = (wd (d^2 + n^2) + wn n d) / (wd d^2)
+        n, d = z.numerator, z.denominator
         if w is None:
-            g = _softplus(z)
-        elif z > 0:  # log(1 + w e^z + e^{2z}), stable on both tails
-            g = 2 * z + math.log(1 + w * math.exp(-z) + math.exp(-2 * z))
+            gn, gd = d + n, d
         else:
-            g = math.log(1 + w * math.exp(z) + math.exp(2 * z))
-        op, unit, moves, flipped = operator.add, 0.0, (g, k * z - g), -z
-    acc: dict = {}
-    for slots, m in zip((grow, shrink), moves):
-        for x in slots:
-            acc[x] = op(acc.get(x, unit), m)
-    for x, m in acc.items():
-        values[x] = op(values[x], m)
-    values[name] = flipped
-    if point.exact:
+            gn, gd = w.denominator * (d * d + n * n) + w.numerator * n * d, w.denominator * d * d
+        for slots, (a, b) in zip((grow, shrink), ((gn, gd), (n ** k * gd, d ** k * gn))):
+            for x in slots:
+                v = values[x]
+                values[x] = Fraction(v.numerator * a, v.denominator * b)
+        values[name] = Fraction(d, n)
         return CoordinatePoint(True, q=values, omega=dict(point.omega))
+    acc: dict = {}
+    if w is None:
+        g = _softplus(z)
+    elif z > 0:  # log(1 + w e^z + e^{2z}), stable on both tails
+        g = 2 * z + math.log(1 + w * math.exp(-z) + math.exp(-2 * z))
+    else:
+        g = math.log(1 + w * math.exp(z) + math.exp(2 * z))
+    for slots, m in zip((grow, shrink), (g, k * z - g)):
+        for x in slots:
+            acc[x] = acc.get(x, 0.0) + m
+    for x, m in acc.items():
+        values[x] += m
+    values[name] = -z
     return CoordinatePoint(False, y=values, omega=dict(point.omega))
 
 

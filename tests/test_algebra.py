@@ -228,3 +228,27 @@ def test_frac_inverse_and_kernel():
     assert len(kern) == 1
     x, y = kern[0]
     assert x + 2 * y == 0
+
+
+class _Rational(Fraction):
+    """A Fraction subclass, which SqrtRational reads as a plain Fraction."""
+
+
+_RADS = (-4, -1, 0, True, 1, 2, 3, 4, 8, 9, 12, 49, 50, 10**6, 2**61 - 1, _Rational(5), _Rational(16))
+
+
+@pytest.mark.parametrize("rad", _RADS, ids=repr)
+@pytest.mark.parametrize("rat", [0, 1, -3, Fraction(2, 3), Fraction(-7, 4), "5/6", _Rational(3, 2)], ids=repr)
+def test_int_radicand_matches_the_fraction_one(rat, rad):
+    """An int radicand takes no detour through Fraction; the result is
+    the one a Fraction radicand gives, in type and value."""
+    if rad <= 0:
+        for r in (rad, Fraction(rad)):
+            with pytest.raises(ValueError, match="radicand must be positive"):
+                SqrtRational(rat, r)
+        return
+    fast, general = SqrtRational(rat, rad), SqrtRational(rat, Fraction(rad))
+    assert type(fast.rat) is type(general.rat) is Fraction
+    assert type(fast.rad) is type(general.rad) is int
+    assert (fast.rat, fast.rad) == (general.rat, general.rad)
+    assert str(fast) == str(general)

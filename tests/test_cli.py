@@ -2,14 +2,18 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from spineforms import cli, parse_graph, validate
+from spineforms import CoordinatePoint, cli, lambda_of_dual_arcs, mutate_lambda, parse_graph, validate
+from spineforms.flips import flip_edge
+from spineforms.fuzz import _flippable, random_exact_point, random_spine
+from spineforms.ribbon import emit_graph
 
-from conftest import FIXTURES, fixture_text
+from conftest import ALL_FIXTURES, FIXTURES, fixture_text
 
 
 def fx(name):
@@ -311,6 +315,107 @@ def test_flip_refuses_pending(capsys):
     code, _, err = run(capsys, "flip", fx("sigma_0_3_1"), "pi")
     assert code == 2
     assert err == "error: only inner edges flip; pi is pending\n"
+
+
+
+# sha256 of `flip GRAPH EDGE` stdout, of `flip GRAPH EDGE -o FILE` stdout
+# and of FILE, for every edge of the fixtures that flips, taken when the
+# exchange rule ran on Fraction operators and emit_graph rewrote Z= to pi=
+FLIP_SHA256 = {
+    ("sigma_0_3_1", "a1"): ("bc0b28083b5a905239d5dc368b5bccede7b3daa4af59c2f277a5c1e15c9c359a",
+                            "720089e3e2f7d5000b8636a5fc262b152c7b1b7481a8f791bcf20f8dd9a63617"),
+    ("sigma_0_3_1", "b1"): ("ff0ef254b653c780470db3e7d5b21812950808d8733307fa4a3d7de162f222b2",
+                            "57a34d998c9d6e40c9be1e31415262183f2c53bef7873edfb8694784bdc55b87"),
+    ("sigma_0_1_4", "e"): ("4cf6031efda00079f0a78833ba93f220d5f8c8c543c4e9a56ce2746aa4a8d77d",
+                           "295695cc0310ab8cb082ed3dac75b4c6477740bf2eb91d7d8b7b8682082cd17b"),
+    ("sigma_0_5_1", "a1"): ("967b714ed36cfb34463f12f150125dc7b1e25587e19eca23775793e5a2b3d69b",
+                            "720089e3e2f7d5000b8636a5fc262b152c7b1b7481a8f791bcf20f8dd9a63617"),
+    ("sigma_0_5_1", "a2"): ("0cb638bc4d2af1ebc8a8ef45aac6801c9b5308d6aa649db879198ceed1ac1ebf",
+                            "35a8c53f2c33a84b57564ec0334b12e81be6b44fa30b627b433f6beb4d5848e5"),
+    ("sigma_0_5_1", "a3"): ("3a442713eb03278a34f8fd26dfe363428cd9c43dd1a4e1bccc103eda1e36e88b",
+                            "5e38eb9cc978e43133e4d08eee5565a91a9c1eba6fddef3b7d60cea2f181369b"),
+    ("sigma_0_5_1", "b1"): ("a3dc303fec710eb1116ba01b19a1540b94dac05a9fb2336f393cf7c57987c571",
+                            "4c98f10158a5e73ef7716c4561f090371c71969265cf300e129e857709984af4"),
+    ("sigma_0_5_1", "b2"): ("ba5ee737808e5f5245715a664191e5df1f5f46a78ef9c60bab5fdf6809fd7535",
+                            "78fa20ad0cce30531f6f801bd1bf6a2c385e681cf52eae07f6e2b38cf149fca5"),
+    ("sigma_0_5_1", "b3"): ("ae44117e95636805e255b2a7afc039777287e1ed60a81fbafd4c57cdd6e7d656",
+                            "e48e2c4ee2e9d7866e541d1e7075cbd8d6641d9121cf100055f403cfca2b9681"),
+}
+
+
+def test_flip_pins_cover_every_flippable_fixture_edge():
+    flippable = {(name, e) for name in ALL_FIXTURES for e in _flippable(parse_graph(fixture_text(name)))}
+    assert flippable == set(FLIP_SHA256)
+
+
+@pytest.mark.parametrize("graph, edge", sorted(FLIP_SHA256))
+def test_flip_output_is_pinned(capsys, tmp_path, graph, edge):
+    printed, summary = FLIP_SHA256[graph, edge]
+    code, out, _ = run(capsys, "flip", fx(graph), edge)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == printed
+    target = tmp_path / "flipped.graph"
+    code, out, _ = run(capsys, "flip", fx(graph), edge, "-o", str(target))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == summary
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == printed
+
+
+def _walk(seed, exact):
+    """A seeded 24-step flip walk through graph text, carrying the
+    lambda-lengths by mutate_lambda; returns the text at its end and
+    the carried lambdas."""
+    rng = random.Random(seed)
+    g = random_spine(rng)
+    while not _flippable(g):
+        g = random_spine(rng)
+    if exact:
+        p = random_exact_point(rng, g)
+    else:
+        y = {n: round(rng.uniform(-1.5, 1.5), 3) for n in g.coordinate_edges()}
+        p = CoordinatePoint(False, y=y, omega={n: float(rng.randint(2, 6)) for n in g.loop_edges()})
+    text = emit_graph(g, p)
+    lam = lambda_of_dual_arcs(g, p)
+    for _ in range(24):
+        g = parse_graph(text)
+        edge = rng.choice(_flippable(g))
+        g1, p1, _ = flip_edge(g, edge)
+        lam = mutate_lambda(g, lam, edge)
+        text = emit_graph(g1, p1)
+    return text, lam
+
+
+# sha256 of `lambda-from-shear` stdout at the end of _walk(seed, exact)
+# and of the lambdas carried along it, printed `name = value` a line,
+# taken when _exchange and mutate_lambda ran on Fraction and
+# SqrtRational operators
+WALK_SHA256 = {
+    (1, True): ("2812dbb1a87ff06d8d71b434b3b0dbb03c3d0019da4cb59b043db65793967c6a",
+                "57b5fce87a866949b0eaf1783fdeaf9563b3e5e3f57a8045801e4b908885d62f"),
+    (1, False): ("c63f8beeaba99618c92c47615839c1e2840e2d835ab8708722cfda0184a0827a",
+                 "23ded4d6a00205ea9ab4fe51b1f75d0b78b6b8926d4901ca11c927befb9f742c"),
+    (2, True): ("b0fa0f2648d8bb85a312005e7fc4a480dc8d8bc811d5a3fa0d39ec3dcc603318",
+                "fdf5b33b4cf08a22f3b1876f82d75d573682c30ddfd1f8fb4b11e2d2280dca68"),
+    (2, False): ("d6f15eaffec9cb0c7e82a48fab9a1577378c9a7d41c48d923c76f291aa1076b5",
+                 "71d954b62cc63ababde4f96a77a42c8f94748f7d2529feda7815da77e02f7920"),
+    (3, True): ("786a911d716c01e5ca5f70cc0c17e9985239c037b9c95585e4b9bd5526a5eb54",
+                "f89a667389c9f6d16cf55decaa340d49a8dea658316d10b46ac9205f17d0b2e7"),
+    (3, False): ("368226fd27aaae0d7479b4f1c71231d791621a591d8e55f2466f90f77f96dcc9",
+                 "adb7f0bc322a67fce236922b0f260bda42ebe33e944f0d00a8c43ef924ea6fb7"),
+}
+
+
+@pytest.mark.parametrize("seed, exact", sorted(WALK_SHA256))
+def test_flip_walk_output_is_pinned(capsys, tmp_path, seed, exact):
+    printed, carried = WALK_SHA256[seed, exact]
+    text, lam = _walk(seed, exact)
+    path = tmp_path / "walk.graph"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "lambda-from-shear", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == printed
+    lines = "".join("%s = %s\n" % (n, cli._render(v)) for n, v in lam.items())
+    assert hashlib.sha256(lines.encode()).hexdigest() == carried
 
 
 @pytest.mark.parametrize("command", ["dual-arcs", "flip", "lambda", "geodesic"])

@@ -337,3 +337,22 @@ def test_shear_from_lambda_refuses_wrong_names(five_holes, change, message):
     change(lam)
     with pytest.raises(ValueError, match="^%s$" % message):
         shear_from_lambda(five_holes, lam)
+
+
+@pytest.mark.parametrize("value", [1, 3, "3", "4/6", Fraction(2, 3), Fraction(7)])
+def test_point_reads_int_str_and_fraction_q_alike(value):
+    """A Fraction q is kept as it is; ints and strings become the same
+    Fraction."""
+    want = Fraction(value)
+    points = [CoordinatePoint(True, q={"e": v}) for v in (value, want, str(want))]
+    if want.denominator == 1:
+        points.append(CoordinatePoint(True, q={"e": want.numerator}))
+    for p in points:
+        assert p == points[0]
+        assert type(p.q["e"]) is Fraction and p.q["e"] == want
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 2), 0, -3, "-1/2"])
+def test_point_refuses_non_positive_q(value):
+    with pytest.raises(ValueError, match=r"^q\[e\] = .* must be positive$"):
+        CoordinatePoint(True, q={"e": value})

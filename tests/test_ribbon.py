@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from spineforms import PathWord, parse_graph, validate
-from spineforms.fuzz import random_spine
-from spineforms.ribbon import FatGraph, GraphError, dual_arc, emit_graph, windows
+from spineforms import CoordinatePoint, PathWord, parse_graph, validate
+from spineforms.fuzz import random_exact_point, random_spine
+from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
@@ -243,3 +243,109 @@ def test_monogons_follow_loops(five_holes):
 
 def test_coordinate_edges_keep_file_order(five_holes):
     assert list(five_holes.coordinate_edges()) == ["pi", "a1", "a2", "a3", "b1", "b2", "b3"]
+
+
+# -- errors, round trip and indexes, pinned ----------------------------
+
+_QUAD = """surface g=0 sh=1 so=0 n=4
+vertex va ccw: p1_v e_a p4_v
+vertex vb ccw: p2_v p3_v e_b
+cusp c1 half: p1_c
+cusp c2 half: p2_c
+cusp c3 half: p3_c
+cusp c4 half: p4_c
+edge e inner e_a e_b %s
+edge p1 pending p1_v p1_c pi=3
+edge p2 pending p2_v p2_c pi=5/2
+edge p3 pending p3_v p3_c pi=7
+edge p4 pending p4_v p4_c %s
+"""
+
+
+def _text_with(field):
+    key = field.split("=")[0]
+    if key == "Z":
+        return _QUAD % (field, "pi=1")
+    if key == "pi":
+        return _QUAD % ("Z=1", field)
+    return fixture_text("sigma_0_2_1").replace("omega=2", field)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("Z=0", "line 8: exact value is e^Y and must be positive"),
+    ("Z=-1/2", "line 8: exact value is e^Y and must be positive"),
+    ("Z=3/0", "line 8: value '3/0' is not finite"),
+    ("pi=-0", "line 12: exact value is e^Y and must be positive"),
+    ("omega=-1/2", "line 6: loop weight omega=-1/2 is negative; it must be >= 0"),
+    ("omega=1/0", "line 6: value '1/0' is not finite"),
+    ("Z=1e999", "line 8: value '1e999' is not finite"),
+    ("orbifold=1", "line 6: orbifold order must be an integer >= 2"),
+])
+def test_value_errors_are_pinned(field, message):
+    """Messages as the parser gave them when it read values with
+    Fraction(str)."""
+    with pytest.raises(GraphError) as info:
+        parse_graph(_text_with(field))
+    assert type(info.value) is GraphError
+    assert str(info.value) == message
+
+
+def _edges(*specs):
+    return {name: Edge(name, kind, halves) for name, kind, halves in specs}
+
+
+@pytest.mark.parametrize("vertices, cusps, edges, message", [
+    ({"v": ("a", "b", "c"), "u": ("c", "d", "e")}, {}, {}, "half-edge c used twice"),
+    ({"v": ("a", "b", "c")}, {"c1": "x"}, _edges(("l", "loop", ("a", "b"))),
+     "half-edge c belongs to no edge"),
+    ({"v": ("a", "b", "c")}, {"c1": "x"}, _edges(("l", "loop", ("a", "a"))),
+     "edge l needs two distinct half-edges"),
+    ({"v": ("a", "b", "c")}, {"c1": "x"}, _edges(("l", "loop", ("a", "zz"))),
+     "edge l references unknown half-edge zz"),
+    ({"v": ("a", "b")}, {"c1": "x"}, {}, "vertex v must list exactly 3 half-edges"),
+], ids=["half-twice", "half-in-no-edge", "edge-half-twice", "unknown-half", "two-half-vertex"])
+def test_build_errors_are_pinned(vertices, cusps, edges, message):
+    """Messages as FatGraph gave them when it built its indexes in four
+    loops over the halves."""
+    with pytest.raises(GraphError) as info:
+        FatGraph(vertices, cusps, edges)
+    assert type(info.value) is GraphError
+    assert str(info.value) == message
+
+
+def _reference_indexes(vertices, cusps, edges):
+    """FatGraph's cross-reference maps, each derived on its own."""
+    half_order = [h for hs in vertices.values() for h in hs] + list(cusps.values())
+    owner = {h: v for v, hs in vertices.items() for h in hs}
+    owner.update((h, c) for c, h in cusps.items())
+    sigma = {hs[i]: hs[(i + 1) % 3] for hs in vertices.values() for i in range(3)}
+    sigma.update((h, h) for h in cusps.values())
+    sigma_inv = {b: a for a, b in sigma.items()}
+    mate = {}
+    edge_of = {}
+    for e in edges.values():
+        a, b = e.halves
+        mate[a], mate[b] = b, a
+        edge_of[a] = edge_of[b] = e.name
+    return {"_half_order": half_order, "_owner": owner, "_sigma": sigma,
+            "_sigma_inv": sigma_inv, "_mate": mate, "_edge_of": edge_of}
+
+
+def test_round_trip_and_indexes_on_seeded_spines():
+    """300 seeded spines, each at an exact and at a float point: emitted
+    text parses back to the same text and point, and every index the
+    parsed graph holds is what a plain derivation gives."""
+    rng = random.Random(1)
+    for trial in range(300):
+        g = random_spine(rng)
+        exact = random_exact_point(rng, g)
+        y = {n: rng.uniform(-2.0, 2.0) for n in g.coordinate_edges()}
+        omega = {n: float(rng.randint(2, 6)) for n in g.loop_edges()}
+        for p in (exact, CoordinatePoint(False, y=y, omega=omega)):
+            text = emit_graph(g, p)
+            back = parse_graph(text)
+            assert emit_graph(back) == text, trial
+            assert back.point() == p, trial
+            want = _reference_indexes(back.vertices, back.cusps, back.edges)
+            for attr, value in want.items():
+                assert getattr(back, attr) == value, (trial, attr)
