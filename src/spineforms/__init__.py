@@ -3,9 +3,9 @@
 The package models trivalent spines with labeled boundary cusps, compiles
 paths on them into 2x2 matrix words, and builds the induced Poisson and
 symplectic structures on the shear-type coordinates.  Everything that can
-be exact is exact: rationals via ``fractions.Fraction``, square roots via
-a tiny quadratic extension, and formal results as integer Laurent
-polynomials.
+be exact is exact: rationals via ``fractions.Fraction``, square roots as
+``SqrtRational`` values a*sqrt(b), and formal results, the Poisson
+bracket of two of them included, as integer Laurent polynomials.
 """
 
 from .algebra import Fraction, LaurentPoly, Mat2, SqrtRational
@@ -33,7 +33,7 @@ from .forms import (
     CoordinateIndexedMatrix,
     center_vectors,
     penner_form_matrix,
-    poisson_bracket_numeric,
+    poisson_bracket,
     poisson_matrix,
     verify_inverse,
     window_form_matrix,
@@ -74,7 +74,7 @@ __all__ = [
     "CoordinateIndexedMatrix",
     "center_vectors",
     "penner_form_matrix",
-    "poisson_bracket_numeric",
+    "poisson_bracket",
     "poisson_matrix",
     "verify_inverse",
     "window_form_matrix",

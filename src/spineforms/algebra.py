@@ -196,13 +196,16 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def subs(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation; every variable present must be covered."""
+    def subs(self, values: Mapping[str, Fraction | SqrtRational]):
+        """Exact evaluation; every variable present must be covered.
+        Ints and Fractions give a Fraction.  SqrtRational values give a
+        SqrtRational; terms of two square classes raise ValueError."""
         total = Fraction(0)
         for key, coeff in self.terms.items():
             term = Fraction(coeff)
             for v, e in key:
-                term *= Fraction(values[v]) ** e
+                x = values[v]
+                term *= (x if isinstance(x, SqrtRational) else Fraction(x)) ** e
             total += term
         return total
 

@@ -155,40 +155,6 @@ class CoordinatePoint:
         omega = {k: float(v) for k, v in self.omega.items()}
         return CoordinatePoint(False, y=y, omega=omega)
 
-    def shifted(self, edge: str, delta: float) -> "CoordinatePoint":
-        """Float copy with one coordinate nudged; finite differences."""
-        pt = self.as_float()
-        return pt.with_updates(y={edge: pt.y.get(edge, 0.0) + delta})
-
-    def with_updates(self, q=(), y=(), omega=()) -> "CoordinatePoint":
-        if self.exact:
-            if dict(y):
-                raise ValueError("exact point takes q updates, not y")
-            qs = dict(self.q)
-            for k, v in dict(q).items():
-                if k not in qs:
-                    raise ValueError("unknown coordinate edge %s" % k)
-                qs[k] = Fraction(v)
-            oms = dict(self.omega)
-            for k, v in dict(omega).items():
-                if k not in oms:
-                    raise ValueError("unknown loop edge %s" % k)
-                oms[k] = Fraction(v)
-            return CoordinatePoint(True, q=qs, omega=oms)
-        if dict(q):
-            raise ValueError("float point takes y updates, not q")
-        ys = dict(self.y)
-        for k, v in dict(y).items():
-            if k not in ys:
-                raise ValueError("unknown coordinate edge %s" % k)
-            ys[k] = float(v)
-        oms = dict(self.omega)
-        for k, v in dict(omega).items():
-            if k not in oms:
-                raise ValueError("unknown loop edge %s" % k)
-            oms[k] = float(v)
-        return CoordinatePoint(False, y=ys, omega=oms)
-
     def edge_payload(self, name: str) -> tuple:
         """Raw file payload for serialization."""
         if name in self.omega:

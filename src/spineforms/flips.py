@@ -117,12 +117,21 @@ def flip_site(graph: FatGraph, name: str) -> FlipSite:
     return FlipSite("inner", ends, None, "")
 
 
+def _stem(graph: FatGraph, name: str) -> str:
+    """The edge a flip of ``name`` turns: the stem of a loop, else name."""
+    edge = graph.edges.get(name)
+    if edge is None or edge.kind != "loop":
+        return name
+    u = graph.vertex_of(edge.halves[0])
+    return next(e for e in map(graph.edge_of, graph.vertices[u]) if e != name)
+
+
 def flip_edge(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
     """Flip ``name`` by the rule its site takes: flip_loop_adjacent for
     a loop or its stem, flip_inner for every other edge."""
-    site = flip_site(graph, name)
-    if site.kind == "loop-stem" or graph.edges[name].kind == "loop":
-        return flip_loop_adjacent(graph, name, point)
+    stem = _stem(graph, name)
+    if stem != name or flip_site(graph, name).kind == "loop-stem":
+        return flip_loop_adjacent(graph, stem, point)
     return flip_inner(graph, name, point)
 
 
@@ -220,13 +229,9 @@ def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = No
 def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
     """Flip the stem of a loop (the move that drags the loop past its
     neighbor vertex).  Accepts the stem edge or the loop edge itself."""
+    name = _stem(graph, name)
     site = flip_site(graph, name)
     edge = graph.edges[name]
-    if edge.kind == "loop":
-        u = graph.vertex_of(edge.halves[0])
-        stem_halves = [h for h in graph.halves_at(u) if graph.edge_of(h) != name]
-        stem = graph.edge_of(stem_halves[0])
-        return flip_loop_adjacent(graph, stem, point)
     if edge.kind != "inner":
         raise GraphError("the stem of a loop is an inner edge; %s is %s" % (name, edge.kind))
     if site.kind == "inner":
@@ -257,6 +262,7 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     Only the flipped edge's value changes; the quadrilateral (or, at a
     loop, triangle) sides keep their arcs.  The loop weight is the one
     carried by a LambdaAssignment, or else the graph's stored weight.
+    A loop's name flips its stem, as in flip_edge.
     """
     if isinstance(lambdas, LambdaAssignment):
         values = dict(lambdas.values)
@@ -266,6 +272,7 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
         values = dict(lambdas)
         exact = all(not isinstance(v, float) for v in values.values())
         carried = {}
+    name = _stem(graph, name)
     site = flip_site(graph, name)
     if site.kind == "refused":
         raise GraphError(site.reason)

@@ -20,6 +20,10 @@ one table of Fractions.
 Centers of the bracket: one counting vector per cusped hole (the
 traversal counts of its full boundary walk) and the loop weights, which
 are parameters rather than coordinates.
+
+Brackets of functions are a closed form: {Y_u, Y_v} = P_uv and t_u =
+e^{Y_u/2} give {t^a, t^b} = 1/4 a^T P b t^{a+b}, and ``poisson_bracket``
+returns 4{f, g} of two Laurent polynomials as one, with no derivative.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .coords import CoordinatePoint, _fock_table, dual_view
+from .algebra import LaurentPoly, _merge_keys
+from .coords import _fock_table, dual_view
+from .paths import t_var, w_var
 from .ribbon import FatGraph, windows
 
 __all__ = [
@@ -40,7 +46,7 @@ __all__ = [
     "penner_form_matrix",
     "center_vectors",
     "verify_inverse",
-    "poisson_bracket_numeric",
+    "poisson_bracket",
 ]
 
 
@@ -228,35 +234,22 @@ def verify_inverse(
     return r * unit / scale, Fraction(residual, r.denominator * scale)
 
 
-def poisson_bracket_numeric(
-    graph: FatGraph,
-    f: Callable[[CoordinatePoint], float],
-    g: Callable[[CoordinatePoint], float],
-    point: Optional[CoordinatePoint] = None,
-    step: float = 1e-4,
-) -> float:
-    """{f, g} at a point by central finite differences against the
-    combinatorial bracket table."""
-    if point is None:
-        point = graph.point()
-    base = point.as_float()
-    table = poisson_matrix(graph)
-    names = table.names
-
-    def grad(func):
-        out = {}
-        for name in names:
-            hi = func(base.shifted(name, step))
-            lo = func(base.shifted(name, -step))
-            out[name] = (hi - lo) / (2.0 * step)
-        return out
-
-    df = grad(f)
-    dg = grad(g)
-    total = 0.0
-    for u in names:
-        for v in names:
-            coeff = table[u, v]
-            if coeff:
-                total += float(coeff) * df[u] * dg[v]
-    return total
+def poisson_bracket(graph: FatGraph, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """4{f, g} = sum_uv P_uv (D_u f)(D_v g), D_u t^a = a_u t^a, for Laurent
+    polynomials in the t_ and w_ variables of the graph's edges: an
+    integer Laurent polynomial, the 1/4 kept outside as in W = 4 * Penner.
+    Loop weights w_* are Casimirs; any other variable raises ValueError."""
+    names = [t_var(n) for n in graph.coordinate_edges()]
+    fock = {u: {v: p for v, p in zip(names, row) if p} for u, row in zip(names, _fock_table(graph))}
+    stray = sorted({v for h in (f, g) for key in h.terms for v, _ in key} - fock.keys()
+                   - {w_var(n) for n in graph.loop_edges()})
+    if stray:
+        raise ValueError("%s is no t_ or w_ variable of this graph's edges" % stray[0])
+    out: dict = {}
+    for kf, cf in f.terms.items():
+        for kg, cg in g.terms.items():
+            s = sum(a * b * fock[u].get(v, 0) for u, a in kf if u in fock for v, b in kg)
+            if s:
+                key = _merge_keys(kf, kg)
+                out[key] = out.get(key, 0) + s * cf * cg
+    return LaurentPoly(out)

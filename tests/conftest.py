@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from spineforms import parse_graph
+from spineforms import SqrtRational, parse_graph
+from spineforms.paths import t_var, w_var
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -15,6 +16,14 @@ def load_fixture(name):
 def fixture_text(name):
     with open(os.path.join(FIXTURES, name + ".graph"), encoding="utf-8") as fh:
         return fh.read()
+
+
+def exact_values(point):
+    """LaurentPoly.subs values of an exact point: t_e = sqrt(q_e) and the
+    loop weights."""
+    values = {t_var(e): SqrtRational.sqrt(q) for e, q in point.q.items()}
+    values.update((w_var(e), w) for e, w in point.omega.items())
+    return values
 
 
 ALL_FIXTURES = ("t3", "sigma_0_2_1", "sigma_0_3_1", "sigma_0_1_4", "sigma_0_5_1")

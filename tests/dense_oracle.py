@@ -1,15 +1,18 @@
-"""Dense Fraction linear algebra, kept as a reference oracle.
+"""Dense Fraction linear algebra and float derivatives, kept as
+reference oracles.
 
 The package works on the nonzero entries of its sparse integer
-matrices.  The tests compare it against the textbook dense route:
-Gauss-Jordan for 2 M^{-1}, and for the leaf check an orthogonal
-projection off the kernel of the bracket.
+matrices, and takes brackets in closed form.  The tests compare it
+against the textbook routes: Gauss-Jordan for 2 M^{-1}, for the leaf
+check an orthogonal projection off the kernel of the bracket, and for
+the bracket of two functions central differences against the table.
 """
 
 import math
 from fractions import Fraction
 
-from spineforms.coords import dual_view
+from spineforms.coords import CoordinatePoint, dual_view
+from spineforms.forms import poisson_matrix
 
 
 def frac_matmul(A, B):
@@ -116,3 +119,24 @@ def dense_verify_inverse(form, bracket, leaf=False):
         return None, max((abs(x) for row in prod for x in row), default=Fraction(0))
     c = prod[first[0]][first[1]] / target[first[0]][first[1]]
     return c, max(abs(prod[i][j] - c * target[i][j]) for i in range(n) for j in range(n))
+
+
+def numeric_bracket(graph, f, g, point):
+    """{f, g} at a float point by central differences, step 1e-4 in each
+    Y, against Fock's table P; f and g map a CoordinatePoint to a float."""
+    table = poisson_matrix(graph)
+    step = 1e-4
+
+    def grad(func):
+        out = []
+        for name in table.names:
+            values = []
+            for delta in (step, -step):
+                y = dict(point.y)
+                y[name] += delta
+                values.append(func(CoordinatePoint(False, y=y, omega=point.omega)))
+            out.append((values[0] - values[1]) / (2.0 * step))
+        return out
+
+    df, dg = grad(f), grad(g)
+    return sum(p * df[u] * dg[v] for u, row in enumerate(table.data) for v, p in enumerate(row) if p)

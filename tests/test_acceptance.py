@@ -20,20 +20,21 @@ from spineforms import (
     lambda_of_dual_arcs,
     mutate_lambda,
     penner_form_matrix,
-    poisson_bracket_numeric,
+    poisson_bracket,
     poisson_matrix,
     shear_from_lambda,
     verify_flip_matrix_identities,
     verify_inverse,
     window_form_matrix,
 )
+from spineforms.algebra import LaurentPoly
 from spineforms.coords import cross_ratio
 from spineforms.flips import flip_loop_adjacent
 from spineforms.fuzz import random_closed_word, random_exact_point, run_suite
-from spineforms.paths import PathWord
+from spineforms.paths import PathWord, t_var
 from spineforms.ribbon import windows
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, exact_values, load_fixture
 
 
 @contextmanager
@@ -186,8 +187,8 @@ def test_criterion_07_shear_lambda_round_trip():
 
 def test_criterion_08_centers_annihilated():
     """Center vectors are exact kernel vectors of the bracket on fixtures
-    and random spines, and numerically commute with 20 random geodesic
-    functions."""
+    and random spines, and their monomials have zero bracket with 20
+    random geodesic functions."""
     with budget(10.0):
         for name in ALL_FIXTURES:
             graph = load_fixture(name)
@@ -216,17 +217,10 @@ def test_criterion_08_centers_annihilated():
                 continue
             basis = center_vectors(graph)
             _, vec = basis.holes[checked % len(basis.holes)]
-            names = basis.names
-
-            def center(p):
-                return sum(w * p.y_value(n) for n, w in zip(names, vec))
-
-            def geo(p):
-                return float(geodesic_function(graph, word, p).value)
-
-            point = random_exact_point(rng, graph)
-            got = poisson_bracket_numeric(graph, center, geo, point)
-            assert abs(got) <= 1e-6, "word %s: %g" % (word.tokens, got)
+            # e^{sum v_n Y_n} = t^{2v}
+            center = LaurentPoly.monomial_from(1, {t_var(n): 2 * w for n, w in zip(basis.names, vec)})
+            geo = geodesic_function(graph, word).value
+            assert poisson_bracket(graph, center, geo).is_zero(), word.tokens
             checked += 1
         assert checked == 20
 
@@ -251,7 +245,7 @@ def test_criterion_09_form_proportionality():
 
 def test_criterion_10_flip_preserves_geodesic_brackets():
     """Transporting two geodesics through a flip of the five-hole disc
-    preserves their traces exactly and their Poisson bracket numerically."""
+    preserves their traces and their Poisson bracket exactly."""
     with budget(5.0):
         graph = load_fixture("sigma_0_5_1")
         before_1 = ["pi", "a1", "w1+", "a1", "b1", "a2", "w2+", "a2", "b1", "pi"]
@@ -270,17 +264,16 @@ def test_criterion_10_flip_preserves_geodesic_brackets():
             ga = geodesic_function(flipped, wa, exact_after)
             assert gb.value == ga.value
 
-        fpoint = exact.as_float()
-        ffl, fpoint_after, _ = flip_inner(graph, "b1", fpoint)
         w1b = PathWord.from_tokens(graph, before_1, closed=True)
         w2b = PathWord.from_tokens(graph, before_2, closed=True)
-        w1a = PathWord.from_tokens(ffl, after_1, closed=True)
-        w2a = PathWord.from_tokens(ffl, after_2, closed=True)
+        w1a = PathWord.from_tokens(flipped, after_1, closed=True)
+        w2a = PathWord.from_tokens(flipped, after_2, closed=True)
 
         def gf(g, w):
-            return lambda p: float(geodesic_function(g, w, p).value)
+            return geodesic_function(g, w).value
 
-        bracket_before = poisson_bracket_numeric(graph, gf(graph, w1b), gf(graph, w2b), fpoint)
-        bracket_after = poisson_bracket_numeric(ffl, gf(ffl, w1a), gf(ffl, w2a), fpoint_after)
-        assert abs(bracket_before) > 1e-3
-        assert abs(bracket_before - bracket_after) <= 1e-6
+        # 4{G1, G2}, exactly at the point and at its image
+        bracket_before = poisson_bracket(graph, gf(graph, w1b), gf(graph, w2b)).subs(exact_values(exact))
+        bracket_after = poisson_bracket(flipped, gf(flipped, w1a), gf(flipped, w2a)).subs(exact_values(exact_after))
+        assert bracket_before != 0
+        assert bracket_before == bracket_after

@@ -57,6 +57,19 @@ def test_substitution_with_weight():
     assert value == Fraction(4)
 
 
+def test_substitution_of_square_roots():
+    """t = sqrt(q) values: terms of one square class add to a
+    SqrtRational; ints and Fractions still give a Fraction."""
+    t, u = lp("t"), lp("u")
+    p = t * u + LaurentPoly.const(3) * t.inverse() * u
+    got = p.subs({"t": SqrtRational.sqrt(Fraction(2, 3)), "u": SqrtRational.sqrt(6)})
+    assert got == 2 + 3 * SqrtRational.sqrt(9) and isinstance(got, SqrtRational)
+    assert p.subs({"t": 2, "u": Fraction(1, 2)}) == Fraction(7, 4)
+    assert type(p.subs({"t": 2, "u": 3})) is Fraction
+    with pytest.raises(ValueError, match="incompatible square classes"):
+        (t + u).subs({"t": SqrtRational.sqrt(2), "u": SqrtRational.sqrt(3)})
+
+
 def test_sign_definite():
     t = lp("t")
     assert (t * t + LaurentPoly.const(2) + (t * t).inverse()).sign_definite() == 1

@@ -55,6 +55,7 @@ def test_exact_point_validation():
         (True, {"pi": 1}, {"w": -7}, r"loop weight omega\[w\] = -7 must be >= 0"),
         (False, {"pi": 0.5}, {"w": math.inf}, r"loop weight omega\[w\] = inf must be finite"),
         (False, {"pi": 0.5}, {"w": math.nan}, r"loop weight omega\[w\] = nan must be >= 0"),
+        (False, {"pi": math.inf}, {"w": 2.0}, r"y\[pi\] = inf must be finite"),
     ],
 )
 def test_point_refuses_values_outside_the_domain(exact, values, omega, message):
@@ -160,19 +161,6 @@ def test_inconsistent_lambdas_rejected(t3):
     lam = LambdaAssignment({"p1": Fraction(1), "p2": Fraction(1)}, True)
     with pytest.raises(Exception):
         shear_from_lambda(t3, lam)
-
-
-def test_with_updates_and_shift(two_loops):
-    point = two_loops.point()
-    bumped = point.with_updates(q={"a1": Fraction(5)})
-    assert bumped.q_value("a1") == 5
-    assert bumped.q_value("pi") == point.q_value("pi")
-    moved = point.as_float().shifted("a1", 0.25)
-    assert moved.y_value("a1") == pytest.approx(0.25)
-    with pytest.raises(ValueError, match="unknown coordinate edge zz"):
-        point.shifted("zz", 0.25)
-    with pytest.raises(ValueError, match=r"y\[a1\] = inf must be finite"):
-        moved.with_updates(y={"a1": 1.7e308}).shifted("a1", 1e308)
 
 
 def test_closed_form_matches_matrix_word_oracle():

@@ -16,9 +16,11 @@ from spineforms import (
     shear_from_lambda,
     verify_flip_matrix_identities,
 )
+from spineforms.flips import flip_edge, flip_site
+from spineforms.fuzz import random_exact_point, random_spine
 from spineforms.ribbon import GraphError, validate
 
-from conftest import load_fixture
+from conftest import ALL_FIXTURES, load_fixture
 
 
 def test_symbolic_identities_all_hold():
@@ -257,6 +259,33 @@ def test_mutation_exchange_relations(four_cusps, two_loops):
     la = lam2[record.slots["A"]]
     lb = lam2[record.slots["B"]]
     assert lam2["a1"] * mutated2["a1"] == la * la + 4 * la * lb + lb * lb
+
+
+def test_mutation_takes_a_loop_name_as_the_flips_do():
+    """mutate_lambda reads a loop's name as its stem, as flip_edge and
+    flip_loop_adjacent do, on every loop of the fixtures and of 50
+    seeded spines; where the stem is pending, both refuse it.
+    flip_site still refuses the loop's own name."""
+    rng = random.Random(50)
+    graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(50)]
+    flipped = refused = 0
+    for graph in graphs:
+        for loop in graph.loop_edges():
+            assert flip_site(graph, loop).kind == "refused"
+            point = random_exact_point(rng, graph)
+            lam = lambda_of_dual_arcs(graph, point)
+            try:
+                g1, p1, record = flip_edge(graph, loop, point)
+            except GraphError as exc:
+                with pytest.raises(GraphError, match="only inner edges flip; .* is pending"):
+                    mutate_lambda(graph, lam, loop)
+                assert "is pending" in str(exc)
+                refused += 1
+                continue
+            assert flip_loop_adjacent(graph, loop, point)[1] == p1
+            assert mutate_lambda(graph, lam, loop).values == lambda_of_dual_arcs(g1, p1).values, (loop, record.edge)
+            flipped += 1
+    assert flipped > 20 and refused > 0
 
 
 def test_mutation_rejects_mixed_arithmetic(two_loops):

@@ -6,23 +6,23 @@ from fractions import Fraction
 import pytest
 
 from spineforms import (
-    CoordinatePoint,
     center_vectors,
     geodesic_function,
     penner_form_matrix,
-    poisson_bracket_numeric,
+    poisson_bracket,
     poisson_matrix,
     verify_inverse,
     window_form_matrix,
 )
 from spineforms.coords import dual_view
 from spineforms.forms import CoordinateIndexedMatrix
-from spineforms.fuzz import random_spine
-from spineforms.paths import PathWord
+from spineforms.algebra import LaurentPoly
+from spineforms.fuzz import random_closed_word, random_exact_point, random_spine
+from spineforms.paths import PathWord, t_var
 from spineforms.ribbon import emit_graph, parse_graph
 
-from conftest import ALL_FIXTURES, fixture_text, load_fixture
-from dense_oracle import dense_verify_inverse
+from conftest import ALL_FIXTURES, exact_values, fixture_text, load_fixture
+from dense_oracle import dense_verify_inverse, numeric_bracket
 
 
 def as_ints(mat):
@@ -229,54 +229,77 @@ def test_matrix_container_behaviour():
         CoordinateIndexedMatrix(("x", "y"), [[0, 1], [1]])
 
 
-def test_numeric_bracket_on_linear_functions(two_loops):
+def test_bracket_of_squared_half_coordinates(two_loops):
+    """4{t_a1^2, t_b1^2} = 4 P[a1, b1] t_a1^2 t_b1^2: {Y_u, Y_v} = P_uv."""
     table = poisson_matrix(two_loops)
-
-    def f(p):
-        return p.y_value("a1")
-
-    def g(p):
-        return p.y_value("b1")
-
-    got = poisson_bracket_numeric(two_loops, f, g)
-    assert got == pytest.approx(float(table["a1", "b1"]), abs=1e-9)
+    ta, tb = LaurentPoly.var("t_a1", 2), LaurentPoly.var("t_b1", 2)
+    assert table["a1", "b1"] != 0
+    assert poisson_bracket(two_loops, ta, tb) == ta * tb * (4 * table["a1", "b1"])
+    assert poisson_bracket(two_loops, ta, ta).is_zero()
 
 
-def test_numeric_bracket_center_vanishes(two_loops):
+def test_bracket_center_vanishes(two_loops):
     basis = center_vectors(two_loops)
-    names = basis.names
     _, vec = basis.holes[0]
-
-    def center(p):
-        return sum(c * p.y_value(n) for n, c in zip(names, vec))
-
-    point = CoordinatePoint(
-        True,
-        q={"pi": Fraction(3, 2), "a1": Fraction(2), "b1": Fraction(4, 3)},
-        omega={"w1": Fraction(3), "w2": Fraction(2)},
-    )
-    word = PathWord.from_tokens(two_loops, ["pi", "a1", "w1+", "a1", "pi"], closed=True)
-
-    def geo(p):
-        return float(geodesic_function(two_loops, word, p).value)
-
-    got = poisson_bracket_numeric(two_loops, center, geo, point)
-    assert abs(got) < 1e-6
+    center = LaurentPoly.monomial_from(1, {t_var(n): 2 * c for n, c in zip(basis.names, vec)})
+    word = PathWord.from_tokens(two_loops, ["pi", "a1", "w1+", "a1", "b1", "w2-", "b1", "pi"], closed=True)
+    geo = geodesic_function(two_loops, word).value
+    assert not poisson_bracket(two_loops, LaurentPoly.var("t_a1"), geo).is_zero()
+    assert poisson_bracket(two_loops, center, geo).is_zero()
+    # the loop weights are Casimirs
+    assert poisson_bracket(two_loops, LaurentPoly.var("w_w1"), geo).is_zero()
 
 
-def test_numeric_bracket_of_commuting_loops(five_holes):
-    rng = random.Random(8)
-    q = {n: Fraction(rng.randint(1, 6), rng.randint(1, 6)) for n in five_holes.coordinate_edges()}
-    point = CoordinatePoint(True, q=q, omega={n: Fraction(2) for n in five_holes.loop_edges()})
+def test_bracket_of_commuting_loops(five_holes):
     w1 = PathWord.from_tokens(five_holes, ["pi", "a1", "w1+", "a1", "pi"], closed=True)
     w3 = PathWord.from_tokens(five_holes, ["pi", "b1", "b2", "a3", "w3+", "a3", "b2", "b1", "pi"], closed=True)
-
-    def g1(p):
-        return float(geodesic_function(five_holes, w1, p).value)
-
-    def g3(p):
-        return float(geodesic_function(five_holes, w3, p).value)
-
-    got = poisson_bracket_numeric(five_holes, g1, g3, point)
+    g1 = geodesic_function(five_holes, w1).value
+    g3 = geodesic_function(five_holes, w3).value
     # disjoint boundary-parallel curves commute
-    assert abs(got) < 1e-6
+    assert poisson_bracket(five_holes, g1, g3).is_zero()
+
+
+@pytest.mark.parametrize("var", ["t_zz", "w_a1", "t_w1", "w_zz", "q_a1", "a1"])
+def test_bracket_refuses_foreign_variables(two_loops, var):
+    """Only t_ of a coordinate edge and w_ of a loop name a variable of
+    the graph."""
+    geo = geodesic_function(two_loops, PathWord.from_tokens(two_loops, ["pi", "a1", "w1+", "a1", "pi"], closed=True)).value
+    stray = LaurentPoly.var(var) * LaurentPoly.var("t_a1")
+    with pytest.raises(ValueError, match="%s is no t_ or w_ variable" % var):
+        poisson_bracket(two_loops, stray, geo)
+    with pytest.raises(ValueError, match="%s is no t_ or w_ variable" % var):
+        poisson_bracket(two_loops, geo, stray)
+
+
+def test_bracket_is_a_poisson_bracket_and_matches_the_float_oracle():
+    """On 40 seeded triples of closed words: 4{f, g} = -4{g, f}, the
+    Jacobi sum is the zero polynomial, and a quarter of 4{f, g} at an
+    exact point matches central differences at its float copy, within
+    1e-6 relative (absolute below 1, where the exact value is 0)."""
+    rng = random.Random(7)
+    triples = nonzero = 0
+    while triples < 40:
+        graph = random_spine(rng)
+        words = [random_closed_word(rng, graph, max_len=12) for _ in range(3)]
+        if None in words:
+            continue
+        f, g, h = (geodesic_function(graph, w).value for w in words)
+        fg = poisson_bracket(graph, f, g)
+        assert fg == -poisson_bracket(graph, g, f)
+        jacobi = (
+            poisson_bracket(graph, f, poisson_bracket(graph, g, h))
+            + poisson_bracket(graph, g, poisson_bracket(graph, h, f))
+            + poisson_bracket(graph, h, fg)
+        )
+        assert jacobi.is_zero()
+        point = random_exact_point(rng, graph)
+        got = float(fg.subs(exact_values(point))) / 4
+
+        def geo(word):
+            return lambda p: float(geodesic_function(graph, word, p).value)
+
+        want = numeric_bracket(graph, geo(words[0]), geo(words[1]), point.as_float())
+        assert abs(got - want) <= 1e-6 * max(abs(got), 1.0), (triples, got, want)
+        nonzero += not fg.is_zero()
+        triples += 1
+    assert nonzero >= 4

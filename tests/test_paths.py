@@ -19,13 +19,12 @@ from spineforms import (
     lambda_length,
     paths,
 )
-from spineforms.algebra import fraction_sqrt
 from spineforms.coords import CoordinatePoint, lambda_of_dual_arcs
 from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, random_spine
 from spineforms.paths import MatrixWord, _packed_sum, t_var, w_var
 from spineforms.ribbon import dual_arc
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, exact_values, load_fixture
 
 
 def tokens(graph, text, closed=False):
@@ -264,18 +263,16 @@ def test_evaluate_matches_matrix_product_oracle():
     assert words > 1000
 
 
-def _assert_exact_entries(word, point, substitutable):
-    """The word's exact entries at point equal the oracle's and, when
-    every q of the point is a rational square, the formal entries with
-    t_e = sqrt(q_e) and the loop weights substituted."""
+def _assert_exact_entries(word, point):
+    """The word's exact entries at point equal the oracle's and the
+    formal entries with t_e = sqrt(q_e) and the loop weights
+    substituted."""
     got = evaluate(word, point)
     assert got == oracle_evaluate(word, point), (str(word), point)
-    if substitutable:
-        values = {t_var(e): fraction_sqrt(q) for e, q in point.q.items()}
-        values.update((w_var(e), w) for e, w in point.omega.items())
-        formal = evaluate(word)
-        for entry, poly in zip((got.a, got.b, got.c, got.d), (formal.a, formal.b, formal.c, formal.d)):
-            assert entry == poly.subs(values), (str(word), point)
+    values = exact_values(point)
+    formal = evaluate(word)
+    for entry, poly in zip((got.a, got.b, got.c, got.d), (formal.a, formal.b, formal.c, formal.d)):
+        assert entry == poly.subs(values), (str(word), point)
     return got
 
 
@@ -292,8 +289,8 @@ def test_fractional_loop_weights_scale_the_denominator(two_loops):
     for path in paths:
         word = compile_path(two_loops, path)
         kinds.update((atom[0], atom[1]) for atom in word.atoms if atom[0] in ("F", "Fi"))
-        _assert_exact_entries(word, square, True)
-        _assert_exact_entries(word, plain, False)
+        _assert_exact_entries(word, square)
+        _assert_exact_entries(word, plain)
     assert kinds == {("F", "w1"), ("Fi", "w1"), ("F", "w2"), ("Fi", "w2")}
 
 
@@ -305,8 +302,8 @@ def test_huge_q_toggles_parity_back():
     plain = CoordinatePoint(True, q={"a": Fraction(10**400, 3), "b": Fraction(7, 5)})
     square = CoordinatePoint(True, q={"a": Fraction(10**400, 9), "b": Fraction(49, 25)})
     for word, odd in ((twice, ["b"]), (thrice, ["a", "b"])):
-        _assert_exact_entries(word, square, True)
-        got = _assert_exact_entries(word, plain, False)
+        _assert_exact_entries(word, square)
+        got = _assert_exact_entries(word, plain)
         rad = SqrtRational.sqrt_of_product(plain.q[e] for e in odd).rad
         assert {x.rad for x in (got.a, got.b, got.c, got.d) if not x.is_zero()} == {rad}, str(word)
 
