@@ -100,29 +100,26 @@ class CoordinatePoint:
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":
-        """Read the value payloads off the graph's edges.
+        """Read the values off the graph's edges.
 
-        Exact when every stored value is exact; missing values default
+        Exact when no stored value is a float; missing values default
         to q = 1 (Y = 0) and loop weight 2.
         """
-        exact = not any(e.value and e.value[0] in ("lin", "omega_float") for e in graph.edges.values())
+        exact = not any(isinstance(e.value, float) for e in graph.edges.values())
         q: dict[str, Fraction] = {}
         y: dict[str, float] = {}
         omega: dict[str, Union[Fraction, float]] = {}
         for e in graph.edges.values():
+            v = e.value
             if e.kind == "loop":
-                if e.value is None:
-                    omega[e.name] = Fraction(2) if exact else 2.0
-                elif e.value[0] == "omega":
-                    omega[e.name] = e.value[1] if exact else float(e.value[1])
-                else:
-                    omega[e.name] = e.value[1]
+                w = 2 if v is None else v
+                omega[e.name] = w if exact else float(w)
+            elif exact:
+                q[e.name] = Fraction(1) if v is None else v
+            elif v is None:
+                y[e.name] = 0.0
             else:
-                val = e.value or ("exp", Fraction(1))
-                if exact:
-                    q[e.name] = val[1]
-                else:
-                    y[e.name] = math.log(float(val[1])) if val[0] == "exp" else val[1]
+                y[e.name] = v if isinstance(v, float) else math.log(float(v))
         if exact:
             return cls(True, q=q, omega=omega)
         return cls(False, y=y, omega=omega)
@@ -155,14 +152,12 @@ class CoordinatePoint:
         omega = {k: float(v) for k, v in self.omega.items()}
         return CoordinatePoint(False, y=y, omega=omega)
 
-    def edge_payload(self, name: str) -> tuple:
-        """Raw file payload for serialization."""
+    def value(self, name: str) -> Union[Fraction, float]:
+        """The value a graph file stores for the edge: the loop weight,
+        else q when exact and Y when float."""
         if name in self.omega:
-            w = self.omega[name]
-            return ("omega", w) if isinstance(w, Fraction) else ("omega_float", w)
-        if self.exact:
-            return ("exp", self.q[name])
-        return ("lin", self.y[name])
+            return self.omega[name]
+        return self.q[name] if self.exact else self.y[name]
 
     def __eq__(self, other):
         if not isinstance(other, CoordinatePoint):

@@ -22,7 +22,11 @@ arc trades for the other diagonal of its quadrilateral,
 
 while every other dual arc keeps its class and value.
 
-Both flip kinds run through one exchange rule, ``_exchange``.
+``flip_edge`` is the entry point; it turns a loop's name into its
+stem.  Both flip kinds run through one body, ``_flip``, which reads the
+slots and the new cyclic orders off one ``FlipSite``, and one exchange
+rule, ``_exchange``.  ``flip_inner`` and ``flip_loop_adjacent`` are
+flip_edge restricted to one kind.
 
 ``verify_flip_matrix_identities`` proves the matrix-word substitution
 rules symbolically over the Laurent ring.  The new letters carry one
@@ -56,16 +60,14 @@ __all__ = [
 
 @dataclass
 class FlipRecord:
-    """What a flip did: the edge, the slot assignment read off the
-    stored cyclic orders, and the graphs and points on both sides."""
+    """What a flip did: the edge the flip turned (a loop's name turns its
+    stem), the site's kind, "inner" or "loop-stem", and the edges read
+    off the stored cyclic orders in each slot (A, B, C, D, or A, B and
+    the loop)."""
 
     edge: str
     kind: str
     slots: dict[str, str]
-    before: FatGraph
-    after: FatGraph
-    point_before: CoordinatePoint
-    point_after: CoordinatePoint
 
 
 class FlipSite(NamedTuple):
@@ -117,22 +119,24 @@ def flip_site(graph: FatGraph, name: str) -> FlipSite:
     return FlipSite("inner", ends, None, "")
 
 
-def _stem(graph: FatGraph, name: str) -> str:
-    """The edge a flip of ``name`` turns: the stem of a loop, else name."""
+def _resolve(graph: FatGraph, name: str) -> tuple[str, FlipSite]:
+    """The edge a flip of ``name`` turns, the stem for a loop's name,
+    and its site; a refused site raises its reason."""
     edge = graph.edges.get(name)
-    if edge is None or edge.kind != "loop":
-        return name
-    u = graph.vertex_of(edge.halves[0])
-    return next(e for e in map(graph.edge_of, graph.vertices[u]) if e != name)
+    if edge is not None and edge.kind == "loop":
+        u = graph.vertex_of(edge.halves[0])
+        name = next(e for e in map(graph.edge_of, graph.vertices[u]) if e != name)
+    site = flip_site(graph, name)
+    if site.kind == "refused":
+        raise GraphError(site.reason)
+    return name, site
 
 
 def flip_edge(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
-    """Flip ``name`` by the rule its site takes: flip_loop_adjacent for
-    a loop or its stem, flip_inner for every other edge."""
-    stem = _stem(graph, name)
-    if stem != name or flip_site(graph, name).kind == "loop-stem":
-        return flip_loop_adjacent(graph, stem, point)
-    return flip_inner(graph, name, point)
+    """Flip ``name``, or the stem of the loop ``name``, by the rule its
+    site takes.  Returns (new graph, new point, FlipRecord); ``point``
+    defaults to the graph's stored values."""
+    return _flip(graph, *_resolve(graph, name), point)
 
 
 def _softplus(z: float) -> float:
@@ -183,77 +187,50 @@ def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> Coordi
     return CoordinatePoint(False, y=values, omega=dict(point.omega))
 
 
-def _rebuild(graph: FatGraph, new_vertices: dict[str, tuple[str, ...]], point: CoordinatePoint) -> FatGraph:
-    vertices = dict(graph.vertices)
-    vertices.update(new_vertices)
-    edges = {
-        n: Edge(n, e.kind, e.halves, point.edge_payload(n)) for n, e in graph.edges.items()
-    }
-    return FatGraph(vertices, graph.cusps, edges, None)
+def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[CoordinatePoint]):
+    """Both flip kinds: read the slots off ``site``, exchange the point
+    and rewire the two ends.  In a quadrilateral, (h_t, A, B) and
+    (h_b, C, D) become (h_t, D, A) and (h_b, B, C); at a loop stem the
+    far end (h_v, A, B) becomes (h_v, B, A) and the loop's halves swap
+    at its vertex."""
+    if point is None:
+        point = graph.point()
+    (h1, a, b), (h2, c, d) = site.ends
+    v1, v2 = graph.vertex_of(h1), graph.vertex_of(h2)
+    sa, sb = graph.edge_of(a), graph.edge_of(b)
+    if site.loop is None:
+        slots = {"A": sa, "B": sb, "C": graph.edge_of(c), "D": graph.edge_of(d)}
+        point2 = _exchange(point, name, (sa, slots["C"]), (sb, slots["D"]))
+        orders = {v1: (h1, d, a), v2: (h2, b, c)}
+    else:
+        slots = {"A": sa, "B": sb, "loop": site.loop}
+        point2 = _exchange(point, name, (sa,), (sb,), point.omega[site.loop])
+        orders = {v1: (h1, b, a), v2: (h2, d, c)}
+    edges = {n: Edge(n, e.kind, e.halves, point2.value(n)) for n, e in graph.edges.items()}
+    graph2 = FatGraph({**graph.vertices, **orders}, graph.cusps, edges)
+    return graph2, point2, FlipRecord(name, site.kind, slots)
 
 
 def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
-    """Flip an inner edge between two ordinary trivalent vertices.
-
-    Returns (new graph, new point, FlipRecord).  Refuses pending and
-    loop edges, self-incident edges, and stems of loops (those go
-    through flip_loop_adjacent).
-    """
+    """flip_edge for an inner edge between two loop-free vertices;
+    refuses every other edge, stems of loops with a pointer to
+    flip_loop_adjacent."""
     site = flip_site(graph, name)
     if site.kind == "loop-stem":
         raise GraphError("edge %s is the stem of loop %s; use flip_loop_adjacent" % (name, site.loop))
     if site.kind == "refused":
         raise GraphError(site.reason)
-    if point is None:
-        point = graph.point()
-
-    (h_t, a_h, b_h), (h_b, c_h, d_h) = site.ends
-    top, bottom = graph.vertex_of(h_t), graph.vertex_of(h_b)
-    slots = {
-        "A": graph.edge_of(a_h),
-        "B": graph.edge_of(b_h),
-        "C": graph.edge_of(c_h),
-        "D": graph.edge_of(d_h),
-    }
-
-    point2 = _exchange(point, name, (slots["A"], slots["C"]), (slots["B"], slots["D"]))
-
-    graph2 = _rebuild(
-        graph,
-        {top: (h_t, d_h, a_h), bottom: (h_b, b_h, c_h)},
-        point2,
-    )
-    return graph2, point2, FlipRecord(name, "inner", slots, graph, graph2, point, point2)
+    return _flip(graph, name, site, point)
 
 
 def flip_loop_adjacent(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):
-    """Flip the stem of a loop (the move that drags the loop past its
-    neighbor vertex).  Accepts the stem edge or the loop edge itself."""
-    name = _stem(graph, name)
-    site = flip_site(graph, name)
-    edge = graph.edges[name]
-    if edge.kind != "inner":
-        raise GraphError("the stem of a loop is an inner edge; %s is %s" % (name, edge.kind))
+    """flip_edge for the stem of a loop, given by its own name or the
+    loop's (the move that drags the loop past its neighbor vertex);
+    refuses an edge with no loop at either end."""
+    name, site = _resolve(graph, name)
     if site.kind == "inner":
         raise GraphError("no loop at either end of %s; use flip_inner" % name)
-    if site.kind == "refused":
-        raise GraphError(site.reason)
-    if point is None:
-        point = graph.point()
-
-    (h_v, a_h, b_h), (h_u, l1, l2) = site.ends
-    v, u = graph.vertex_of(h_v), graph.vertex_of(h_u)
-    loop = site.loop
-    slots = {"A": graph.edge_of(a_h), "B": graph.edge_of(b_h), "loop": loop}
-
-    point2 = _exchange(point, name, (slots["A"],), (slots["B"],), point.omega[loop])
-
-    graph2 = _rebuild(
-        graph,
-        {v: (h_v, b_h, a_h), u: (h_u, l2, l1)},
-        point2,
-    )
-    return graph2, point2, FlipRecord(name, "loop-stem", slots, graph, graph2, point, point2)
+    return _flip(graph, name, site, point)
 
 
 def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
@@ -272,10 +249,7 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
         values = dict(lambdas)
         exact = all(not isinstance(v, float) for v in values.values())
         carried = {}
-    name = _stem(graph, name)
-    site = flip_site(graph, name)
-    if site.kind == "refused":
-        raise GraphError(site.reason)
+    name, site = _resolve(graph, name)
 
     def lam(h):
         v = values[graph.edge_of(h)]

@@ -108,14 +108,17 @@ def _attempt(rng: random.Random, sig: tuple[int, int, int, int]) -> Optional[Fat
     return graph
 
 
-def random_spine(seed_or_rng, max_tries: int = 2000) -> FatGraph:
+_MAX_TRIES = 2000
+
+
+def random_spine(seed_or_rng) -> FatGraph:
     """A validated random spine; deterministic for a given seed."""
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         graph = _attempt(rng, _signature(rng))
         if graph is not None:
             return graph
-    raise RuntimeError("no valid spine found in %d attempts" % max_tries)
+    raise RuntimeError("no valid spine found in %d attempts" % _MAX_TRIES)
 
 
 def random_exact_point(rng: random.Random, graph: FatGraph) -> CoordinatePoint:
@@ -277,25 +280,26 @@ def _flippable(graph: FatGraph) -> list[str]:
     return [name for name in graph.edges if flip_site(graph, name).kind != "refused"]
 
 
-def suite_involution(trials: int, seed: int) -> SuiteResult:
-    """Flipping any edge twice restores the graph and the point."""
-    rng = random.Random(seed)
-    res = SuiteResult("involution", trials)
-    done = 0
-    while done < trials:
+def _flip_draws(rng: random.Random):
+    """Endless (spine, flippable edge, exact point) draws from ``rng``;
+    a spine where no edge flips is drawn again."""
+    while True:
         graph = random_spine(rng)
         options = _flippable(graph)
-        if not options:
-            continue
-        name = rng.choice(options)
-        point = random_exact_point(rng, graph)
+        if options:
+            yield graph, rng.choice(options), random_exact_point(rng, graph)
+
+
+def suite_involution(trials: int, seed: int) -> SuiteResult:
+    """Flipping any edge twice restores the graph and the point."""
+    res = SuiteResult("involution", trials)
+    for k, (graph, name, point) in zip(range(trials), _flip_draws(random.Random(seed))):
         g1, p1, _ = flip_edge(graph, name, point)
         g2, p2, _ = flip_edge(g1, name, p1)
         if g2.canonical_key() != graph.canonical_key():
-            res.failures.append("trial %d edge %s: graph not restored" % (done, name))
+            res.failures.append("trial %d edge %s: graph not restored" % (k, name))
         if p2 != point:
-            res.failures.append("trial %d edge %s: point not restored" % (done, name))
-        done += 1
+            res.failures.append("trial %d edge %s: point not restored" % (k, name))
     return res
 
 
@@ -322,24 +326,15 @@ def suite_roundtrip(trials: int, seed: int) -> SuiteResult:
 
 def suite_mutation(trials: int, seed: int) -> SuiteResult:
     """Exchange-relation lambdas match the flipped graph's dual arcs."""
-    rng = random.Random(seed)
     res = SuiteResult("mutation", trials)
-    done = 0
-    while done < trials:
-        graph = random_spine(rng)
-        options = _flippable(graph)
-        if not options:
-            continue
-        name = rng.choice(options)
-        point = random_exact_point(rng, graph)
+    for k, (graph, name, point) in zip(range(trials), _flip_draws(random.Random(seed))):
         g1, p1, _ = flip_edge(graph, name, point)
         lam = lambda_of_dual_arcs(graph, point)
         mutated = mutate_lambda(graph, lam, name)
         actual = lambda_of_dual_arcs(g1, p1)
         for n in graph.coordinate_edges():
             if mutated[n] != actual[n]:
-                res.failures.append("trial %d edge %s: lambda[%s] mismatch" % (done, name, n))
-        done += 1
+                res.failures.append("trial %d edge %s: lambda[%s] mismatch" % (k, name, n))
     return res
 
 

@@ -15,7 +15,7 @@ visits are the windows of the underlying hole.
 Text round trip: parse_graph reads an exact value as two ints from one
 match and builds one Fraction; FatGraph derives its indexes in one pass
 over the vertices and cusps and one over the edges; emit_graph writes
-each edge line with one format per value payload tag.
+each value with %s, the key taken from the edge kind.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .paths import PathWord, Step, walk_turn
 
@@ -48,19 +48,14 @@ class GraphError(ValueError):
 
 @dataclass
 class Edge:
-    """Value payloads keep the raw file semantics:
-
-    ("exp", Fraction)    exact coordinate, stored as e^Y
-    ("lin", float)       float coordinate, stored as Y
-    ("omega", Fraction)  exact loop weight
-    ("omega_float", float)
-    None                 no value in the file
-    """
+    """One edge and the value a graph file gives it, or None.  An inner
+    or pending edge holds q = e^Y as a Fraction or Y as a float; a loop
+    holds its weight as a Fraction or a float."""
 
     name: str
     kind: str
     halves: tuple[str, str]
-    value: Optional[tuple] = None
+    value: Optional[Union[Fraction, float]] = None
 
 
 class FatGraph:
@@ -452,6 +447,9 @@ def validate(graph: FatGraph) -> ValidationReport:
     )
 
 
+# The key each edge kind stores its value under, read and written; a
+# loop also reads perimeter= and orbifold=.
+_VALUE_KEYS = {"inner": "Z", "pending": "pi", "loop": "omega"}
 _EXACT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -476,27 +474,26 @@ def _parse_float(raw: str) -> float:
     return x
 
 
-def _parse_value(kind: str, key: str, raw: str):
+def _parse_value(kind: str, key: str, raw: str) -> Union[Fraction, float]:
     if kind in ("inner", "pending"):
-        expected = "Z" if kind == "inner" else "pi"
-        if key != expected:
-            raise GraphError("%s edges take %s=, got %s=" % (kind, expected, key))
+        if key != _VALUE_KEYS[kind]:
+            raise GraphError("%s edges take %s=, got %s=" % (kind, _VALUE_KEYS[kind], key))
         parts = _exact_parts(raw)
         if parts is None:
-            return ("lin", _parse_float(raw))
+            return _parse_float(raw)
         if parts[0] <= 0:
             raise GraphError("exact value is e^Y and must be positive")
-        return ("exp", Fraction(*parts))
+        return Fraction(*parts)
     if key == "omega":
         parts = _exact_parts(raw)
-        value = ("omega_float", _parse_float(raw)) if parts is None else ("omega", Fraction(*parts))
-        if value[1] < 0:
+        value = _parse_float(raw) if parts is None else Fraction(*parts)
+        if value < 0:
             raise GraphError("loop weight omega=%s is negative; it must be >= 0" % raw)
         return value
     if key == "perimeter":
         p = _parse_float(raw)
         try:
-            return ("omega_float", 2.0 * math.cosh(p / 2.0))
+            return 2.0 * math.cosh(p / 2.0)
         except OverflowError:
             raise GraphError("perimeter %r is too large" % raw) from None
     if key == "orbifold":
@@ -504,13 +501,13 @@ def _parse_value(kind: str, key: str, raw: str):
             raise GraphError("orbifold order must be an integer >= 2")
         p = int(raw)
         if p == 2:
-            return ("omega", Fraction(0))
+            return Fraction(0)
         if p == 3:
-            return ("omega", Fraction(1))
+            return Fraction(1)
         w = 2.0 * math.cos(math.pi / p)
         if w == 2.0:
             raise GraphError("orbifold order %s is too large: 2cos(pi/p) rounds to 2" % raw)
-        return ("omega_float", w)
+        return w
     raise GraphError("unknown value key %s=" % key)
 
 
@@ -589,19 +586,10 @@ def parse_graph(text: str) -> FatGraph:
     return FatGraph(vertices, cusps, edges, declared)
 
 
-# The edge line each value payload tag writes, on an inner or loop edge
-# and on a pending one: coordinates take the key pi= on pending edges.
-_EDGE_LINES = {
-    "exp": ("edge %s %s %s %s Z=%s", "edge %s %s %s %s pi=%s"),
-    "lin": ("edge %s %s %s %s Z=%r", "edge %s %s %s %s pi=%r"),
-    "omega": ("edge %s %s %s %s omega=%s",) * 2,
-    "omega_float": ("edge %s %s %s %s omega=%r",) * 2,
-}
-
-
 def emit_graph(graph: FatGraph, point=None) -> str:
     """Serialize back to the file format, optionally writing the value
-    fields from a coordinate point."""
+    fields from a coordinate point.  Each value is written with %s,
+    which for a float is its repr."""
     counts = graph.counts()
     lines = [
         "surface g=%d sh=%d so=%d n=%d"
@@ -612,13 +600,9 @@ def emit_graph(graph: FatGraph, point=None) -> str:
     for cid, h in graph.cusps.items():
         lines.append("cusp %s half: %s" % (cid, h))
     for e in graph.edges.values():
-        value = e.value if point is None else point.edge_payload(e.name)
+        value = e.value if point is None else point.value(e.name)
         if value is None:
             lines.append("edge %s %s %s %s" % (e.name, e.kind, *e.halves))
-            continue
-        tag, payload = value
-        formats = _EDGE_LINES.get(tag)
-        if formats is None:
-            raise GraphError("unknown value payload %r" % (value,))
-        lines.append(formats[e.kind == "pending"] % (e.name, e.kind, *e.halves, payload))
+        else:
+            lines.append("edge %s %s %s %s %s=%s" % (e.name, e.kind, *e.halves, _VALUE_KEYS[e.kind], value))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ import pytest
 from spineforms import CoordinatePoint, cli, lambda_of_dual_arcs, mutate_lambda, parse_graph, validate
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
-from spineforms.ribbon import emit_graph
+from spineforms.ribbon import GraphError, emit_graph
 
 from conftest import ALL_FIXTURES, FIXTURES, fixture_text
 
@@ -315,6 +315,14 @@ def test_flip_refuses_pending(capsys):
     code, _, err = run(capsys, "flip", fx("sigma_0_3_1"), "pi")
     assert code == 2
     assert err == "error: only inner edges flip; pi is pending\n"
+
+
+def test_flip_of_a_loop_on_a_pending_stem_refuses_as_mutation_does(capsys, one_loop):
+    code, out, err = run(capsys, "flip", fx("sigma_0_2_1"), "w")
+    assert (code, out) == (2, "")
+    with pytest.raises(GraphError) as exc:
+        mutate_lambda(one_loop, lambda_of_dual_arcs(one_loop), "w")
+    assert err == "error: %s\n" % exc.value == "error: only inner edges flip; pi is pending\n"
 
 
 

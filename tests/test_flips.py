@@ -16,6 +16,7 @@ from spineforms import (
     shear_from_lambda,
     verify_flip_matrix_identities,
 )
+from spineforms import flips
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import random_exact_point, random_spine
 from spineforms.ribbon import GraphError, validate
@@ -128,9 +129,8 @@ def test_inner_flip_is_involution(four_cusps):
 
 
 def test_five_holes_flip_rewiring(five_holes):
-    _, _, record = flip_inner(five_holes, "b1", five_holes.point())
+    after, _, record = flip_inner(five_holes, "b1", five_holes.point())
     assert record.slots == {"A": "pi", "B": "a1", "C": "a2", "D": "b2"}
-    after = record.after
     assert after.vertices["v1"] == ("b1_l", "b2_l", "pi_v")
     assert after.vertices["v2"] == ("b1_r", "a1_d", "a2_d")
 
@@ -295,9 +295,31 @@ def test_mutation_rejects_mixed_arithmetic(two_loops):
         mutate_lambda(two_loops, lam, "a1")
 
 
-def test_record_keeps_both_points(four_cusps):
-    point = four_cusps.point()
-    _, new_point, record = flip_inner(four_cusps, "e", point)
-    assert record.point_before == point
-    assert record.point_after == new_point
-    assert record.before is four_cusps
+def test_each_flip_reads_its_site_once(monkeypatch, two_loops, four_cusps):
+    """flip_edge, flip_inner, flip_loop_adjacent and mutate_lambda read
+    the flip site once per call, for an inner edge, a loop's stem and a
+    loop's own name."""
+    calls = []
+    real = flips.flip_site
+
+    def spy(graph, name):
+        calls.append(name)
+        return real(graph, name)
+
+    monkeypatch.setattr(flips, "flip_site", spy)
+    lam4, lam2 = lambda_of_dual_arcs(four_cusps), lambda_of_dual_arcs(two_loops)
+    cases = [
+        (flip_edge, four_cusps, "e"),
+        (flip_edge, two_loops, "a1"),
+        (flip_edge, two_loops, "w1"),
+        (flip_inner, four_cusps, "e"),
+        (flip_loop_adjacent, two_loops, "a1"),
+        (flip_loop_adjacent, two_loops, "w1"),
+        (lambda g, n: mutate_lambda(g, lam4, n), four_cusps, "e"),
+        (lambda g, n: mutate_lambda(g, lam2, n), two_loops, "a1"),
+        (lambda g, n: mutate_lambda(g, lam2, n), two_loops, "w1"),
+    ]
+    for call, graph, name in cases:
+        calls.clear()
+        call(graph, name)
+        assert len(calls) == 1, (call, name, calls)

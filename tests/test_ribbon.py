@@ -1,5 +1,6 @@
 """Spine structure: parsing, validation, boundary windows, dual arcs."""
 
+import hashlib
 import random
 
 import pytest
@@ -349,3 +350,41 @@ def test_round_trip_and_indexes_on_seeded_spines():
             want = _reference_indexes(back.vertices, back.cusps, back.edges)
             for attr, value in want.items():
                 assert getattr(back, attr) == value, (trial, attr)
+
+
+def _emission_corpus():
+    """emit_graph text over 60 seeded spines: bare, at an exact point, at
+    a float point with float y and float loop weights, and re-read with
+    loop weights from perimeter= and orbifold= next to exact and decimal
+    coordinate values, emitted as stored and at the point they give."""
+    rng = random.Random(15)
+    for _ in range(60):
+        g = random_spine(rng)
+        yield emit_graph(g)
+        yield emit_graph(g, random_exact_point(rng, g))
+        y = {n: rng.uniform(-3.0, 3.0) for n in g.coordinate_edges()}
+        omega = {n: rng.uniform(0.0, 6.0) for n in g.loop_edges()}
+        yield emit_graph(g, CoordinatePoint(False, y=y, omega=omega))
+        lines = []
+        for line in emit_graph(g).splitlines():
+            kind = line.split()[2] if line.startswith("edge") else None
+            if kind == "loop":
+                line += rng.choice((" perimeter=%r" % rng.uniform(0.1, 4.0), " orbifold=%d" % rng.randint(2, 9)))
+            elif kind is not None and rng.random() < 0.5:
+                key = "Z" if kind == "inner" else "pi"
+                value = rng.choice(("%d/%d" % (rng.randint(1, 9), rng.randint(1, 9)), "%.3f" % rng.uniform(-2, 2)))
+                line += " %s=%s" % (key, value)
+            lines.append(line)
+        back = parse_graph("\n".join(lines))
+        yield emit_graph(back)
+        yield emit_graph(back, back.point())
+
+
+# sha256 of the corpus joined by NUL bytes, taken when emit_graph wrote
+# each edge line from a tagged value payload
+EMISSION_SHA256 = "1935e09d1897b84db13b5fbd38530233e2cc4914302a32301fe84ea6db57c7a3"
+
+
+def test_emission_bytes_are_pinned():
+    digest = hashlib.sha256("\0".join(_emission_corpus()).encode("utf-8")).hexdigest()
+    assert digest == EMISSION_SHA256
