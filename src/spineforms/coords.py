@@ -270,10 +270,9 @@ class DualView:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
 
         The radical is SqrtRational.sqrt_of_product of the odd factors
-        in file order.  Matrix words fold theirs in the point's edge
-        order, which is file order for every point the package builds,
-        so a dual arc's word prints its lambda in the same form.
-        """
+        in the order of q, as matrix words fold theirs, so a dual arc's
+        word prints its lambda in the same form."""
+        rank = None if tuple(q) == self.names else {n: i for i, n in enumerate(q)}
         out = []
         for terms in self._terms:
             num = den = 1
@@ -282,8 +281,10 @@ class DualView:
                     x = q[n]
                     num *= x.numerator ** (m // 2)
                     den *= x.denominator ** (m // 2)
-            root = SqrtRational.sqrt_of_product(q[n] for n, m in terms if m & 1)
-            out.append(root.scaled(num, den))
+            odd = [n for n, m in terms if m & 1]
+            if rank:
+                odd.sort(key=rank.__getitem__)
+            out.append(SqrtRational.sqrt_of_product(map(q.__getitem__, odd)).scaled(num, den))
         return out
 
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:

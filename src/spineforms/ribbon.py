@@ -7,10 +7,12 @@ three kinds: ``inner`` (carrying a shear-type coordinate), ``pending``
 halves at one trivalent vertex, bounding a monogon around a hole or
 orbifold point and carrying a weight instead of a coordinate).
 
-The stored cyclic order at each vertex is counterclockwise.  Boundary
-walks arrive along a half-edge h and leave through sigma(h), the next
-half counterclockwise; the segments of a walk between consecutive cusp
-visits are the windows of the underlying hole.
+The stored cyclic order at each vertex is counterclockwise.  A boundary
+walk arrives along a half-edge h and leaves through sigma(h), the next
+half counterclockwise; its arrivals form one face orbit per hole, cached
+on the graph.  Windows and dual arcs are stretches of those orbits: a
+window runs from one cusp visit to the next, and a dual arc is a run
+into a cusp, or two such runs joined across an inner edge.
 
 Text round trip: parse_graph reads an exact value as two ints from one
 match and builds one Fraction; FatGraph derives its indexes in one pass
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .paths import PathWord, Step, walk_turn
+from .paths import PathWord, Step
 
 __all__ = [
     "GraphError",
@@ -152,8 +154,7 @@ class FatGraph:
         return self.cusps[cusp]
 
     def cusp_of_pending(self, name: str) -> str:
-        e = self.edges[name]
-        for h in e.halves:
+        for h in self.edges[name].halves:
             if self.is_cusp_half(h):
                 return self._owner[h]
         raise GraphError("pending edge %s touches no cusp" % name)
@@ -282,47 +283,54 @@ class Window:
         return [s.edge for s in self.steps if graph.edges[s.edge].kind != "loop"]
 
 
+def _cut(graph: FatGraph, run: list[str]) -> tuple[Step, ...]:
+    """The steps out of a stretch of a face orbit, each a '+' turn."""
+    sigma, edge_of, edges = graph._sigma, graph._edge_of, graph.edges
+    steps = []
+    for x in map(sigma.__getitem__, run):
+        name = edge_of[x]
+        steps.append(Step(name, "+" if edges[name].kind == "loop" else None, x))
+    return tuple(steps)
+
+
 def windows(graph: FatGraph) -> list[Window]:
-    """All windows, in face order, each starting at a cusp visit: the
-    walk by '+' turns out of that cusp until it reaches the next one."""
+    """All windows, in face order: each face orbit cut at its cusp visits.
+    A cusp on a loop edge is refused; a walk turn by turn bounces past it."""
     out: list[Window] = []
-    limit = 2 * len(graph._half_order)
     for fi, orbit in enumerate(graph.faces()):
-        for h in filter(graph.is_cusp_half, orbit):
-            steps: list[Step] = []
-            arrival = walk_turn(graph, h, "+", steps)
-            while not graph.is_cusp_half(arrival):
-                if len(steps) > limit:
-                    raise GraphError("window walk does not reach a cusp (invalid graph?)")
-                arrival = walk_turn(graph, arrival, "+", steps)
-            out.append(Window(fi, graph.vertex_of(h), graph.vertex_of(arrival), tuple(steps)))
+        at = [i for i, h in enumerate(orbit) if graph.is_cusp_half(h)]
+        for i, j in zip(at, at[1:] + at[:1]):
+            if graph.edges[graph._edge_of[orbit[j]]].kind == "loop":
+                raise GraphError("window walk does not reach a cusp (invalid graph?)")
+            run = orbit[i:j] if i < j else orbit[i:] + orbit[:j]
+            out.append(Window(fi, graph.vertex_of(orbit[i]), graph.vertex_of(orbit[j]), _cut(graph, run)))
     return out
 
 
-def _hug_walk(graph: FatGraph, start: str, steps) -> PathWord:
-    """Continue ``steps``, a walk leaving ``start``, by a '-' turn at
-    every vertex (hugging the triangulation) until a pending edge drops
-    into a cusp."""
-    steps = list(steps)
-    arrival = graph.mate(steps[-1].exit_half)
-    limit = len(steps) + 2 * len(graph._half_order) + 2
-    while True:
-        if len(steps) > limit:
-            raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
-        arrival = walk_turn(graph, arrival, "-", steps)
-        if graph.is_cusp_half(arrival):
-            return PathWord(start, tuple(steps), graph.vertex_of(arrival))
+def _run_into(graph: FatGraph, half: str) -> tuple[str, tuple[Step, ...]]:
+    """The last cusp the face walk visits before it leaves through
+    ``half``, and the walk's steps from that cusp through that exit.  As
+    in windows, that cusp is refused when it sits on a loop edge."""
+    a = graph.sigma_inv(half)
+    orbit = next(o for o in graph.faces() if a in o)
+    k = orbit.index(a)
+    owner, cusps = graph._owner, graph.cusps
+    # on a spine orbit[k] is no cusp, as it leaves through ``half``; it is tried last
+    for i in range(k - 1, k - 1 - len(orbit), -1):
+        if owner[orbit[i]] in cusps:
+            if graph.edges[graph._edge_of[orbit[i]]].kind == "loop":
+                break
+            run = orbit[i : k + 1] if i >= 0 else orbit[i:] + orbit[: k + 1]
+            return graph.vertex_of(orbit[i]), _cut(graph, run)
+    raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
 
 
 def dual_arc(graph: FatGraph, name: str) -> PathWord:
-    """The arc of the dual triangulation crossing the given edge.
-
-    Pending edge: the window of its hole that ends at its cusp (the
-    boundary side joining the two neighboring cusps; on a single-cusp
-    hole that is the whole boundary walk), found as the hugging walk
-    out of that cusp, reversed.  Inner edge: hug the triangulation from
-    both ends until a cusp is reached on each side.
-    """
+    """The arc of the dual triangulation crossing the given edge, cut from
+    the face orbits.  A pending edge's is the window of its hole that ends
+    at its cusp (on a single-cusp hole, the whole boundary walk).  An inner
+    edge's, with halves h1 and h2, is the run from the last cusp through
+    the step out through h1, then the run up to h2, short of it, walked back."""
     edge = graph.edges.get(name)
     if edge is None:
         raise GraphError("no edge named %s" % name)
@@ -330,12 +338,10 @@ def dual_arc(graph: FatGraph, name: str) -> PathWord:
         raise GraphError("loop edge %s has no dual arc" % name)
     if edge.kind == "pending":
         cusp = graph.cusp_of_pending(name)
-        return _hug_walk(graph, cusp, [Step(name, None, graph.cusp_half(cusp))]).reversed(graph)
-    h1, h2 = edge.halves
-    # the walk that crosses the edge backwards and hugs on, reversed, is
-    # the arc up to its crossing of the edge through h1
-    back = _hug_walk(graph, graph.vertex_of(h2), [Step(name, None, h2)]).reversed(graph)
-    return _hug_walk(graph, back.start_cusp, back.steps)
+        return PathWord(*_run_into(graph, graph.mate(graph.cusp_half(cusp))), cusp)
+    start, run = _run_into(graph, edge.halves[0])
+    end, tail = _run_into(graph, edge.halves[1])
+    return PathWord(start, run + PathWord(end, tail[:-1], end).reversed(graph).steps, end)
 
 
 @dataclass
@@ -397,15 +403,8 @@ def validate(graph: FatGraph) -> ValidationReport:
 
     faces = graph.faces()
     monogons = set(graph.monogon_faces())
-    mono_ok = True
-    mono_loops = set()
-    for i in monogons:
-        h = faces[i][0]
-        name = graph.edge_of(graph.sigma(h))
-        if graph.edges[name].kind != "loop":
-            mono_ok = False
-        mono_loops.add(name)
-    mono_ok = mono_ok and len(monogons) == len(loops) and len(mono_loops) == len(loops)
+    mono_loops = {graph.edge_of(graph.sigma(faces[i][0])) for i in monogons}
+    mono_ok = all(graph.edges[n].kind == "loop" for n in mono_loops) and len(monogons) == len(loops) == len(mono_loops)
     check("monogon-loops", mono_ok, "%d monogons for %d loops" % (len(monogons), len(loops)))
 
     cusped_ok = all(

@@ -537,6 +537,39 @@ def test_forms_output_is_pinned(capsys, name, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == FORMS_SHA256[name, fmt]
 
 
+# sha256 of `windows` and `dual-arcs` stdout, taken when both were walked
+# turn by turn rather than cut from the face orbits
+BOUNDARY_SHA256 = {
+    ("windows", "sigma_0_1_4", "text"): "c80eb0f8481089214791056fcb155bc3dcc6ba21066fe7a2888ca034b2242013",
+    ("windows", "sigma_0_1_4", "tsv"): "d53b39f1d0207a0189297aa4768c7f49d89b3ea6d6e9f518e4644351ded6bf68",
+    ("windows", "sigma_0_2_1", "text"): "45ce01f85b0ff8cff7f6138baf14d471a1bd93c57103af04867aedb49c1abc9a",
+    ("windows", "sigma_0_2_1", "tsv"): "b52fffd05433587385d28722d40e9a47ab194576914ba4a1f75a077980a68fc3",
+    ("windows", "sigma_0_3_1", "text"): "a71c4a53a1a55b8d597ec12df3fd15791f67e054be855a6c6a4f2afe6869e570",
+    ("windows", "sigma_0_3_1", "tsv"): "75952fb006ab466e32f29fd78c6820def3f95c19ea108a2fd88fe6b99871d9dd",
+    ("windows", "sigma_0_5_1", "text"): "f4f705a90f79c10d5b9437064386d2786e64c781093479c9e7108d31ef2fd9f0",
+    ("windows", "sigma_0_5_1", "tsv"): "2703cdf8f7ca33ff83d577d13f3d62d21e9a0c0251da7f18f1dbd702de6575a4",
+    ("windows", "t3", "text"): "25ae6a8de1c97fb19046fa92869940be73c7cace3aa8ba47fb80f6160ff3dab0",
+    ("windows", "t3", "tsv"): "ede51a2a77c459271bac750c23571b16122d00e7b5eaf6fe67dfec1c32b8a618",
+    ("dual-arcs", "sigma_0_1_4", "text"): "82822da07cb8d4d1e8dee6efc3a384574387c3156cd5ad02bbdb7f5400661c02",
+    ("dual-arcs", "sigma_0_1_4", "tsv"): "c5fb3c87e530345246c6a19869a02e0cbd799fb025a488e588744c09a210c6cd",
+    ("dual-arcs", "sigma_0_2_1", "text"): "29c3d22ce34c69772b73bcec9ac36954b901f6f3b4783859af46faa6d1b20a22",
+    ("dual-arcs", "sigma_0_2_1", "tsv"): "73ccff79df747a914ecb49a08579fd98f10e147fb1cf196878fbdaa85423a909",
+    ("dual-arcs", "sigma_0_3_1", "text"): "488b08a4e2ff6e0ec3bc4c81fb3afa249e9826a751645cc035f0e46474337d1a",
+    ("dual-arcs", "sigma_0_3_1", "tsv"): "fa77be689b3bc23cdf43468f884c85bfc3079e766d8807472923a405c11f314f",
+    ("dual-arcs", "sigma_0_5_1", "text"): "4f520bb461f3d336c977c755db50074a48fc9edd52a7cd6ca85ebf0509f4fe04",
+    ("dual-arcs", "sigma_0_5_1", "tsv"): "b8187c0227571fd86463cedef48fcb74d2c7d4b32c4cc2c5a1780a030bde51ab",
+    ("dual-arcs", "t3", "text"): "669e6f7e012c3b55de548ab48e950926d1689a868602e88d310920c10eb7cef8",
+    ("dual-arcs", "t3", "tsv"): "d720340c40f57ff38ff3c481cb8bf0667aad3b9959c208a5c06ea7cfc75b2f38",
+}
+
+
+@pytest.mark.parametrize("command,name,fmt", sorted(BOUNDARY_SHA256))
+def test_windows_and_dual_arcs_output_is_pinned(capsys, command, name, fmt):
+    code, out, _ = run(capsys, command, fx(name), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDARY_SHA256[command, name, fmt]
+
+
 def test_fuzz_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "fuzz", "--seed", "5", "--trials", "4")
     code2, out2, _ = run(capsys, "fuzz", "--seed", "5", "--trials", "4")

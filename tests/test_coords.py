@@ -20,7 +20,7 @@ from spineforms.algebra import SqrtRational
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.paths import lambda_length
-from spineforms.ribbon import GraphError, dual_arc, parse_graph
+from spineforms.ribbon import GraphError, dual_arc, parse_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 from dense_oracle import frac_inverse, local_rule_mismatches
@@ -291,12 +291,17 @@ def rewired_fixture_texts():
 
 
 def test_rewired_fixtures_without_dual_arcs_are_refused():
-    """Building M walks the dual arcs; whenever one of those walks fails
-    the graph is no spine and shear_from_lambda must refuse it."""
-    refused = 0
+    """Building M cuts the dual arcs from the face orbits; whenever one
+    of them cannot be cut the graph is no spine and shear_from_lambda
+    must refuse it.  The counts are those of the turn-by-turn walks."""
+    refused = windows_refused = 0
     for tag, text in rewired_fixture_texts():
         graph = parse_graph(text)
         unit = {n: Fraction(1) for n in graph.coordinate_edges()}
+        try:
+            windows(graph)
+        except GraphError:
+            windows_refused += 1
         try:
             for name in graph.coordinate_edges():
                 dual_arc(graph, name)
@@ -307,7 +312,22 @@ def test_rewired_fixtures_without_dual_arcs_are_refused():
             except ValueError:
                 continue
             pytest.fail("%s: dual arcs fail but shear_from_lambda accepts" % tag)
-    assert refused > 100
+    assert refused == 226
+    assert windows_refused == 14
+
+
+def test_dual_arc_lambdas_print_as_their_words_whatever_the_order_of_q():
+    """A point built by hand with its q dict in reverse order: the closed
+    form folds each radical in the order of q, as the matrix word does,
+    so both print every lambda in the same r*sqrt(n) form."""
+    rng = random.Random(3)
+    for _ in range(200):
+        graph = random_spine(rng)
+        point = random_exact_point(rng, graph)
+        backwards = CoordinatePoint(True, q=dict(reversed(point.q.items())), omega=point.omega)
+        lam = lambda_of_dual_arcs(graph, backwards)
+        for name in graph.coordinate_edges():
+            assert str(lam[name]) == str(lambda_length(graph, dual_arc(graph, name), backwards))
 
 
 @pytest.mark.parametrize(

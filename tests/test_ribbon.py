@@ -10,6 +10,7 @@ from spineforms.fuzz import random_exact_point, random_spine
 from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from walk_oracle import oracle_dual_arc, oracle_windows
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -144,8 +145,8 @@ def test_window_loop_tokens_keep_signs(one_loop):
 
 
 def test_window_walk_that_skips_its_cusp_is_refused():
-    """A loop-kind edge on the cusp makes the '+' walk bounce past it;
-    windows stops with an error instead of walking forever."""
+    """A loop-kind edge on the cusp makes a walk by '+' turns bounce past
+    it, so no window reaches a cusp; windows refuses the graph."""
     graph = parse_graph(
         "vertex v ccw: pi_v w_a w_b\n"
         "cusp c0 half: pi_c\n"
@@ -173,6 +174,19 @@ def test_pending_dual_arc_is_the_window_ending_at_its_cusp():
             if e.kind == "pending":
                 w = ending[e.name]
                 assert dual_arc(graph, e.name) == PathWord(w.start_cusp, w.steps, w.end_cusp)
+
+
+def test_windows_and_dual_arcs_equal_the_turn_by_turn_walks():
+    """Cut from the face orbits, every window and every dual arc, inner
+    ones included, equals the oracle's walk step for step: the edge, the
+    loop sign and the exit half of each step, and both end cusps."""
+    graphs = [load_fixture(name) for name in ALL_FIXTURES]
+    rng = random.Random(1)
+    graphs += [random_spine(rng) for _ in range(300)]
+    for graph in graphs:
+        assert windows(graph) == oracle_windows(graph)
+        for name in graph.coordinate_edges():
+            assert dual_arc(graph, name) == oracle_dual_arc(graph, name)
 
 
 def test_dual_arc_of_inner_crosses_it_once(four_cusps):
