@@ -272,7 +272,7 @@ class DualView:
         The radical is SqrtRational.sqrt_of_product of the odd factors
         in the order of q, as matrix words fold theirs, so a dual arc's
         word prints its lambda in the same form."""
-        rank = None if tuple(q) == self.names else {n: i for i, n in enumerate(q)}
+        rank = {n: i for i, n in enumerate(q)}
         out = []
         for terms in self._terms:
             num = den = 1
@@ -281,9 +281,7 @@ class DualView:
                     x = q[n]
                     num *= x.numerator ** (m // 2)
                     den *= x.denominator ** (m // 2)
-            odd = [n for n, m in terms if m & 1]
-            if rank:
-                odd.sort(key=rank.__getitem__)
+            odd = sorted((n for n, m in terms if m & 1), key=rank.__getitem__)
             out.append(SqrtRational.sqrt_of_product(map(q.__getitem__, odd)).scaled(num, den))
         return out
 

@@ -154,7 +154,8 @@ class FatGraph:
         return self.cusps[cusp]
 
     def cusp_of_pending(self, name: str) -> str:
-        for h in self.edges[name].halves:
+        e = self.edges[name]
+        for h in e.halves:
             if self.is_cusp_half(h):
                 return self._owner[h]
         raise GraphError("pending edge %s touches no cusp" % name)
@@ -309,20 +310,21 @@ def windows(graph: FatGraph) -> list[Window]:
 
 def _run_into(graph: FatGraph, half: str) -> tuple[str, tuple[Step, ...]]:
     """The last cusp the face walk visits before it leaves through
-    ``half``, and the walk's steps from that cusp through that exit.  As
-    in windows, that cusp is refused when it sits on a loop edge."""
-    a = graph.sigma_inv(half)
-    orbit = next(o for o in graph.faces() if a in o)
-    k = orbit.index(a)
-    owner, cusps = graph._owner, graph.cusps
-    # on a spine orbit[k] is no cusp, as it leaves through ``half``; it is tried last
-    for i in range(k - 1, k - 1 - len(orbit), -1):
-        if owner[orbit[i]] in cusps:
-            if graph.edges[graph._edge_of[orbit[i]]].kind == "loop":
-                break
-            run = orbit[i : k + 1] if i >= 0 else orbit[i:] + orbit[: k + 1]
-            return graph.vertex_of(orbit[i]), _cut(graph, run)
-    raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
+    ``half``, and the walk's steps from that cusp through that exit, read
+    by following the face orbit back from ``half``.  As in windows, that
+    cusp is refused when it sits on a loop edge."""
+    sigma_inv, mate, owner, cusps = graph._sigma_inv, graph._mate, graph._owner, graph.cusps
+    a = x = sigma_inv[half]
+    back = [a]
+    # on a spine a is no cusp, as the walk leaves it through ``half``; it is tried last
+    while True:
+        x = sigma_inv[mate[x]]
+        back.append(x)
+        if owner[x] in cusps or x == a:
+            break
+    if owner[x] not in cusps or graph.edges[graph._edge_of[x]].kind == "loop":
+        raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
+    return owner[x], _cut(graph, back[::-1])
 
 
 def dual_arc(graph: FatGraph, name: str) -> PathWord:
@@ -403,8 +405,15 @@ def validate(graph: FatGraph) -> ValidationReport:
 
     faces = graph.faces()
     monogons = set(graph.monogon_faces())
-    mono_loops = {graph.edge_of(graph.sigma(faces[i][0])) for i in monogons}
-    mono_ok = all(graph.edges[n].kind == "loop" for n in mono_loops) and len(monogons) == len(loops) == len(mono_loops)
+    mono_ok = True
+    mono_loops = set()
+    for i in monogons:
+        h = faces[i][0]
+        name = graph.edge_of(graph.sigma(h))
+        if graph.edges[name].kind != "loop":
+            mono_ok = False
+        mono_loops.add(name)
+    mono_ok = mono_ok and len(monogons) == len(loops) and len(mono_loops) == len(loops)
     check("monogon-loops", mono_ok, "%d monogons for %d loops" % (len(monogons), len(loops)))
 
     cusped_ok = all(

@@ -20,10 +20,11 @@ from spineforms.algebra import SqrtRational
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.paths import lambda_length
-from spineforms.ribbon import GraphError, dual_arc, parse_graph, windows
+from spineforms.ribbon import GraphError, dual_arc, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 from dense_oracle import frac_inverse, local_rule_mismatches
+from walk_oracle import oracle_dual_arc, oracle_windows
 
 
 def rational_point(graph, rng):
@@ -314,6 +315,52 @@ def test_rewired_fixtures_without_dual_arcs_are_refused():
             pytest.fail("%s: dual arcs fail but shear_from_lambda accepts" % tag)
     assert refused == 226
     assert windows_refused == 14
+
+
+# The rewired fixtures, by fixture and swapped slots, on which the cut
+# windows or dual arcs differ from the turn-by-turn walks.
+CUT_DIFFERS_FROM_WALKS = {
+    "sigma_0_3_1": "7.4-10.3 8.4-9.4 9.3-10.4 9.4-10.3",
+    "sigma_0_5_1": "11.4-18.3 11.4-19.3 11.4-20.3 12.4-17.4 12.4-19.3 12.4-20.3 13.4-17.4 13.4-18.4 "
+    "13.4-20.3 16.4-17.4 16.4-18.4 16.4-19.4 17.3-18.4 17.3-19.4 17.3-20.4 17.4-18.3 17.4-19.3 "
+    "17.4-20.3 18.3-19.4 18.3-20.4 18.4-19.3 18.4-20.3 19.3-20.4 19.4-20.3",
+}
+
+
+def test_rewired_fixtures_where_the_cut_differs_from_the_walks_fail_validate():
+    """Each graph on which windows or dual_arc gives other steps than the
+    walks fails validate, and each step that differs is a loop edge's:
+    the walks took it as a bounce stem and left it unsigned, the cut
+    signs it like any loop step.  M counts no loop step, so it is the
+    walks' M.  Refusals are the same on both sides."""
+
+    def steps(f, graph, *args):
+        """(start cusp, end cusp, step) of every step of f's windows or
+        dual arc, or f's refusal message."""
+        try:
+            result = f(graph, *args)
+        except GraphError as exc:
+            return [str(exc)]
+        return [(p.start_cusp, p.end_cusp, s) for p in (result if isinstance(result, list) else [result]) for s in p.steps]
+
+    differs = set()
+    for tag, text in rewired_fixture_texts():
+        graph = parse_graph(text)
+        names = graph.coordinate_edges()
+        cut = steps(windows, graph) + [x for n in names for x in steps(dual_arc, graph, n)]
+        walk = steps(oracle_windows, graph) + [x for n in names for x in steps(oracle_dual_arc, graph, n)]
+        if cut == walk:
+            continue
+        differs.add(tag)
+        assert not validate(graph).ok
+        assert len(cut) == len(walk), tag
+        for c, w in zip(cut, walk):
+            if c != w:
+                assert not isinstance(c, str) and not isinstance(w, str), tag
+                (c_start, c_end, s), (w_start, w_end, t) = c, w
+                assert (c_start, c_end, s.edge, s.exit_half) == (w_start, w_end, t.edge, t.exit_half), tag
+                assert t.sign is None and graph.edges[t.edge].kind == "loop", tag
+    assert differs == {"%s %s" % (name, swap) for name, swaps in CUT_DIFFERS_FROM_WALKS.items() for swap in swaps.split()}
 
 
 def test_dual_arc_lambdas_print_as_their_words_whatever_the_order_of_q():
