@@ -316,16 +316,26 @@ def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None
     return LambdaAssignment(dict(zip(view.names, values)), point.exact, dict(point.omega))
 
 
-def _positive_square(name: str, v) -> Fraction:
-    """lambda^2 of an exact lambda value, which must be positive."""
-    if isinstance(v, SqrtRational):
-        if v.sign() <= 0:
+def _all_exact(values) -> bool:
+    """Whether lambda values are to be read exactly: all of them are."""
+    # SqrtRational first: an isinstance test against Fraction, an ABC,
+    # is slow unless the value is a Fraction
+    return all(isinstance(v, (SqrtRational, int, Fraction)) for v in values)
+
+
+def _positive_lambda(name: str, v, exact: bool):
+    """A lambda value, which must be positive: exactly, as a Fraction or
+    SqrtRational, or else as a finite float."""
+    if exact:
+        v = _promote(v)
+        # the numerator carries the sign; cheaper than a Fraction comparison
+        if (v.rat if isinstance(v, SqrtRational) else v).numerator <= 0:
             raise ValueError("lambda %s = %s must be positive" % (name, v))
-        return v.square()
-    v = Fraction(v)
-    if v <= 0:
-        raise ValueError("lambda %s = %s must be positive" % (name, v))
-    return v * v
+        return v
+    v = float(v)
+    if not 0.0 < v < math.inf:
+        raise ValueError("lambda %s = %r must be positive and finite" % (name, v))
+    return v
 
 
 def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
@@ -363,7 +373,7 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
         if missing:
             raise ValueError("missing loop weights for %s" % ", ".join(missing))
 
-    exact = all(isinstance(lam[n], (int, Fraction, SqrtRational)) for n in names)
+    exact = _all_exact(lam.values())
     omegas: dict[str, Union[Fraction, float]] = carried or dict(graph.point().omega)
     if exact:
         for k, v in omegas.items():
@@ -375,7 +385,8 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
 
     view = dual_view(graph)
     if exact:
-        squares = [_positive_square(n, lam[n]) for n in names]
+        values = [_positive_lambda(n, lam[n], True) for n in names]
+        squares = [v.square() if isinstance(v, SqrtRational) else v * v for v in values]
         q: dict[str, Fraction] = {}
         for name, terms in zip(names, view.inverse()):
             num = den = 1
@@ -393,12 +404,7 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
                 raise ValueError("lambda-lengths give no rational q for %s" % name) from None
         return CoordinatePoint(True, q=q, omega=omegas)
 
-    logs = []
-    for n in names:
-        v = float(lam[n])
-        if not 0.0 < v < math.inf:
-            raise ValueError("lambda %s = %r must be positive and finite" % (n, v))
-        logs.append(math.log(v))
+    logs = [math.log(_positive_lambda(n, lam[n], False)) for n in names]
     y = {name: sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
     return CoordinatePoint(False, y=y, omega=omegas)
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2
-from .coords import CoordinatePoint, LambdaAssignment
+from .coords import CoordinatePoint, LambdaAssignment, _all_exact, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
 __all__ = [
@@ -239,21 +239,25 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     Only the flipped edge's value changes; the quadrilateral (or, at a
     loop, triangle) sides keep their arcs.  The loop weight is the one
     carried by a LambdaAssignment, or else the graph's stored weight.
-    A loop's name flips its stem, as in flip_edge.
+    A loop's name flips its stem, as in flip_edge.  The values are read
+    as shear_from_lambda reads them: exactly when all of them are exact,
+    else as floats; each value the exchange reads must be positive.
     """
     if isinstance(lambdas, LambdaAssignment):
         values = dict(lambdas.values)
-        exact = lambdas.exact
         carried = dict(lambdas.omega)
     else:
         values = dict(lambdas)
-        exact = all(not isinstance(v, float) for v in values.values())
         carried = {}
+    exact = _all_exact(values.values())
     name, site = _resolve(graph, name)
 
     def lam(h):
-        v = values[graph.edge_of(h)]
-        return Fraction(v) if isinstance(v, int) else v
+        n = graph.edge_of(h)
+        v = values.get(n)
+        if v is None:
+            raise ValueError("missing lambda values for %s" % n)
+        return _positive_lambda(n, v, exact)
 
     (h_e, h_a, h_b), (_, h_c, h_d) = site.ends
     la, lb = lam(h_a), lam(h_b)
@@ -263,7 +267,7 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
             omega = graph.point().omega_value(site.loop)
         if exact and isinstance(omega, float):
             raise GraphError("exact mutation needs a rational weight for loop %s" % site.loop)
-        w = Fraction(omega) if not isinstance(omega, float) else omega
+        w = Fraction(omega) if exact else float(omega)
         values[name] = (la * la + w * la * lb + lb * lb) / lam(h_e)
     else:
         values[name] = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)

@@ -2,8 +2,9 @@
 
 A path is a token sequence: pending and inner edges by name, loop
 traversals as signed tokens (``w1+`` bounces clockwise through the loop
-w1, ``w1-`` counterclockwise).  Compilation inserts one edge matrix per
-coordinate edge traversal and one turn or loop atom per vertex passage:
+w1, ``w1-`` counterclockwise), read by walking walk_turn's moves, one
+per vertex.  Compilation inserts one edge matrix per coordinate edge
+traversal and one turn or loop atom per vertex passage:
 
     X(Y)  = [[0, -e^{Y/2}], [e^{-Y/2}, 0]]
     R     = [[1, 1], [-1, 0]]          L = R^2 = [[0, 1], [-1, -1]]
@@ -124,56 +125,48 @@ class PathWord:
 
     @classmethod
     def from_tokens(cls, graph: "FatGraph", tokens: Iterable[str], closed: bool = False) -> "PathWord":
-        """Build from name-level tokens, resolving half edges greedily.
-
-        Raises ValueError when a token is not incident to the current
-        vertex or the incidence is ambiguous (parallel edges sharing
-        both endpoints need explicit half-edge data instead).
-        """
+        """Build from name-level tokens by walking them: the first token is
+        a pending edge, left from its cusp; at each vertex after it the
+        walk takes the one walk_turn move, '+' or '-', whose steps spell
+        the next tokens (a loop bounce spells two, such as ``w1+,a1``).
+        Raises ValueError when no move fits or both do (parallel edges
+        need half-edge data), when tokens are left over once the walk
+        enters a cusp, or when the last step is no pending edge."""
         toks = [t.strip() for t in tokens if t.strip()]
         if not toks:
             raise ValueError("empty path")
-        first, sign = _split_token(graph, toks[0])
-        if sign is not None or graph.edges[first].kind != "pending":
-            raise ValueError("path must start with a pending edge, got %r" % toks[0])
+        first = toks[0]
+        if first not in graph.edges or graph.edges[first].kind != "pending":
+            raise ValueError("path must start with a pending edge, got %r" % first)
         start_cusp = graph.cusp_of_pending(first)
         exit_half = graph.cusp_half(start_cusp)
         steps = [Step(first, None, exit_half)]
         arrival = graph.mate(exit_half)
         i = 1
         while i < len(toks):
-            tok = toks[i]
-            name, sign = _split_token(graph, tok)
-            i += 1
-            if sign is not None:
-                if graph.edge_of(_turn(graph, arrival, sign)) != name:
-                    raise ValueError("loop %s is not reachable where token %r is used" % (name, tok))
-                arrival = walk_turn(graph, arrival, sign, steps)
-                # the bounce has taken the stem step; the next token names it
-                if i == len(toks):
-                    raise ValueError("path ends in the middle of a loop bounce")
-                stem, stem_sign = _split_token(graph, toks[i])
-                if stem_sign is not None:
-                    raise ValueError("two loop tokens in a row around %r" % toks[i])
-                if stem != steps[-1].edge:
-                    raise ValueError(
-                        "after a loop bounce the walk must leave through %s, not %s" % (steps[-1].edge, stem)
-                    )
-                i += 1
-                continue
-            # at a cusp both turns give the arrival half back: no exit
-            signs = [s for s in "+-" if _turn(graph, arrival, s) != arrival
-                     and graph.edge_of(_turn(graph, arrival, s)) == name]
-            if not signs:
-                raise ValueError("edge %s is not incident to the vertex reached before it" % name)
-            if len(signs) > 1:
-                raise ValueError("ambiguous token %r (parallel edge); supply half-edge data" % tok)
-            arrival = walk_turn(graph, arrival, signs[0], steps)
-        last = steps[-1]
-        if graph.edges[last.edge].kind != "pending":
+            if graph.is_cusp_half(arrival):
+                raise ValueError("the path ends at cusp %s after %s; token %r is left over"
+                                 % (graph.vertex_of(arrival), steps[-1].token(), toks[i]))
+            fits, words = [], []
+            for sign in "+-":
+                taken: list[Step] = []
+                after = walk_turn(graph, arrival, sign, taken)
+                word = [s.token() for s in taken]
+                words.append(",".join(word))
+                if word == toks[i:i + len(word)]:
+                    fits.append((taken, after))
+            if len(fits) > 1:
+                raise ValueError("ambiguous token %r (parallel edge); supply half-edge data" % toks[i])
+            if not fits:
+                raise ValueError("cannot walk token %r after %s: the walk continues with %s"
+                                 % (toks[i], steps[-1].token(), " or ".join(words)))
+            taken, arrival = fits[0]
+            steps += taken
+            i += len(taken)
+        last = steps[-1].edge
+        if graph.edges[last].kind != "pending":
             raise ValueError("path must end with a pending edge")
-        end_cusp = graph.cusp_of_pending(last.edge)
-        return cls(start_cusp, tuple(steps), end_cusp, closed)
+        return cls(start_cusp, tuple(steps), graph.cusp_of_pending(last), closed)
 
     def reversed(self, graph: "FatGraph") -> "PathWord":
         """Same underlying arc walked the other way: step order reversed,
@@ -214,19 +207,6 @@ def walk_turn(graph: "FatGraph", arrival: str, sign: str, steps: list[Step]) -> 
         name = graph.edge_of(x)
     steps.append(Step(name, None, x))
     return graph.mate(x)
-
-
-def _split_token(graph: "FatGraph", token: str) -> tuple[str, Optional[str]]:
-    sign: Optional[str] = None
-    name = token
-    if token.endswith("+") or token.endswith("-"):
-        name, sign = token[:-1], token[-1]
-    if name not in graph.edges:
-        raise ValueError("unknown edge %r in path" % token)
-    kind = graph.edges[name].kind
-    if (sign is not None) != (kind == "loop"):
-        raise ValueError("token %r: loop edges need +/-, others must not carry one" % token)
-    return name, sign
 
 
 # Matrix word atoms: ("X", edge), ("L",), ("R",), ("F", loop), ("Fi", loop).

@@ -617,6 +617,23 @@ def test_fuzz_matches_readme_block(capsys):
     assert out == block
 
 
+@pytest.mark.parametrize("graph, path, message", [
+    ("t3", "p1,zz", "cannot walk token 'zz' after p1: the walk continues with p2 or p3"),
+    ("t3", "p1,p2,p3", "the path ends at cusp c2 after p2; token 'p3' is left over"),
+    ("sigma_0_2_1", "pi,w+", "cannot walk token 'w+' after pi: the walk continues with w+,pi or w-,pi"),
+])
+def test_unwalkable_path_names_its_token(capsys, graph, path, message):
+    code, out, err = run(capsys, "lambda", fx(graph), path)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_unwalkable_path_matches_readme_block(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    block = readme.split("$ spineforms lambda fixtures/t3.graph p1,zz\n", 1)[1].split("```", 1)[0]
+    code, out, err = run(capsys, "lambda", fx("t3"), "p1,zz")
+    assert (code, out, err) == (2, "", block)
+
+
 def _fresh(*argv):
     """The command run in a fresh interpreter: exit code, stdout, stderr."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -17,6 +17,7 @@ from spineforms import (
     verify_flip_matrix_identities,
 )
 from spineforms import flips
+from spineforms.coords import LambdaAssignment
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import random_exact_point, random_spine
 from spineforms.ribbon import GraphError, validate
@@ -235,6 +236,39 @@ def test_mutation_matches_loop_flip(two_loops):
     g1, p1, _ = flip_loop_adjacent(two_loops, "a1", point)
     actual = lambda_of_dual_arcs(g1, p1)
     assert mutated.values == actual.values
+
+
+@pytest.mark.parametrize("exact, changes, message", [
+    (True, {"e": -3}, "lambda e = -3 must be positive$"),
+    (True, {"e": 0}, "lambda e = 0 must be positive$"),
+    (False, {"e": math.nan}, "lambda e = nan must be positive and finite"),
+    (False, {"e": -2.0}, "lambda e = -2.0 must be positive and finite"),
+    (False, {"e": math.inf}, "lambda e = inf must be positive and finite"),
+    (True, {"p1": None}, "missing lambda values for p1"),
+    (True, {"p1": 2.0}, None),
+])
+def test_mutate_lambda_reads_lambdas_as_shear_from_lambda_does(four_cusps, exact, changes, message):
+    """Flipping e on sigma_0_1_4 reads lambda_e and the four sides.  A
+    value that is not positive (and, read as a float, finite) or is
+    missing is refused with shear_from_lambda's message; an assignment
+    marked exact with one float value is read as floats, as both read
+    it whatever its flag (message None)."""
+    point = random_exact_point(random.Random(3), four_cusps)
+    if not exact:
+        point = CoordinatePoint(False, y={n: math.log(q) for n, q in point.q.items()})
+    lam = lambda_of_dual_arcs(four_cusps, point)
+    values = dict(lam.values, **changes)
+    values = {n: v for n, v in values.items() if v is not None}
+    lambdas = LambdaAssignment(values, lam.exact, lam.omega)
+    if message is None:
+        mutated = mutate_lambda(four_cusps, lambdas, "e")
+        floats = {n: float(v) for n, v in values.items()}
+        assert not mutated.exact and mutated["e"] == mutate_lambda(four_cusps, floats, "e")["e"]
+        assert shear_from_lambda(four_cusps, lambdas) == shear_from_lambda(four_cusps, floats)
+        return
+    for call in (lambda: mutate_lambda(four_cusps, lambdas, "e"), lambda: shear_from_lambda(four_cusps, lambdas)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_mutation_exchange_relations(four_cusps, two_loops):

@@ -24,6 +24,7 @@ from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, 
 from spineforms.paths import MatrixWord, _packed_sum, t_var, w_var
 from spineforms.ribbon import dual_arc
 
+import token_corpus
 from conftest import ALL_FIXTURES, exact_values, load_fixture
 
 
@@ -192,6 +193,28 @@ def test_tokens_round_trip(five_holes):
     assert path.tokens == ["pi", "a1", "w1+", "a1", "pi"]
     assert path.start_cusp == path.end_cusp == "c0"
     assert path.closed
+
+
+def test_tokens_round_trip_on_dual_arcs_and_random_walks():
+    """Every base path of the token corpus (dual arcs, random arcs and
+    closed words on the fixtures and 300 seed-7 spines) reads back from
+    its tokens step for step, exit halves included."""
+    count = 0
+    for graph, bases, _ in token_corpus.corpus():
+        for path in bases:
+            assert PathWord.from_tokens(graph, path.tokens, path.closed) == path, path.token_string()
+            count += 1
+    assert count == 8274
+
+
+def test_token_corpus_accepts_and_refuses_the_pinned_lists():
+    """Which token lists PathWord.from_tokens accepts, and the steps it
+    gives them, pinned on the seeded mutant corpus: lists tried, lists
+    accepted, and a sha256 of the accepted paths.  The figures were
+    taken before from_tokens matched walk_turn's moves, when it derived
+    turns and loop bounces on its own."""
+    assert token_corpus.read_corpus() == (
+        57918, 13133, "738ed12a2e120483e2252ea209dd294e9a405255e205e15a12c03d0a222776ae")
 
 
 def _atom_matrix(atom, point):
