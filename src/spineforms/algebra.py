@@ -406,6 +406,9 @@ class SqrtRational:
         return (-self) + other
 
     def __eq__(self, other):
+        # one rad: compare rat, before the slow isinstance against Fraction's ABC
+        if isinstance(other, SqrtRational) and other.rad == self.rad:
+            return self.rat == other.rat
         if isinstance(other, (int, Fraction)):
             other = SqrtRational(other, 1)
         if not isinstance(other, SqrtRational):

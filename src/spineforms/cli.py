@@ -168,12 +168,10 @@ def _parse_value(text: str):
 
 
 def _read_lambda_file(path: str) -> LambdaAssignment:
-    """Each name once; an exact file (no float value) needs rational
-    loop weights."""
+    """Each name once; exactness and the values' domains are left to the
+    reader of the assignment."""
     values: dict[str, object] = {}
     omega: dict[str, object] = {}
-    radical = None  # the first omega line whose value is not rational
-    exact = True
     for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,18 +188,7 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
         if name in target:
             raise ValueError("line %d: %s %s is given twice" % (lineno, kind, name))
         target[name] = value
-        if isinstance(value, float):
-            exact = False
-        elif kind == "omega" and value.rad != 1 and radical is None:
-            radical = "line %d: omega %s = %s is not rational" % (lineno, name, text)
-    if not exact:
-        values = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in values.items()}
-        omega = {k: float(v) if isinstance(v, SqrtRational) else v for k, v in omega.items()}
-    elif radical:
-        raise ValueError(radical + "; an exact file needs rational loop weights")
-    else:
-        omega = {k: v.rat for k, v in omega.items()}
-    return LambdaAssignment(values, exact, omega)
+    return LambdaAssignment(values, omega)
 
 
 def _named(path: str, read: Callable):

@@ -58,8 +58,8 @@ def _promote(v):
 class CoordinatePoint:
     """Values for every edge of one graph, all exact or all float.
 
-    Exact q must be positive and float y finite; loop weights must be
-    finite and >= 0, as in a graph file.
+    Exact q must be positive and float y finite; loop weights pass
+    _loop_weight, as in a graph file.
     """
 
     __slots__ = ("exact", "q", "y", "omega")
@@ -74,29 +74,19 @@ class CoordinatePoint:
         self.exact = bool(exact)
         self.q = {k: v if type(v) is Fraction else Fraction(v) for k, v in (q or {}).items()}
         self.y = {k: float(v) for k, v in (y or {}).items()}
-        self.omega = dict(omega or {})
         if self.exact:
             if self.y:
                 raise ValueError("exact point carries q values, not y")
             for k, v in self.q.items():
                 if v.numerator <= 0:
                     raise ValueError("q[%s] = %s must be positive" % (k, v))
-            for k, v in self.omega.items():
-                if not isinstance(v, (int, Fraction)):
-                    raise ValueError("exact point needs rational loop weight for %s" % k)
-                self.omega[k] = Fraction(v)
         else:
             if self.q:
                 raise ValueError("float point carries y values, not q")
             for k, v in self.y.items():
                 if not math.isfinite(v):
                     raise ValueError("y[%s] = %s must be finite" % (k, v))
-            self.omega = {k: float(v) for k, v in self.omega.items()}
-        for k, v in self.omega.items():
-            if not v >= 0:
-                raise ValueError("loop weight omega[%s] = %s must be >= 0" % (k, v))
-            if v == math.inf:
-                raise ValueError("loop weight omega[%s] = %s must be finite" % (k, v))
+        self.omega = {k: _loop_weight(k, v, self.exact) for k, v in (omega or {}).items()}
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":
@@ -108,12 +98,11 @@ class CoordinatePoint:
         exact = not any(isinstance(e.value, float) for e in graph.edges.values())
         q: dict[str, Fraction] = {}
         y: dict[str, float] = {}
-        omega: dict[str, Union[Fraction, float]] = {}
+        omega: dict[str, Number] = {}
         for e in graph.edges.values():
             v = e.value
             if e.kind == "loop":
-                w = 2 if v is None else v
-                omega[e.name] = w if exact else float(w)
+                omega[e.name] = 2 if v is None else v
             elif exact:
                 q[e.name] = Fraction(1) if v is None else v
             elif v is None:
@@ -149,8 +138,7 @@ class CoordinatePoint:
         if not self.exact:
             return CoordinatePoint(False, y=dict(self.y), omega=dict(self.omega))
         y = {k: math.log(float(v)) for k, v in self.q.items()}
-        omega = {k: float(v) for k, v in self.omega.items()}
-        return CoordinatePoint(False, y=y, omega=omega)
+        return CoordinatePoint(False, y=y, omega=self.omega)
 
     def value(self, name: str) -> Union[Fraction, float]:
         """The value a graph file stores for the edge: the loop weight,
@@ -179,12 +167,12 @@ class CoordinatePoint:
 @dataclass
 class LambdaAssignment:
     """Lambda-length of the dual arc crossing each non-loop edge, keyed
-    by that edge's name.  Loop weights ride along (they are part of the
-    point but invisible to the lambda values themselves)."""
+    by that edge's name.  Loop weights ride along (part of the point but
+    invisible to the lambda values); see _lambda_reading for how both
+    are read."""
 
     values: dict[str, Number]
-    exact: bool
-    omega: dict[str, Union[Fraction, float]] = None  # type: ignore[assignment]
+    omega: dict[str, Number] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.omega is None:
@@ -313,14 +301,22 @@ def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None
         point = graph.point()
     view = dual_view(graph)
     values = view.exact_lambdas(point.q) if point.exact else view.float_lambdas(point.y)
-    return LambdaAssignment(dict(zip(view.names, values)), point.exact, dict(point.omega))
+    return LambdaAssignment(dict(zip(view.names, values)), dict(point.omega))
 
 
 def _all_exact(values) -> bool:
-    """Whether lambda values are to be read exactly: all of them are."""
-    # SqrtRational first: an isinstance test against Fraction, an ABC,
-    # is slow unless the value is a Fraction
-    return all(isinstance(v, (SqrtRational, int, Fraction)) for v in values)
+    """Whether every value is exact: one float makes a reading float."""
+    # float and SqrtRational first: an isinstance test against Fraction,
+    # an ABC, is slow unless the value is a Fraction
+    return not any(type(v) is float or not isinstance(v, (SqrtRational, int, Fraction)) for v in values)
+
+
+def _float(v, label: str, name: str) -> float:
+    """float(v); an exact value too large for a float is refused."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("%s = %s is too large for a float" % (label % name, v)) from None
 
 
 def _positive_lambda(name: str, v, exact: bool):
@@ -332,10 +328,59 @@ def _positive_lambda(name: str, v, exact: bool):
         if (v.rat if isinstance(v, SqrtRational) else v).numerator <= 0:
             raise ValueError("lambda %s = %s must be positive" % (name, v))
         return v
-    v = float(v)
+    v = _float(v, "lambda %s", name)
     if not 0.0 < v < math.inf:
         raise ValueError("lambda %s = %r must be positive and finite" % (name, v))
     return v
+
+
+def _loop_weight(name: str, v, exact: bool):
+    """A loop weight, which must be >= 0: rational when the reading is
+    exact, else a finite float.  Every reader of a weight uses this."""
+    if exact:
+        if type(v) is SqrtRational and v.rad == 1:
+            v = v.rat
+        elif not isinstance(v, (int, Fraction)):
+            raise ValueError("loop weight omega[%s] = %s must be rational when exact" % (name, v))
+        v = _promote(v)
+        if v.numerator < 0:
+            raise ValueError("loop weight omega[%s] = %s must be >= 0" % (name, v))
+        return v
+    v = _float(v, "loop weight omega[%s]", name)
+    if not 0.0 <= v < math.inf:
+        raise ValueError("loop weight omega[%s] = %s must be %s" % (name, v, "finite" if v > 0 else ">= 0"))
+    return v
+
+
+def _lambda_reading(graph: FatGraph, lambdas, complete: bool):
+    """(values, carried weights, weights, exact) of a LambdaAssignment or
+    a mapping of values; with ``complete`` the values must name exactly
+    the coordinate edges.  The weights are the carried ones, which must
+    name exactly the loops, else the graph's stored ones.  One float
+    value or weight makes the reading float.  Readers check the values
+    and then the weights they use, by _positive_lambda and _loop_weight."""
+    if isinstance(lambdas, LambdaAssignment):
+        values, carried = lambdas.values, lambdas.omega
+    else:
+        values, carried = lambdas, {}
+    if complete:
+        names = graph.coordinate_edges()
+        for n in values:
+            if n not in names:
+                raise ValueError("lambda given for %s, which is not a coordinate edge" % n)
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise ValueError("missing lambda values for %s" % ", ".join(missing))
+    loops = graph.loop_edges()
+    if carried:
+        for n in carried:
+            if n not in loops:
+                raise ValueError("loop weight given for %s, which is not a loop edge" % n)
+        missing = [n for n in loops if n not in carried]
+        if missing:
+            raise ValueError("missing loop weights for %s" % ", ".join(missing))
+    omega = carried or (graph.point().omega if loops else {})
+    return values, carried, omega, _all_exact(values.values()) and _all_exact(omega.values())
 
 
 def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
@@ -344,46 +389,16 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     Solves  M Y = 2 log(lambda)  for the coordinates by the local rule
     of the graph's DualView, K = 2 M^{-1}: exact inputs give
     q_i = sqrt(prod_j (lambda_j^2)^{K_ij}), an exact square root, and
-    float inputs Y_i = sum_j K_ij log(lambda_j).  Lambdas are keyed by
-    exactly the coordinate edges and must be positive.  Loop weights are
-    not determined by lambda-lengths: they are the weights carried by a
-    LambdaAssignment, which must then name exactly the graph's loops,
-    or else the graph's stored values; CoordinatePoint refuses weights
-    that are negative or not finite.
+    float inputs Y_i = sum_j K_ij log(lambda_j).  Loop weights are not
+    determined by lambda-lengths: they are those a LambdaAssignment
+    carries, else the graph's stored ones.  The input is read as a
+    lambda file is (_lambda_reading): one float value or weight makes
+    it float; values must be positive, weights >= 0, finite and, when
+    exact, rational.
     """
-    if isinstance(lambdas, LambdaAssignment):
-        lam = dict(lambdas.values)
-        carried = dict(lambdas.omega)
-    else:
-        lam = dict(lambdas)
-        carried = {}
-    names = graph.coordinate_edges()
-    loops = graph.loop_edges()
-    for n in lam:
-        if n not in names:
-            raise ValueError("lambda given for %s, which is not a coordinate edge" % n)
-    missing = [n for n in names if n not in lam]
-    if missing:
-        raise ValueError("missing lambda values for %s" % ", ".join(missing))
-    if carried:
-        for n in carried:
-            if n not in loops:
-                raise ValueError("loop weight given for %s, which is not a loop edge" % n)
-        missing = [n for n in loops if n not in carried]
-        if missing:
-            raise ValueError("missing loop weights for %s" % ", ".join(missing))
-
-    exact = _all_exact(lam.values())
-    omegas: dict[str, Union[Fraction, float]] = carried or dict(graph.point().omega)
-    if exact:
-        for k, v in omegas.items():
-            if isinstance(v, float):
-                raise ValueError("exact reconstruction needs a rational weight for loop %s" % k)
-            omegas[k] = Fraction(v)
-    else:
-        omegas = {k: float(v) for k, v in omegas.items()}
-
+    lam, _, omega, exact = _lambda_reading(graph, lambdas, True)
     view = dual_view(graph)
+    names = view.names
     if exact:
         values = [_positive_lambda(n, lam[n], True) for n in names]
         squares = [v.square() if isinstance(v, SqrtRational) else v * v for v in values]
@@ -402,11 +417,11 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
                 q[name] = fraction_sqrt(Fraction(num, den))
             except ValueError:
                 raise ValueError("lambda-lengths give no rational q for %s" % name) from None
-        return CoordinatePoint(True, q=q, omega=omegas)
+        return CoordinatePoint(True, q=q, omega=omega)
 
     logs = [math.log(_positive_lambda(n, lam[n], False)) for n in names]
     y = {name: sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
-    return CoordinatePoint(False, y=y, omega=omegas)
+    return CoordinatePoint(False, y=y, omega=omega)
 
 
 def cross_ratio(lam_a: Number, lam_b: Number, lam_c: Number, lam_d: Number):

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2
-from .coords import CoordinatePoint, LambdaAssignment, _all_exact, _positive_lambda
+from .coords import CoordinatePoint, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
 __all__ = [
@@ -237,19 +237,13 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     """Exchange relation on the lambda-lengths of the dual arcs.
 
     Only the flipped edge's value changes; the quadrilateral (or, at a
-    loop, triangle) sides keep their arcs.  The loop weight is the one
-    carried by a LambdaAssignment, or else the graph's stored weight.
-    A loop's name flips its stem, as in flip_edge.  The values are read
-    as shear_from_lambda reads them: exactly when all of them are exact,
-    else as floats; each value the exchange reads must be positive.
+    loop, triangle) sides keep their arcs.  A loop's name flips its
+    stem, as in flip_edge.  The input is read as shear_from_lambda reads
+    it (coords._lambda_reading), but only what the exchange reads is
+    checked: the lambdas it reads, and the loop's weight at a loop stem.
+    The result carries the input's weights.
     """
-    if isinstance(lambdas, LambdaAssignment):
-        values = dict(lambdas.values)
-        carried = dict(lambdas.omega)
-    else:
-        values = dict(lambdas)
-        carried = {}
-    exact = _all_exact(values.values())
+    values, carried, omega, exact = _lambda_reading(graph, lambdas, False)
     name, site = _resolve(graph, name)
 
     def lam(h):
@@ -262,16 +256,12 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     (h_e, h_a, h_b), (_, h_c, h_d) = site.ends
     la, lb = lam(h_a), lam(h_b)
     if site.kind == "loop-stem":
-        omega = carried.get(site.loop)
-        if omega is None:
-            omega = graph.point().omega_value(site.loop)
-        if exact and isinstance(omega, float):
-            raise GraphError("exact mutation needs a rational weight for loop %s" % site.loop)
-        w = Fraction(omega) if exact else float(omega)
-        values[name] = (la * la + w * la * lb + lb * lb) / lam(h_e)
+        le = lam(h_e)  # a bad lambda is reported before a bad weight
+        w = _loop_weight(site.loop, omega[site.loop], exact)
+        new = (la * la + w * la * lb + lb * lb) / le
     else:
-        values[name] = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)
-    return LambdaAssignment(values, exact, carried)
+        new = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)
+    return LambdaAssignment({**values, name: new}, dict(carried))
 
 
 # Symbolic verification of the substitution identities.

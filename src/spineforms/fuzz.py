@@ -109,6 +109,7 @@ def _attempt(rng: random.Random, sig: tuple[int, int, int, int]) -> Optional[Fat
 
 
 _MAX_TRIES = 2000
+_ARC_TRIES, _CLOSED_TRIES = 40, 60  # walks random_arc, random_closed_word try
 
 
 def random_spine(seed_or_rng) -> FatGraph:
@@ -145,21 +146,21 @@ def _walk(rng: random.Random, graph: FatGraph, start_cusp: str, want_closed: boo
     return None
 
 
-def random_arc(rng: random.Random, graph: FatGraph, max_len: int = 20, tries: int = 40) -> Optional[PathWord]:
+def random_arc(rng: random.Random, graph: FatGraph, max_len: int = 20) -> Optional[PathWord]:
     """Random realizable cusp-to-cusp path (never an invented word)."""
     cusp_names = list(graph.cusps)
-    for _ in range(tries):
+    for _ in range(_ARC_TRIES):
         path = _walk(rng, graph, rng.choice(cusp_names), False, max_len)
         if path is not None:
             return path
     return None
 
 
-def random_closed_word(rng: random.Random, graph: FatGraph, max_len: int = 24, tries: int = 60) -> Optional[PathWord]:
+def random_closed_word(rng: random.Random, graph: FatGraph, max_len: int = 24) -> Optional[PathWord]:
     """Random realizable based loop: leaves a cusp and first returns to
     the same cusp."""
     cusp_names = list(graph.cusps)
-    for _ in range(tries):
+    for _ in range(_CLOSED_TRIES):
         path = _walk(rng, graph, rng.choice(cusp_names), True, max_len)
         if path is not None and len(path.steps) > 2:
             return path

@@ -173,6 +173,23 @@ def test_sqrt_round_trip(num, den):
     assert r * r == SqrtRational(q)
 
 
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(rationals, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=60))
+def test_sqrt_rational_equality_across_radicands(a, k, r):
+    """a*k*sqrt(r) and a*sqrt(r*k^2) are one number in two forms: they
+    compare and hash equal whichever rad each keeps."""
+    x, y = SqrtRational(a * k, r), SqrtRational(a, r * k * k)
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+
+
+@given(rationals, rationals, st.integers(min_value=1, max_value=60))
+def test_sqrt_rational_equal_rads_compare_rats(a, b, r):
+    assert (SqrtRational(a, r) == SqrtRational(b, r)) == (a == b)
+
+
 def test_fraction_sqrt():
     assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     with pytest.raises(ValueError):

@@ -215,7 +215,7 @@ FIVE_HOLES_LAMBDAS = "".join("lambda %s = 1\n" % n for n in ("pi", "a1", "a2", "
         ("sigma_0_2_1", "lambda pi = 1/0*sqrt(2)\n", "line 1: lambda pi = 1/0*sqrt(2) is not a number"),
         ("sigma_0_2_1", "lambda pi = one\n", "line 1: lambda pi = one is not a number"),
         ("sigma_0_2_1", "lambda pi = 1\nomega w = sqrt(2)\n",
-         "line 2: omega w = sqrt(2) is not rational; an exact file needs rational loop weights"),
+         "loop weight omega[w] = sqrt(2) must be rational when exact"),
         ("sigma_0_2_1", "lambda pi = 1\nlambda pi = 2\nomega w = 2\n", "line 2: lambda pi is given twice"),
         ("sigma_0_2_1", "lambda pi = 1\nomega w = 2\nomega w = 3\n", "line 3: omega w is given twice"),
         ("sigma_0_2_1", "lambda pi = 1\nlambda zz = 1\n", "lambda given for zz, which is not a coordinate edge"),
@@ -237,6 +237,47 @@ def test_malformed_lambda_file_is_bad_input(capsys, tmp_path, graph, text, messa
     if message.startswith("line "):
         message = "%s: %s" % (lam, message)
     assert err == "error: %s\n" % message
+
+
+def test_exact_lambda_file_on_a_graph_with_decimals_reads_float(capsys, tmp_path):
+    """A lambda file with no omega lines takes the graph's weights; a
+    decimal in the graph file makes them floats, and with them the whole
+    reading, as a decimal in the lambda file does."""
+    source = tmp_path / "decimal.graph"
+    source.write_text(fixture_text("sigma_0_2_1").replace("omega=2\n", "omega=2.5\n"))
+    printed = []
+    for value in ("2", "2.0"):
+        lam = tmp_path / "pi.lam"
+        lam.write_text("lambda pi = %s\n" % value)
+        code, out, err = run(capsys, "shear-from-lambda", str(source), str(lam))
+        assert (code, err) == (0, "")
+        printed.append(out)
+    assert printed[0] == printed[1]
+    assert "edge pi pending pi_v pi_c pi=0.6931471805599453\n" in printed[0]
+
+
+def test_float_weight_in_exact_lambda_file_reads_float(capsys, tmp_path):
+    """sha256 of the stdout of shear-from-lambda on sigma_0_2_1 with
+    lambda pi = 2 and omega w = 2.5, from when the lambda file decided
+    its own exactness."""
+    lam = tmp_path / "w.lam"
+    lam.write_text("lambda pi = 2\nomega w = 2.5\n")
+    code, out, _ = run(capsys, "shear-from-lambda", fx("sigma_0_2_1"), str(lam))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3fb4cd0c60afe21db098d67203ad2ced772a0192567d5d9998e45843e034f003"
+    )
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lambda pi = %s\nomega w = 2.5\n" % ("9" * 400), "lambda pi = %s is too large for a float" % ("9" * 400)),
+    ("lambda pi = 1.5\nomega w = %s\n" % ("9" * 400),
+     "loop weight omega[w] = %s is too large for a float" % ("9" * 400)),
+], ids=["lambda", "omega"])
+def test_exact_value_too_large_for_a_float_reading_is_bad_input(capsys, tmp_path, text, message):
+    lam = tmp_path / "big.lam"
+    lam.write_text(text)
+    assert run(capsys, "shear-from-lambda", fx("sigma_0_2_1"), str(lam)) == (2, "", "error: %s\n" % message)
 
 
 def test_shear_from_lambda_names_the_file_of_a_bad_line(capsys, tmp_path):

@@ -20,9 +20,9 @@ from spineforms import flips
 from spineforms.coords import LambdaAssignment
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import random_exact_point, random_spine
-from spineforms.ribbon import GraphError, validate
+from spineforms.ribbon import GraphError, parse_graph, validate
 
-from conftest import ALL_FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
 
 def test_symbolic_identities_all_hold():
@@ -238,6 +238,14 @@ def test_mutation_matches_loop_flip(two_loops):
     assert mutated.values == actual.values
 
 
+def test_mutate_lambda_reports_bad_lambda_before_bad_weight(two_loops):
+    lam = lambda_of_dual_arcs(two_loops)
+    lambdas = LambdaAssignment(dict(lam.values, a1=Fraction(-1)), {"w1": Fraction(-7), "w2": Fraction(2)})
+    for call in (lambda: mutate_lambda(two_loops, lambdas, "w1"), lambda: shear_from_lambda(two_loops, lambdas)):
+        with pytest.raises(ValueError, match="^lambda a1 = -1 must be positive$"):
+            call()
+
+
 @pytest.mark.parametrize("exact, changes, message", [
     (True, {"e": -3}, "lambda e = -3 must be positive$"),
     (True, {"e": 0}, "lambda e = 0 must be positive$"),
@@ -251,19 +259,19 @@ def test_mutate_lambda_reads_lambdas_as_shear_from_lambda_does(four_cusps, exact
     """Flipping e on sigma_0_1_4 reads lambda_e and the four sides.  A
     value that is not positive (and, read as a float, finite) or is
     missing is refused with shear_from_lambda's message; an assignment
-    marked exact with one float value is read as floats, as both read
-    it whatever its flag (message None)."""
+    of exact values with one float value is read as floats by both
+    (message None)."""
     point = random_exact_point(random.Random(3), four_cusps)
     if not exact:
         point = CoordinatePoint(False, y={n: math.log(q) for n, q in point.q.items()})
     lam = lambda_of_dual_arcs(four_cusps, point)
     values = dict(lam.values, **changes)
     values = {n: v for n, v in values.items() if v is not None}
-    lambdas = LambdaAssignment(values, lam.exact, lam.omega)
+    lambdas = LambdaAssignment(values, lam.omega)
     if message is None:
         mutated = mutate_lambda(four_cusps, lambdas, "e")
         floats = {n: float(v) for n, v in values.items()}
-        assert not mutated.exact and mutated["e"] == mutate_lambda(four_cusps, floats, "e")["e"]
+        assert type(mutated["e"]) is float and mutated["e"] == mutate_lambda(four_cusps, floats, "e")["e"]
         assert shear_from_lambda(four_cusps, lambdas) == shear_from_lambda(four_cusps, floats)
         return
     for call in (lambda: mutate_lambda(four_cusps, lambdas, "e"), lambda: shear_from_lambda(four_cusps, lambdas)):
@@ -322,11 +330,47 @@ def test_mutation_takes_a_loop_name_as_the_flips_do():
     assert flipped > 20 and refused > 0
 
 
-def test_mutation_rejects_mixed_arithmetic(two_loops):
-    lam = lambda_of_dual_arcs(two_loops, two_loops.point())
-    lam.omega["w1"] = 2.5
-    with pytest.raises(GraphError, match="rational weight"):
-        mutate_lambda(two_loops, lam, "a1")
+def test_one_decimal_makes_the_reading_float(two_loops):
+    """Exact lambdas with a float weight, carried or stored by a graph
+    with a decimal, are read as floats by mutate_lambda and
+    shear_from_lambda: the same results as the all-float input."""
+    lam = lambda_of_dual_arcs(two_loops)
+    floats = {n: float(v) for n, v in lam.items()}
+    weights = {"w1": 2.5, "w2": 2.0}
+    decimal = parse_graph(fixture_text("sigma_0_3_1").replace("omega=2\n", "omega=2.5\n", 1))
+    cases = [
+        (two_loops, LambdaAssignment(lam.values, weights), LambdaAssignment(floats, weights)),
+        (decimal, lam.values, floats),
+    ]
+    for graph, mixed, all_float in cases:
+        # w2 flips its stem b1
+        for edge, stem in (("a1", "a1"), ("w2", "b1")):
+            new = mutate_lambda(graph, mixed, edge)[stem]
+            assert type(new) is float and new == mutate_lambda(graph, all_float, edge)[stem]
+        assert not shear_from_lambda(graph, mixed).exact
+        assert shear_from_lambda(graph, mixed) == shear_from_lambda(graph, all_float)
+
+
+@pytest.mark.parametrize("exact, omega, message", [
+    (True, {"w1": Fraction(-7), "w2": Fraction(2)}, "loop weight omega[w1] = -7 must be >= 0"),
+    (False, {"w1": -7.0, "w2": 2.0}, "loop weight omega[w1] = -7.0 must be >= 0"),
+    (False, {"w1": math.nan, "w2": 2.0}, "loop weight omega[w1] = nan must be >= 0"),
+    (False, {"w1": math.inf, "w2": 2.0}, "loop weight omega[w1] = inf must be finite"),
+    (True, {"w1": Fraction(3)}, "missing loop weights for w2"),
+    (True, {"w1": Fraction(3), "w2": Fraction(2), "zz": Fraction(2)},
+     "loop weight given for zz, which is not a loop edge"),
+])
+def test_mutate_lambda_refuses_the_weights_shear_from_lambda_refuses(two_loops, exact, omega, message):
+    """Flipping w1 on sigma_0_3_1 turns its stem a1 and reads w1's
+    weight.  Carried weights that are negative, NaN or infinite, or that
+    miss a loop or name a non-loop, are refused by both readers with
+    one message, at an exact point and at a float one."""
+    point = two_loops.point() if exact else two_loops.point().as_float()
+    lambdas = LambdaAssignment(lambda_of_dual_arcs(two_loops, point).values, omega)
+    for call in (lambda: mutate_lambda(two_loops, lambdas, "w1"), lambda: shear_from_lambda(two_loops, lambdas)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_each_flip_reads_its_site_once(monkeypatch, two_loops, four_cusps):

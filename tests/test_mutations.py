@@ -9,13 +9,16 @@ seeded random.Random.
 
 import contextlib
 import io
+import math
 import os
 import random
 
-from spineforms import cli, parse_graph, validate
+from spineforms import cli, mutate_lambda, parse_graph, validate
+from spineforms.algebra import SqrtRational
+from spineforms.fuzz import _flippable
 from spineforms.ribbon import GraphError, emit_graph
 
-from conftest import ALL_FIXTURES, FIXTURES, fixture_text
+from conftest import ALL_FIXTURES, FIXTURES, fixture_text, load_fixture
 
 VALUES = (
     "0", "1", "-1", "2", "3/4", "-2/3", "1/0", "0/5", "0.5", "-0.0", "1e400", "-1e400", "1e-400",
@@ -77,12 +80,18 @@ def test_mutated_graph_files_fail_cleanly_or_round_trip():
 def test_mutated_lambda_files_exit_cleanly(tmp_path):
     """shear-from-lambda on each fixture with a mutated copy of its
     lambda-from-shear listing returns 0, 1 or 2 without raising and
-    never prints nan or inf."""
+    never prints nan or inf.  mutate_lambda reads each listing that
+    parses as shear-from-lambda does: on every flippable edge it raises
+    nothing but ValueError, never gives a value that is not positive
+    and finite, and accepts every listing shear-from-lambda accepts."""
     rng = random.Random(20261019)
     codes = {0: 0, 1: 0, 2: 0}
+    mutated_ok = 0
     path = str(tmp_path / "lambdas")
     for name in ALL_FIXTURES:
         graph = os.path.join(FIXTURES, name + ".graph")
+        fixture = load_fixture(name)
+        edges = _flippable(fixture)
         listing = io.StringIO()
         with contextlib.redirect_stdout(listing):
             assert cli.main(["lambda-from-shear", graph]) == 0
@@ -96,4 +105,20 @@ def test_mutated_lambda_files_exit_cleanly(tmp_path):
             codes[code] += 1
             printed = out.getvalue().lower()
             assert "nan" not in printed and "inf" not in printed, mutated
+            try:
+                assignment = cli._read_lambda_file(path)
+            except ValueError:
+                continue
+            for edge in edges:
+                try:
+                    value = mutate_lambda(fixture, assignment, edge)[edge]
+                except ValueError:
+                    assert code != 0, (mutated, edge)
+                    continue
+                mutated_ok += 1
+                if isinstance(value, float):
+                    assert 0.0 < value < math.inf, (mutated, edge, value)
+                else:
+                    assert (value.rat if isinstance(value, SqrtRational) else value) > 0, (mutated, edge, value)
     assert codes[0] > 10 and codes[2] > 500, codes
+    assert mutated_ok > 50, mutated_ok
