@@ -24,8 +24,12 @@ cross-ratio of its quadrilateral.  Y_e = sum_j K_ej log(lambda_j), and
 an exact point gives q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact
 square root.  M, P and K are derived once per graph in a DualView
 cached on the graph (see dual_view), which checks K M = 2I before K is
-used; the matrix words of the dual arcs (paths.lambda_length) remain
-an independent check.  Penner's form is 1/4 M^T P M (forms).
+used.  M is counted in one pass over the graph's face orbits, with no
+dual arc cut; the view refuses, with a GraphError, a graph on which
+some dual arc cannot be cut and a loop edge that does not close at one
+trivalent vertex.  The dual arcs themselves (ribbon.dual_arc) and their
+matrix words (paths.lambda_length) remain an independent check.
+Penner's form is 1/4 M^T P M (forms).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import SqrtRational, fraction_sqrt
-from .ribbon import FatGraph, dual_arc
+from .ribbon import FatGraph, GraphError
 
 __all__ = [
     "CoordinatePoint",
@@ -202,16 +206,56 @@ def _fock_table(graph: FatGraph) -> list[list[int]]:
     return table
 
 
+def _hug_tails(graph: FatGraph, index: Mapping[str, int]) -> dict[str, Optional[tuple[list[int], int]]]:
+    """The coordinate edges the hugging run out through each half
+    crosses: the run from the last cusp the face walk visits before it
+    leaves through that half, through that step, as ribbon._run_into
+    cuts it.  Each is kept as (run, k), the indices of its edges being
+    run[:k]; None when that cusp sits on a loop-kind edge.  A half of an
+    orbit with no cusp is left out.
+
+    One forward pass over each cusped face orbit from a cusp visit
+    appends the index of each coordinate edge left through to the run,
+    which starts afresh at each cusp visit; the first cusp's run closes
+    the pass, once around."""
+    sigma, edge_of, owner, cusps = graph._sigma, graph._edge_of, graph._owner, graph.cusps
+    tails: dict[str, Optional[tuple[list[int], int]]] = {}
+    for orbit in graph.faces():
+        first = next((i for i, x in enumerate(orbit) if owner[x] in cusps), None)
+        if first is None:
+            continue
+        run = None
+        for x in orbit[first:] + orbit[:first + 1]:
+            j = index.get(edge_of[sigma[x]])
+            if run is not None:
+                if j is not None:
+                    run.append(j)
+                tails[sigma[x]] = (run, len(run)) if start_ok else None
+            if owner[x] in cusps:
+                # a cusp's run leaves along its own edge, a coordinate edge
+                # unless the cusp sits on a loop
+                start_ok = j is not None
+                run = [j] if start_ok else []
+    return tails
+
+
 class DualView:
     """The dual arcs of one graph as exponent vectors, derived once.
 
     ``names`` are the coordinate edges in file order and ``rows[i][j]``
     counts how often dual_arc(names[i]) runs through names[j] (loop
-    bounces are not counted): the traversal-count matrix M.  The
-    lambda-length of dual arc i is the unit monomial prod_j t_j^{M_ij},
-    t_j = e^{Y_j/2}.  ``fock[i]`` holds the nonzero (j, P_ij) of row i
-    of Fock's bracket table P, and ``local[i]`` those of K = P + E, E
-    adding 1 on the diagonal of each pending edge; both in ascending j.
+    bounces are not counted): the traversal-count matrix M.  M is
+    counted in one pass over the face orbits (_hug_tails), cutting no
+    dual arc: a pending edge's row counts the hugging run into its cusp,
+    and an inner edge e's, with halves h1 and h2, the runs out through
+    h1 and h2 less one crossing of e.  The view refuses with dual_arc's
+    GraphError where dual_arc refuses (a face orbit with no cusp, or a
+    run from a cusp on a loop-kind edge), and with its own a loop edge
+    whose halves are not at one trivalent vertex.  The lambda-length of
+    dual arc i is the unit monomial prod_j t_j^{M_ij}, t_j = e^{Y_j/2}.
+    ``fock[i]`` holds the nonzero (j, P_ij) of row i of Fock's bracket
+    table P, and ``local[i]`` those of K = P + E, E adding 1 on the
+    diagonal of each pending edge; both in ascending j.
     K = 2 M^{-1} on a spine, and inverse() checks K M = 2I before
     handing K out.
     """
@@ -220,15 +264,32 @@ class DualView:
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
-        index = {n: j for j, n in enumerate(names)}
+        tails = _hug_tails(graph, {n: j for j, n in enumerate(names)})
+
+        def count(row, h):
+            tail = tails.get(h)
+            if tail is None:
+                raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
+            run, k = tail
+            for j in run[:k]:
+                row[j] += 1
+
         rows = []
-        for name in names:
+        for i, name in enumerate(names):
+            edge = graph.edges[name]
             row = [0] * len(names)
-            for step in dual_arc(graph, name).steps:
-                j = index.get(step.edge)
-                if j is not None:
-                    row[j] += 1
+            if edge.kind == "pending":
+                count(row, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))
+            else:
+                count(row, edge.halves[0])
+                count(row, edge.halves[1])
+                row[i] -= 1
             rows.append(tuple(row))
+        # a cusp has one half, so a loop's halves at one vertex are at a trivalent one
+        for name in graph.loop_edges():
+            a, b = graph.edges[name].halves
+            if graph.vertex_of(a) != graph.vertex_of(b):
+                raise GraphError("loop edge %s does not close at one trivalent vertex" % name)
         self.names = tuple(names)
         self.rows = tuple(rows)
         # P has a zero diagonal, so E's entry sorts into each pending row

@@ -241,7 +241,9 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     stem, as in flip_edge.  The input is read as shear_from_lambda reads
     it (coords._lambda_reading), but only what the exchange reads is
     checked: the lambdas it reads, and the loop's weight at a loop stem.
-    The result carries the input's weights.
+    A float exchange whose products leave the float range, so that the
+    new lambda would read inf or 0.0, is refused.  The result carries
+    the input's weights.
     """
     values, carried, omega, exact = _lambda_reading(graph, lambdas, False)
     name, site = _resolve(graph, name)
@@ -261,6 +263,8 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
         new = (la * la + w * la * lb + lb * lb) / le
     else:
         new = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)
+    if not exact and not 0.0 < new < math.inf:
+        raise ValueError("exchanged lambda %s = %r is out of float range" % (name, new))
     return LambdaAssignment({**values, name: new}, dict(carried))
 
 

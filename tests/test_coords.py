@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from spineforms.algebra import SqrtRational
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.paths import lambda_length
-from spineforms.ribbon import GraphError, dual_arc, parse_graph, validate, windows
+from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 from dense_oracle import frac_inverse, local_rule_mismatches
@@ -144,14 +146,6 @@ def test_multiplicity_matrix_is_invertible_on_fixtures():
                 assert (2 * x).denominator == 1, name
 
 
-def test_multiplicities_match_arc_traversals(five_holes):
-    view = coords.dual_view(five_holes)
-    for i, edge in enumerate(view.names):
-        arc = dual_arc(five_holes, edge)
-        for j, other in enumerate(view.names):
-            assert view.rows[i][j] == arc.tokens.count(other)
-
-
 def test_assignment_getitem(two_loops):
     lam = lambda_of_dual_arcs(two_loops)
     assert lam["pi"] == lam.values["pi"]
@@ -187,20 +181,21 @@ def test_closed_form_matches_matrix_word_oracle():
 
 
 def test_dual_view_is_built_once_per_graph(monkeypatch, two_loops):
-    calls = []
+    built = []
+    build = coords.DualView.__init__
 
-    def counting(graph, name):
-        calls.append(name)
-        return dual_arc(graph, name)
+    def counting(self, graph):
+        built.append(graph)
+        build(self, graph)
 
-    monkeypatch.setattr(coords, "dual_arc", counting)
+    monkeypatch.setattr(coords.DualView, "__init__", counting)
     assert two_loops._dual is None
     first = lambda_of_dual_arcs(two_loops)
-    assert len(calls) == len(two_loops.coordinate_edges())
+    assert built == [two_loops]
     second = lambda_of_dual_arcs(two_loops)
     shear_from_lambda(two_loops, second)
     coords.dual_view(two_loops)
-    assert len(calls) == len(two_loops.coordinate_edges())
+    assert built == [two_loops]
     assert first.values == second.values
 
 
@@ -292,9 +287,9 @@ def rewired_fixture_texts():
 
 
 def test_rewired_fixtures_without_dual_arcs_are_refused():
-    """Building M cuts the dual arcs from the face orbits; whenever one
-    of them cannot be cut the graph is no spine and shear_from_lambda
-    must refuse it.  The counts are those of the turn-by-turn walks."""
+    """Whenever a dual arc cannot be cut from the face orbits the graph
+    is no spine and shear_from_lambda must refuse it.  The counts are
+    those of the turn-by-turn walks."""
     refused = windows_refused = 0
     for tag, text in rewired_fixture_texts():
         graph = parse_graph(text)
@@ -315,6 +310,89 @@ def test_rewired_fixtures_without_dual_arcs_are_refused():
             pytest.fail("%s: dual arcs fail but shear_from_lambda accepts" % tag)
     assert refused == 226
     assert windows_refused == 14
+
+
+def dual_arc_counts(graph):
+    """M counted step by step from every dual_arc, loop steps left out,
+    or the first refusal's message."""
+    names = graph.coordinate_edges()
+    try:
+        counts = [Counter(s.edge for s in dual_arc(graph, n).steps) for n in names]
+    except GraphError as exc:
+        return str(exc)
+    return tuple(tuple(c[m] for m in names) for c in counts)
+
+
+def dual_view_rows(graph):
+    try:
+        return coords.DualView(graph).rows
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_dual_view_rows_are_the_dual_arc_counts_on_spines():
+    rng = random.Random(1)
+    graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(300)]
+    for k, graph in enumerate(graphs):
+        assert dual_view_rows(graph) == dual_arc_counts(graph), k
+
+
+def refusals_against_dual_arcs(graphs):
+    """(graphs some dual_arc refuses, graphs only DualView refuses) among
+    (tag, graph) pairs.  DualView refuses with dual_arc's first message
+    where some dual_arc refuses, and otherwise has dual_arc's counts
+    unless a loop edge does not close at one trivalent vertex: then it
+    refuses the graph, which fails validate's loop-placement check."""
+    refused = loops_refused = 0
+    for tag, graph in graphs:
+        oracle, rows = dual_arc_counts(graph), dual_view_rows(graph)
+        if isinstance(oracle, str):
+            refused += 1
+            assert rows == oracle, tag
+        elif rows != oracle:
+            loops_refused += 1
+            assert re.fullmatch("loop edge .* does not close at one trivalent vertex", rows), tag
+            assert ("loop-placement", False) in [check[:2] for check in validate(graph).checks], tag
+    return refused, loops_refused
+
+
+def test_dual_view_refuses_where_dual_arc_refuses_on_rewired_fixtures():
+    graphs = ((tag, parse_graph(text)) for tag, text in rewired_fixture_texts())
+    assert refusals_against_dual_arcs(graphs) == (226, 14)
+
+
+def test_dual_view_refuses_where_dual_arc_refuses_with_an_edge_kind_changed():
+    """Every fixture with one edge given another kind: a pending edge
+    made a loop leaves its cusp on a loop-kind edge, from which no dual
+    arc is cut."""
+    def changed(base, e, kind):
+        return FatGraph(base.vertices, base.cusps, {**base.edges, e.name: Edge(e.name, kind, e.halves)})
+
+    bases = [(name, load_fixture(name)) for name in ALL_FIXTURES]
+    graphs = (
+        ((name, e.name, kind), changed(base, e, kind))
+        for name, base in bases
+        for e in base.edges.values()
+        for kind in ("inner", "pending", "loop")
+        if kind != e.kind
+    )
+    assert refusals_against_dual_arcs(graphs) == (32, 10)
+
+
+def test_rewired_fixtures_that_fail_validate_are_refused():
+    """No graph that fails validate gets coordinates from lambda-lengths."""
+    invalid = 0
+    for tag, text in rewired_fixture_texts():
+        graph = parse_graph(text)
+        if validate(graph).ok:
+            continue
+        invalid += 1
+        try:
+            shear_from_lambda(graph, {n: Fraction(1) for n in graph.coordinate_edges()})
+        except ValueError:
+            continue
+        pytest.fail("%s fails validate but shear_from_lambda accepts it" % tag)
+    assert invalid == 240
 
 
 # The rewired fixtures, by fixture and swapped slots, on which the cut

@@ -279,6 +279,18 @@ def test_mutate_lambda_reads_lambdas_as_shear_from_lambda_does(four_cusps, exact
             call()
 
 
+@pytest.mark.parametrize("e, sides, result", [
+    (1e-200, (1e200, 1.0, 1e200, 1.0), "inf"),
+    (1e200, (1e-200,) * 4, "0.0"),
+])
+def test_mutate_lambda_refuses_a_float_exchange_out_of_range(four_cusps, e, sides, result):
+    """Finite positive lambdas whose exchange overflows or underflows a
+    float are refused, naming the edge, not returned as inf or 0.0."""
+    lambdas = dict(zip(("e", "p1", "p2", "p3", "p4"), (e, *sides)))
+    with pytest.raises(ValueError, match=r"^exchanged lambda e = %s is out of float range$" % result):
+        mutate_lambda(four_cusps, lambdas, "e")
+
+
 def test_mutation_exchange_relations(four_cusps, two_loops):
     point = CoordinatePoint(
         True,
