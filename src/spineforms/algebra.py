@@ -194,7 +194,8 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # 0 or a constant c equals the int c, so hashes as it
+        return hash(self.terms.get((), 0)) if self.terms.keys() <= {()} else hash(frozenset(self.terms.items()))
 
     def subs(self, values: Mapping[str, Fraction | SqrtRational]):
         """Exact evaluation; every variable present must be covered.
@@ -416,7 +417,8 @@ class SqrtRational:
         return self.sign() == other.sign() and self.square() == other.square()
 
     def __hash__(self):
-        return hash((self.sign(), self.square()))
+        # rad == 1 exactly when the value is rational, and then it equals rat
+        return hash(self.rat) if self.rad == 1 else hash((self.sign(), self.square()))
 
     def __str__(self):
         if self.rad == 1:

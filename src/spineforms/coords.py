@@ -22,14 +22,14 @@ _fock_table): each vertex adds +1 for every cyclically adjacent ordered
 pair of its coordinate slots, loops skipped, so an inner edge gets the
 cross-ratio of its quadrilateral.  Y_e = sum_j K_ej log(lambda_j), and
 an exact point gives q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact
-square root.  M, P and K are derived once per graph in a DualView
+square root.  M and K are derived once per graph in a DualView
 cached on the graph (see dual_view), which checks K M = 2I before K is
 used.  M is counted in one pass over the graph's face orbits, with no
 dual arc cut; the view refuses, with a GraphError, a graph on which
 some dual arc cannot be cut and a loop edge that does not close at one
 trivalent vertex.  The dual arcs themselves (ribbon.dual_arc) and their
 matrix words (paths.lambda_length) remain an independent check.
-Penner's form is 1/4 M^T P M (forms).
+Penner's form 1/4 M^T P M is 1/4 (M^T - M) once K M = 2I (forms).
 """
 
 from __future__ import annotations
@@ -253,14 +253,14 @@ class DualView:
     run from a cusp on a loop-kind edge), and with its own a loop edge
     whose halves are not at one trivalent vertex.  The lambda-length of
     dual arc i is the unit monomial prod_j t_j^{M_ij}, t_j = e^{Y_j/2}.
-    ``fock[i]`` holds the nonzero (j, P_ij) of row i of Fock's bracket
-    table P, and ``local[i]`` those of K = P + E, E adding 1 on the
-    diagonal of each pending edge; both in ascending j.
-    K = 2 M^{-1} on a spine, and inverse() checks K M = 2I before
-    handing K out.
+    ``local[i]`` holds the nonzero (j, K_ij) of row i of K = P + E, P
+    Fock's bracket table and E adding 1 on the diagonal of each pending
+    edge, in ascending j.  K = 2 M^{-1} on a spine, and inverse() checks
+    K M = 2I before handing K out; where it holds, Penner's form
+    1/4 M^T P M is 1/4 (M^T - M) (forms).
     """
 
-    __slots__ = ("names", "rows", "fock", "local", "_terms", "_checked")
+    __slots__ = ("names", "rows", "local", "_terms", "_checked")
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
@@ -292,12 +292,10 @@ class DualView:
                 raise GraphError("loop edge %s does not close at one trivalent vertex" % name)
         self.names = tuple(names)
         self.rows = tuple(rows)
-        # P has a zero diagonal, so E's entry sorts into each pending row
-        self.fock = tuple(tuple((j, k) for j, k in enumerate(row) if k) for row in _fock_table(graph))
-        self.local = tuple(
-            tuple(sorted(row + ((i, 1),))) if graph.edges[name].kind == "pending" else row
-            for i, (name, row) in enumerate(zip(names, self.fock))
-        )
+        table = _fock_table(graph)  # K = P + E, P having a zero diagonal
+        for i, name in enumerate(names):
+            table[i][i] += graph.edges[name].kind == "pending"
+        self.local = tuple(tuple((j, k) for j, k in enumerate(row) if k) for row in table)
         # the (edge, M_ij) pairs of each row's nonzero counts
         self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
         self._checked = False
@@ -426,16 +424,18 @@ def _lambda_reading(graph: FatGraph, lambdas, complete: bool):
         values, carried = lambdas, {}
     if complete:
         names = graph.coordinate_edges()
+        known = set(names)
         for n in values:
-            if n not in names:
+            if n not in known:
                 raise ValueError("lambda given for %s, which is not a coordinate edge" % n)
         missing = [n for n in names if n not in values]
         if missing:
             raise ValueError("missing lambda values for %s" % ", ".join(missing))
     loops = graph.loop_edges()
     if carried:
+        known = set(loops)
         for n in carried:
-            if n not in loops:
+            if n not in known:
                 raise ValueError("loop weight given for %s, which is not a loop edge" % n)
         missing = [n for n in loops if n not in carried]
         if missing:

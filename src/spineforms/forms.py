@@ -5,14 +5,16 @@ Three coordinate-indexed matrices are built combinatorially:
 * ``poisson_matrix``: Fock's vertex-local bracket table P.  Each
   trivalent vertex contributes +1 for every cyclically adjacent ordered
   pair of its coordinate-bearing slots (loop half-edges carry no
-  coordinate and are skipped); coords derives it once for P, the local
-  inverse rule K = P + E and this module's Penner form.
+  coordinate and are skipped); coords derives it once for P and the
+  local inverse rule K = P + E.
 * ``window_form_matrix``: the boundary-ordered two-form W.  Every
   window contributes +1 for every ordered pair of coordinate tokens
   along it.
 * ``penner_form_matrix``: Penner's form, P in d log lambda, pulled back
   through log lambda = 1/2 M Y to 1/4 M^T P M, M the dual-arc traversal
-  counts.  The window form equals M^T P M on every spine.
+  counts.  K = P + E with K M = 2I gives M^T P M = 2 M^T - M^T E M,
+  antisymmetric on the left and M^T E M symmetric, so M^T P M = M^T - M.
+  The window form equals it on every spine.
 
 P and W are tables of ints; Penner's form, with its entries x/4, is the
 one table of Fractions.
@@ -119,22 +121,16 @@ def window_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
 
 def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     """Penner's form, P in d log lambda, pulled back through
-    log lambda = 1/2 M Y: 1/4 M^T P M.
+    log lambda = 1/2 M Y: 1/4 M^T P M, which is 1/4 (M^T - M).
 
-    M^T P M is the sum of the wedges M_u (x) M_v - M_v (x) M_u over the
-    positive entries P_uv, each taken P_uv times.
+    K = P + E with K M = 2I, which view.inverse() checks (raising its
+    ValueError where it fails), gives M^T P M = 2 M^T - M^T E M.  The
+    left side is antisymmetric and M^T E M symmetric, so it is M^T - M.
     """
     view = dual_view(graph)
-    nonzero = [[(f, m) for f, m in enumerate(row) if m] for row in view.rows]
-    acc = [[0] * len(view.names) for _ in view.names]  # M^T P M
-    for u, terms in enumerate(view.fock):
-        for v, p in terms:
-            if p > 0:
-                for f, a in nonzero[u]:
-                    for g, b in nonzero[v]:
-                        acc[f][g] += p * a * b
-                        acc[g][f] -= p * a * b
-    return CoordinateIndexedMatrix(view.names, [[Fraction(x, 4) for x in row] for row in acc])
+    view.inverse()
+    m, cols = view.rows, range(len(view.names))
+    return CoordinateIndexedMatrix(view.names, [[Fraction(m[j][i] - m[i][j], 4) for j in cols] for i in cols])
 
 
 @dataclass

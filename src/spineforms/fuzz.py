@@ -358,9 +358,9 @@ def suite_centers(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_proportionality(trials: int, seed: int) -> SuiteResult:
-    """The window form W equals M^T P M, four times Penner's form, on
-    every graph; tabulates kappa = Penner / W, which is 1/4 unless W is
-    zero."""
+    """The window form W, read off the windows, equals M^T - M (which is
+    M^T P M wherever DualView.inverse() passes), four times Penner's
+    form, on every graph; tabulates kappa = Penner / W, 1/4 unless W = 0."""
     rng = random.Random(seed)
     res = SuiteResult("proportionality", trials)
     seen: dict[str, int] = {}

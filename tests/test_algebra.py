@@ -5,7 +5,7 @@ use as an oracle."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spineforms.algebra import (
@@ -14,6 +14,7 @@ from spineforms.algebra import (
     SqrtRational,
     fraction_sqrt,
 )
+from spineforms.paths import MatrixWord, evaluate
 
 from dense_oracle import frac_inverse, frac_kernel
 
@@ -92,6 +93,28 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# one L turn multiplied out: constant entries 0, 1 and -1, still packed
+_L_ONLY = evaluate(MatrixWord((("L",),)))
+
+
+@given(laurent_polys())
+@example(LaurentPoly())
+@example(LaurentPoly.const(3))
+@example(_L_ONLY.a)
+@example(_L_ONLY.b)
+@example(_L_ONLY.d)
+def test_equal_polys_hash_equal(a):
+    """A poly hashes as its plain copy and, when it is 0 or a constant
+    c, as the int c it equals."""
+    h, copy = hash(a), LaurentPoly(dict(a.terms))  # hash first: a packed entry decodes for it
+    assert a == copy and h == hash(copy)
+    c = a.terms.get((), 0)
+    if a.terms.keys() <= {()}:
+        assert a == c and hash(a) == hash(c) and len({a, copy, c}) == 1
+    else:
+        assert a != c
 
 
 @given(laurent_polys())
@@ -177,12 +200,19 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 @given(rationals, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=60))
+@example(Fraction(2), 1, 1)
+@example(Fraction(-3, 2), 2, 9)
 def test_sqrt_rational_equality_across_radicands(a, k, r):
     """a*k*sqrt(r) and a*sqrt(r*k^2) are one number in two forms: they
-    compare and hash equal whichever rad each keeps."""
+    compare and hash equal whichever rad each keeps, and, when rational,
+    as the Fraction and any int they equal."""
     x, y = SqrtRational(a * k, r), SqrtRational(a, r * k * k)
     assert x == y and y == x
     assert hash(x) == hash(y)
+    if x.rad == 1:
+        same = [x, y, x.rat] + ([int(x.rat)] if x.rat.denominator == 1 else [])
+        assert all(x == v and hash(x) == hash(v) for v in same)
+        assert len(set(same)) == 1
 
 
 @given(rationals, rationals, st.integers(min_value=1, max_value=60))

@@ -14,7 +14,9 @@ from spineforms import (
     LambdaAssignment,
     cross_ratio,
     lambda_of_dual_arcs,
+    penner_form_matrix,
     pending_ratio,
+    poisson_matrix,
     shear_from_lambda,
 )
 from spineforms import coords
@@ -25,7 +27,7 @@ from spineforms.paths import lambda_length
 from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
-from dense_oracle import frac_inverse, local_rule_mismatches
+from dense_oracle import frac_inverse, frac_matmul, local_rule_mismatches
 from walk_oracle import oracle_dual_arc, oracle_windows
 
 
@@ -380,19 +382,26 @@ def test_dual_view_refuses_where_dual_arc_refuses_with_an_edge_kind_changed():
 
 
 def test_rewired_fixtures_that_fail_validate_are_refused():
-    """No graph that fails validate gets coordinates from lambda-lengths."""
-    invalid = 0
+    """No graph that fails validate gets coordinates from lambda-lengths
+    or a Penner form; every other gets 1/4 M^T P M, multiplied out."""
+    valid = invalid = 0
     for tag, text in rewired_fixture_texts():
         graph = parse_graph(text)
         if validate(graph).ok:
+            valid += 1
+            m = coords.dual_view(graph).rows
+            mtpm = frac_matmul(frac_matmul(list(zip(*m)), poisson_matrix(graph).data), m)
+            assert penner_form_matrix(graph).data == [[x / 4 for x in row] for row in mtpm], tag
             continue
         invalid += 1
-        try:
-            shear_from_lambda(graph, {n: Fraction(1) for n in graph.coordinate_edges()})
-        except ValueError:
-            continue
-        pytest.fail("%s fails validate but shear_from_lambda accepts it" % tag)
-    assert invalid == 240
+        unit = {n: Fraction(1) for n in graph.coordinate_edges()}
+        for f, args in ((shear_from_lambda, (graph, unit)), (penner_form_matrix, (graph,))):
+            try:
+                f(*args)
+            except ValueError:
+                continue
+            pytest.fail("%s fails validate but %s accepts it" % (tag, f.__name__))
+    assert (valid, invalid) == (102, 240)
 
 
 # The rewired fixtures, by fixture and swapped slots, on which the cut

@@ -14,6 +14,7 @@ from spineforms import (
     verify_inverse,
     window_form_matrix,
 )
+from spineforms import coords
 from spineforms.coords import dual_view
 from spineforms.forms import CoordinateIndexedMatrix
 from spineforms.algebra import LaurentPoly
@@ -153,6 +154,21 @@ def test_antisymmetry_and_integrality(name):
 def test_vertex_sum_proportional_to_window(name):
     graph = load_fixture(name)
     assert penner_form_matrix(graph) == window_form_matrix(graph).scaled(Fraction(1, 4))
+
+
+def test_penner_form_refuses_a_broken_local_rule(monkeypatch, t3):
+    """Penner's form is 1/4 (M^T - M) only where K M = 2I: one wrong
+    entry of K makes it refuse, with DualView.inverse()'s error."""
+    build = coords.DualView.__init__
+
+    def broken(self, graph):
+        build(self, graph)
+        (j, k), *rest = self.local[0]
+        self.local = (((j, k + 1), *rest),) + self.local[1:]
+
+    monkeypatch.setattr(coords.DualView, "__init__", broken)
+    with pytest.raises(ValueError, match="not inverted by the local rule"):
+        penner_form_matrix(t3)
 
 
 def test_one_fock_table_against_a_dense_oracle():
