@@ -78,19 +78,38 @@ class CoordinatePoint:
         self.exact = bool(exact)
         self.q = {k: v if type(v) is Fraction else Fraction(v) for k, v in (q or {}).items()}
         self.y = {k: float(v) for k, v in (y or {}).items()}
+        if self.exact and self.y:
+            raise ValueError("exact point carries q values, not y")
+        if not self.exact and self.q:
+            raise ValueError("float point carries y values, not q")
+        self._check(self.q or self.y)
+        self.omega = {k: _loop_weight(k, v, self.exact) for k, v in (omega or {}).items()}
+
+    def _check(self, names) -> None:
+        """Exact q must be positive and float y finite; the first bad
+        value among ``names``, in their order, is refused."""
         if self.exact:
-            if self.y:
-                raise ValueError("exact point carries q values, not y")
-            for k, v in self.q.items():
+            for k in names:
+                v = self.q[k]
                 if v.numerator <= 0:
                     raise ValueError("q[%s] = %s must be positive" % (k, v))
         else:
-            if self.q:
-                raise ValueError("float point carries y values, not q")
-            for k, v in self.y.items():
+            for k in names:
+                v = self.y[k]
                 if not math.isfinite(v):
                     raise ValueError("y[%s] = %s must be finite" % (k, v))
-        self.omega = {k: _loop_weight(k, v, self.exact) for k, v in (omega or {}).items()}
+
+    @classmethod
+    def _exchanged(cls, point: "CoordinatePoint", values: dict, written: set) -> "CoordinatePoint":
+        """``point`` with ``values`` for its q (exact) or y (float)
+        values, which differ from the point's only on ``written``: what a
+        flip makes.  Only the written values are checked, in the point's
+        edge order, so a flip reports what __init__ would."""
+        new = cls.__new__(cls)
+        new.exact, new.omega = point.exact, dict(point.omega)
+        new.q, new.y = (values, {}) if point.exact else ({}, values)
+        new._check([k for k in values if k in written])
+        return new
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":

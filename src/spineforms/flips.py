@@ -26,7 +26,13 @@ while every other dual arc keeps its class and value.
 stem.  Both flip kinds run through one body, ``_flip``, which reads the
 slots and the new cyclic orders off one ``FlipSite``, and one exchange
 rule, ``_exchange``.  ``flip_inner`` and ``flip_loop_adjacent`` are
-flip_edge restricted to one kind.
+flip_edge restricted to one kind.  A flip derives its result from its
+parent and touches only what it changes: the new graph patches the
+parent's indexes at the two rewired vertices (FatGraph._rewired) and
+keeps each Edge whose value is unchanged, and the new point checks only
+the values the exchange wrote.  ``flip_site`` caches each site on the
+graph, so a flip and mutate_lambda on the same graph and edge read it
+once.
 
 ``verify_flip_matrix_identities`` proves the matrix-word substitution
 rules symbolically over the Laurent ring.  The new letters carry one
@@ -94,8 +100,19 @@ def _rotate_to(halves: tuple[str, ...], h: str) -> tuple[str, ...]:
 
 
 def flip_site(graph: FatGraph, name: str) -> FlipSite:
-    """Read the quadrilateral or loop triangle a flip of ``name`` turns
-    and decide the flip's kind; unknown names raise GraphError."""
+    """The quadrilateral or loop triangle a flip of ``name`` turns, and
+    the flip's kind; unknown names raise GraphError.  The site is read
+    once per graph and edge, by _read_site, and cached on the graph as
+    its faces and dual view are; a flipped graph, derived from its
+    parent, starts with no sites."""
+    site = graph._sites.get(name)
+    if site is None:
+        site = graph._sites[name] = _read_site(graph, name)
+    return site
+
+
+def _read_site(graph: FatGraph, name: str) -> FlipSite:
+    """Read the site of ``name`` off the stored cyclic orders."""
     edge = graph.edges.get(name)
     if edge is None:
         raise GraphError("no edge named %s" % name)
@@ -154,7 +171,10 @@ def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> Coordi
     multiplied up per edge when one edge fills several slots.  An exact
     point multiplies numerator and denominator ints and builds one
     Fraction per slot.  A float point takes the same steps on y = log q,
-    summing each edge's shifts before adding them."""
+    summing each edge's shifts before adding them.  The new point keeps
+    the untouched values and checks only the ones written here, so a
+    float value that overflows is refused as the point's constructor
+    refuses it."""
     k = 1 if w is None else 2
     values = dict(point.q if point.exact else point.y)
     z = values[name]
@@ -170,7 +190,7 @@ def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> Coordi
                 v = values[x]
                 values[x] = Fraction(v.numerator * a, v.denominator * b)
         values[name] = Fraction(d, n)
-        return CoordinatePoint(True, q=values, omega=dict(point.omega))
+        return CoordinatePoint._exchanged(point, values, {name, *grow, *shrink})
     acc: dict = {}
     if w is None:
         g = _softplus(z)
@@ -184,7 +204,7 @@ def _exchange(point: CoordinatePoint, name: str, grow, shrink, w=None) -> Coordi
     for x, m in acc.items():
         values[x] += m
     values[name] = -z
-    return CoordinatePoint(False, y=values, omega=dict(point.omega))
+    return CoordinatePoint._exchanged(point, values, {name, *acc})
 
 
 def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[CoordinatePoint]):
@@ -192,7 +212,9 @@ def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[Coordinate
     and rewire the two ends.  In a quadrilateral, (h_t, A, B) and
     (h_b, C, D) become (h_t, D, A) and (h_b, B, C); at a loop stem the
     far end (h_v, A, B) becomes (h_v, B, A) and the loop's halves swap
-    at its vertex."""
+    at its vertex.  The new graph is derived from ``graph`` at those two
+    vertices (FatGraph._rewired), and an Edge whose value is the same
+    object in the new point is kept."""
     if point is None:
         point = graph.point()
     (h1, a, b), (h2, c, d) = site.ends
@@ -206,9 +228,12 @@ def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[Coordinate
         slots = {"A": sa, "B": sb, "loop": site.loop}
         point2 = _exchange(point, name, (sa,), (sb,), point.omega[site.loop])
         orders = {v1: (h1, b, a), v2: (h2, d, c)}
-    edges = {n: Edge(n, e.kind, e.halves, point2.value(n)) for n, e in graph.edges.items()}
-    graph2 = FatGraph({**graph.vertices, **orders}, graph.cusps, edges)
-    return graph2, point2, FlipRecord(name, site.kind, slots)
+    values = {**(point2.q if point2.exact else point2.y), **point2.omega}
+    edges = {}
+    for n, e in graph.edges.items():
+        v = values[n]
+        edges[n] = e if e.value is v else Edge(n, e.kind, e.halves, v)
+    return graph._rewired(orders, edges), point2, FlipRecord(name, site.kind, slots)
 
 
 def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):

@@ -8,7 +8,8 @@ driven by one ``random.Random`` so a seed reproduces the corpus.
 
 The suites re-check the structural invariants on that corpus: dual-arc
 lambdas stay monomial, compiled words stay sign-definite, flips are
-involutions, lambda-lengths invert back to the coordinates by the
+involutions whose graphs, derived from their parents, equal fresh
+builds, lambda-lengths invert back to the coordinates by the
 local rule, which DualView.inverse() checks exactly to be twice the
 inverse of the dual-arc matrix, hole vectors stay central, and the
 boundary-ordered form W equals M^T P M, four times the vertex-sum form.
@@ -26,7 +27,7 @@ from .coords import CoordinatePoint, dual_view, lambda_of_dual_arcs, shear_from_
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
 from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
-from .ribbon import Edge, FatGraph, dual_arc, validate
+from .ribbon import Edge, FatGraph, dual_arc, validate, windows
 
 __all__ = [
     "random_spine",
@@ -291,12 +292,27 @@ def _flip_draws(rng: random.Random):
             yield graph, rng.choice(options), random_exact_point(rng, graph)
 
 
+_INDEXES = ("_owner", "_sigma", "_sigma_inv", "_edge_of", "_mate", "_half_order")
+
+
+def _as_built(graph: FatGraph) -> bool:
+    """The indexes, faces and windows of a graph, which a flip derives
+    from its parent, are those a fresh build of its vertices, cusps and
+    edges gives."""
+    fresh = FatGraph(graph.vertices, graph.cusps, graph.edges)
+    return (all(getattr(graph, a) == getattr(fresh, a) for a in _INDEXES)
+            and graph.faces() == fresh.faces() and windows(graph) == windows(fresh))
+
+
 def suite_involution(trials: int, seed: int) -> SuiteResult:
-    """Flipping any edge twice restores the graph and the point."""
+    """Flipping any edge twice restores the graph and the point, and each
+    flipped graph equals a fresh build of it."""
     res = SuiteResult("involution", trials)
     for k, (graph, name, point) in zip(range(trials), _flip_draws(random.Random(seed))):
         g1, p1, _ = flip_edge(graph, name, point)
         g2, p2, _ = flip_edge(g1, name, p1)
+        if not (_as_built(g1) and _as_built(g2)):
+            res.failures.append("trial %d edge %s: flipped graph differs from a fresh build" % (k, name))
         if g2.canonical_key() != graph.canonical_key():
             res.failures.append("trial %d edge %s: graph not restored" % (k, name))
         if p2 != point:

@@ -17,14 +17,19 @@ into a cusp, or two such runs joined across an inner edge.
 Text round trip: parse_graph reads an exact value as two ints from one
 match and builds one Fraction; FatGraph derives its indexes in one pass
 over the vertices and cusps and one over the edges; emit_graph writes
-each value with %s, the key taken from the edge kind.
+each value with %s, the key taken from the edge kind.  A flip builds no
+graph from scratch: FatGraph._rewired derives the flipped graph from its
+parent, patching the indexes at the two rewired vertices and sharing
+what the flip leaves alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -124,6 +129,31 @@ class FatGraph:
         self._mate = mate
         self._faces: Optional[list[list[str]]] = None
         self._dual = None  # coords.DualView, built on first use
+        self._sites: dict = {}  # flips.FlipSite by edge name, read on first use
+
+    def _rewired(self, orders: dict[str, tuple[str, ...]], edges: dict[str, Edge]) -> "FatGraph":
+        """This graph with the trivalent vertices in ``orders`` taking new
+        cyclic orders of the same halves, and with ``edges`` (the same
+        names, kinds and halves) for its edges: the graph a flip makes.
+        The owner and sigma maps are copied and patched at those
+        vertices; the half-to-edge maps, which a rewiring leaves alone,
+        are shared; the halves are listed as a fresh build lists them,
+        so the faces come out in the same order.  Nothing is checked
+        again, and the new graph declares no surface line."""
+        g = FatGraph.__new__(FatGraph)
+        g.vertices = {**self.vertices, **orders}
+        g.cusps, g.edges, g.declared = self.cusps, edges, None
+        owner, sigma, sigma_inv = dict(self._owner), dict(self._sigma), dict(self._sigma_inv)
+        for vid, (a, b, c) in orders.items():
+            owner[a] = owner[b] = owner[c] = vid
+            sigma[a], sigma[b], sigma[c] = b, c, a
+            sigma_inv[b], sigma_inv[c], sigma_inv[a] = a, b, c
+        g._owner, g._sigma, g._sigma_inv = owner, sigma, sigma_inv
+        g._half_order = [*chain.from_iterable(g.vertices.values()), *g.cusps.values()]
+        g._edge_of, g._mate = self._edge_of, self._mate
+        g._faces = g._dual = None
+        g._sites = {}
+        return g
 
     # basic accessors
 
@@ -461,12 +491,27 @@ _VALUE_KEYS = {"inner": "Z", "pending": "pi", "loop": "omega"}
 _EXACT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+def _int_refusal(digits: tuple[str, ...], refusal: str) -> GraphError:
+    """The error for runs of digits that str.isdigit or the regex \\d
+    accepted but int() refused: more digits than
+    sys.get_int_max_str_digits() allows, else ``refusal`` (int() does
+    not read every digit str.isdigit accepts, a superscript for one)."""
+    limit = sys.get_int_max_str_digits()
+    longest = max(len(d.lstrip("+-")) for d in digits)
+    if 0 < limit < longest:
+        return GraphError("a number of %d digits is too long; at most %d are read" % (longest, limit))
+    return GraphError(refusal)
+
+
 def _exact_parts(raw: str) -> Optional[tuple[int, int]]:
     """(numerator, denominator) of an integer or fraction value, else None."""
     m = _EXACT_RE.match(raw)
     if m is None:
         return None
-    num, den = int(m[1]), int(m[2] or 1)
+    try:
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:
+        raise _int_refusal((m[1], m[2] or ""), "bad value %r" % raw) from None
     if not den:
         raise GraphError("value %r is not finite" % raw)
     return num, den
@@ -505,9 +550,13 @@ def _parse_value(kind: str, key: str, raw: str) -> Union[Fraction, float]:
         except OverflowError:
             raise GraphError("perimeter %r is too large" % raw) from None
     if key == "orbifold":
-        if not raw.isdigit() or int(raw) < 2:
-            raise GraphError("orbifold order must be an integer >= 2")
-        p = int(raw)
+        refusal = "orbifold order must be an integer >= 2"
+        try:
+            p = int(raw) if raw.isdigit() else 0
+        except ValueError:
+            raise _int_refusal((raw,), refusal) from None
+        if p < 2:
+            raise GraphError(refusal)
         if p == 2:
             return Fraction(0)
         if p == 3:
@@ -583,9 +632,13 @@ def parse_graph(text: str) -> FatGraph:
                 declared = {}
                 for item in parts[1:]:
                     k, eq, v = item.partition("=")
+                    refusal = "malformed surface field %r" % item
                     if not eq or k not in ("g", "sh", "so", "n") or not v.lstrip("-").isdigit():
-                        raise GraphError("malformed surface field %r" % item)
-                    declared[k] = int(v)
+                        raise GraphError(refusal)
+                    try:
+                        declared[k] = int(v)
+                    except ValueError:
+                        raise _int_refusal((v,), refusal) from None
             else:
                 raise GraphError("unknown directive %r" % head)
         except GraphError as exc:

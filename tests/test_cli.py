@@ -183,6 +183,23 @@ def test_non_finite_value_is_bad_input(capsys, tmp_path, field, line):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("surface g=0", "surface g=\u00b2"),
+    ("omega=2", "orbifold=\u00b2"),
+    ("pi=1", "pi=" + "7" * (sys.get_int_max_str_digits() + 1)),
+], ids=["surface-superscript", "orbifold-superscript", "pi-too-long"])
+def test_number_int_refuses_is_bad_input(capsys, tmp_path, old, new):
+    """A number that passes str.isdigit or \\d but that int() refuses
+    exits 2 with one error line naming its line, not a traceback."""
+    source = tmp_path / "bad.graph"
+    source.write_text(fixture_text("sigma_0_2_1").replace(old, new), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "-2/3", "-0.5"])
 def test_non_positive_lambda_is_bad_input(capsys, tmp_path, value):
     lam = tmp_path / "bad.lam"
@@ -350,6 +367,16 @@ def test_flip_loop_stem_goes_through_loop_rule(capsys, tmp_path):
     code, out, _ = run(capsys, "flip", fx("sigma_0_3_1"), "a1", "-o", str(target))
     assert code == 0
     assert out == "flipped a1 (loop-stem); slots A=b1 B=pi loop=w1\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e308", "y[p1] = inf must be finite"),
+    ("-1e308", "y[p2] = -inf must be finite"),
+])
+def test_flip_that_overflows_a_float_is_bad_input(capsys, tmp_path, value, message):
+    source = tmp_path / "huge.graph"
+    source.write_text(fixture_text("sigma_0_1_4").replace("Z=1", "Z=" + value).replace("pi=1", "pi=" + value))
+    assert run(capsys, "flip", str(source), "e") == (2, "", "error: %s\n" % message)
 
 
 def test_flip_refuses_pending(capsys):

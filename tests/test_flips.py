@@ -20,7 +20,7 @@ from spineforms import flips
 from spineforms.coords import LambdaAssignment
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import random_exact_point, random_spine
-from spineforms.ribbon import GraphError, parse_graph, validate
+from spineforms.ribbon import FatGraph, GraphError, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 
@@ -413,3 +413,70 @@ def test_each_flip_reads_its_site_once(monkeypatch, two_loops, four_cusps):
         calls.clear()
         call(graph, name)
         assert len(calls) == 1, (call, name, calls)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1e308, "y[p1] = inf must be finite"),
+    (-1e308, "y[p2] = -inf must be finite"),
+])
+def test_float_flip_that_overflows_is_refused(four_cusps, value, message):
+    """The new point checks the values the exchange writes, in edge
+    order and with CoordinatePoint's messages, though it takes the
+    untouched ones unchecked."""
+    point = CoordinatePoint(False, y={n: value for n in four_cusps.coordinate_edges()})
+    with pytest.raises(ValueError) as info:
+        flip_edge(four_cusps, "e", point)
+    assert str(info.value) == message
+
+
+def _flip_every_edge(graph):
+    """(kind, name, flipped graph) for every name flip_edge accepts: the
+    inner edges, loop stems and loops named by themselves."""
+    for name, edge in graph.edges.items():
+        try:
+            g1, _, record = flip_edge(graph, name)
+        except GraphError:
+            continue
+        yield ("loop" if edge.kind == "loop" else record.kind), name, g1
+
+
+def test_derived_graph_equals_a_fresh_build():
+    """Each flipped graph, derived from its parent, holds the indexes,
+    face order and windows of a fresh build of the same vertices, cusps
+    and edges."""
+    rng = random.Random(1)
+    graphs = [load_fixture(n) for n in ALL_FIXTURES] + [random_spine(rng) for _ in range(300)]
+    kinds = {}
+    for i, graph in enumerate(graphs):
+        for kind, name, g1 in _flip_every_edge(graph):
+            kinds[kind] = kinds.get(kind, 0) + 1
+            fresh = FatGraph(g1.vertices, g1.cusps, g1.edges)
+            for attr in ("_owner", "_sigma", "_sigma_inv", "_edge_of", "_mate"):
+                assert getattr(g1, attr) == getattr(fresh, attr), (i, name, attr)
+            assert g1._half_order == fresh._half_order, (i, name)
+            assert g1.faces() == fresh.faces(), (i, name)
+            assert windows(g1) == windows(fresh), (i, name)
+    assert set(kinds) == {"inner", "loop-stem", "loop"} and min(kinds.values()) > 50, kinds
+
+
+def test_flip_site_is_read_once_per_graph_and_edge(monkeypatch, four_cusps):
+    """flip_site caches its site on the graph: a flip and the exchange of
+    its lambdas on the same graph and edge derive it once, and the
+    flipped graph, a new graph, derives its own."""
+    assert flip_site(four_cusps, "e") is flip_site(four_cusps, "e")
+    calls = []
+    real = flips._read_site
+
+    def spy(graph, name):
+        calls.append(name)
+        return real(graph, name)
+
+    monkeypatch.setattr(flips, "_read_site", spy)
+    for graph, name, stem in ((load_fixture("sigma_0_1_4"), "e", "e"), (load_fixture("sigma_0_3_1"), "w1", "a1")):
+        lam = lambda_of_dual_arcs(graph)
+        g1, _, _ = flip_edge(graph, name)
+        mutate_lambda(graph, lam, name)
+        assert calls == [stem], calls
+        flip_edge(g1, name)
+        assert calls == [stem, stem], calls
+        calls.clear()

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -279,11 +280,17 @@ edge p4 pending p4_v p4_c %s
 
 def _text_with(field):
     key = field.split("=")[0]
+    if key.startswith("surface "):
+        return fixture_text("sigma_0_2_1").replace("surface g=0", field)
     if key == "Z":
         return _QUAD % (field, "pi=1")
     if key == "pi":
         return _QUAD % ("Z=1", field)
     return fixture_text("sigma_0_2_1").replace("omega=2", field)
+
+
+_DIGITS = sys.get_int_max_str_digits()
+_TOO_LONG = "a number of %%d digits is too long; at most %d are read" % _DIGITS
 
 
 @pytest.mark.parametrize("field, message", [
@@ -295,10 +302,19 @@ def _text_with(field):
     ("omega=1/0", "line 6: value '1/0' is not finite"),
     ("Z=1e999", "line 8: value '1e999' is not finite"),
     ("orbifold=1", "line 6: orbifold order must be an integer >= 2"),
+    # str.isdigit accepts a superscript, which int() refuses
+    pytest.param("surface g=\u00b2", "line 2: malformed surface field 'g=\u00b2'", id="surface-superscript"),
+    pytest.param("orbifold=\u00b2", "line 6: orbifold order must be an integer >= 2", id="orbifold-superscript"),
+    # int() converts at most sys.get_int_max_str_digits() digits
+    pytest.param("Z=" + "7" * (_DIGITS + 1), "line 8: " + _TOO_LONG % (_DIGITS + 1), id="Z-too-long"),
+    pytest.param("pi=3/" + "7" * (_DIGITS + 1), "line 12: " + _TOO_LONG % (_DIGITS + 1), id="pi-denominator-too-long"),
+    pytest.param("omega=" + "1" * 5000, "line 6: " + _TOO_LONG % 5000, id="omega-too-long"),
+    pytest.param("orbifold=" + "9" * 5000, "line 6: " + _TOO_LONG % 5000, id="orbifold-too-long"),
+    pytest.param("surface g=-" + "1" * 5000, "line 2: " + _TOO_LONG % 5000, id="surface-too-long"),
 ])
 def test_value_errors_are_pinned(field, message):
     """Messages as the parser gave them when it read values with
-    Fraction(str)."""
+    Fraction(str); a number int() refuses is refused with its line."""
     with pytest.raises(GraphError) as info:
         parse_graph(_text_with(field))
     assert type(info.value) is GraphError
