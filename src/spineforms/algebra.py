@@ -251,10 +251,12 @@ class SqrtRational:
     Normalization clears the radicand's denominator and folds perfect
     squares into the rational part, so purely rational values always end
     up with rad == 1.  Sums are only defined inside one square class
-    (rad2/rad1 a rational square).  Matrix words never sum these: they
-    run on ints and build each entry once, by sqrt_of_product and
-    scaled, so the entries of one word share one rad.  The Ptolemy sums
-    of flips.mutate_lambda are the one caller whose terms can carry
+    (rad2/rad1 a rational square).  Matrix words and the closed-form
+    lambda-lengths never sum or multiply these: they fold their values
+    in ints, the radical by _fold_sqrt (the fold sqrt_of_product runs
+    on Fractions), and build each entry once, with one Fraction, by
+    _of, so the entries of one word share one rad.  The Ptolemy
+    sums of flips.mutate_lambda are the one caller whose terms can carry
     different rads of one class.
     """
 
@@ -284,32 +286,25 @@ class SqrtRational:
         return cls(1, Fraction(q))
 
     @classmethod
+    def _of(cls, rat: Fraction, rad: int) -> "SqrtRational":
+        """rat*sqrt(rad) as given: rad must be 1 or not a square, and 1
+        when rat is 0."""
+        out = cls.__new__(cls)
+        out.rat = rat
+        out.rad = rad
+        return out
+
+    @classmethod
     def sqrt_of_product(cls, qs: Iterable[Fraction]) -> "SqrtRational":
         """sqrt(q_1 * ... * q_k) for positive Fractions, folded factor by
-        factor: q = a/b enters as sqrt(a*b)/b, a perfect square a*b
-        leaves the root at once, and factors common to the radicand so
-        far move out of it.  This keeps radicands small without
-        factoring; the r*sqrt(n) form it gives depends on the order of
-        the factors, so callers fix one."""
-        num = den = rad = 1
-        for x in qs:
-            s = x.numerator * x.denominator
-            den *= x.denominator
-            r = math.isqrt(s)
-            if r * r == s:
-                num *= r
-            else:
-                g = math.gcd(rad, s)
-                num *= g
-                rad = (rad // g) * (s // g)
-        return cls(Fraction(num, den), rad)
+        factor by _fold_sqrt; the r*sqrt(n) form it gives depends on the
+        order of the factors, so callers fix one."""
+        num, den, rad = _fold_sqrt(map(_sqrt_parts, qs))
+        return cls._of(Fraction(num, den), rad)
 
     def scaled(self, num: int, den: int = 1) -> "SqrtRational":
         """self * num/den for ints num and den != 0, keeping rad."""
-        out = SqrtRational.__new__(SqrtRational)
-        out.rat = Fraction(num * self.rat.numerator, den * self.rat.denominator)
-        out.rad = self.rad if num else 1
-        return out
+        return SqrtRational._of(Fraction(num * self.rat.numerator, den * self.rat.denominator), self.rad if num else 1)
 
     def is_zero(self) -> bool:
         return self.rat == 0
@@ -431,16 +426,59 @@ class SqrtRational:
         return "SqrtRational(%s, %s)" % (self.rat, self.rad)
 
 
-def fraction_sqrt(q: Fraction) -> Fraction:
-    """Exact square root of a perfect-square rational."""
-    q = Fraction(q)
-    if q < 0:
+def _sqrt_parts(x: Fraction) -> tuple[int, int, int, int]:
+    """(n, d, s, r) of a positive Fraction x = n/d, as _fold_sqrt reads
+    it: s = n*d, so that sqrt(x) = sqrt(s)/d, and r is the root of s
+    when s is a square, else 0."""
+    n, d = x.numerator, x.denominator
+    s = n * d
+    r = math.isqrt(s)
+    return n, d, s, r if r * r == s else 0
+
+
+def _fold_sqrt(parts: Iterable[tuple[int, int, int, int]], num: int = 1, den: int = 1) -> tuple[int, int, int]:
+    """(num', den', rad) with num'/den' * sqrt(rad) = num/den *
+    sqrt(x_1 * ... * x_k), in ints, from the _sqrt_parts of positive
+    Fractions x_i.  The one radical fold: x = n/d enters as
+    sqrt(n*d)/d, a perfect square n*d leaves the root at once, factors
+    common to the radicand so far move out of it, and a square
+    radicand left at the end leaves it too.  This keeps radicands small
+    without factoring.  The form depends on the order of the factors,
+    so callers fix one.  It can differ from the product of the
+    SqrtRational.sqrt(x_i), which takes a square radicand out at every
+    step: 8, 2, 3 fold to 2*sqrt(12), their product is 4*sqrt(3)."""
+    rad = 1
+    for _, d, s, r in parts:
+        den *= d
+        if r:
+            num *= r
+        else:
+            g = math.gcd(rad, s)
+            num *= g
+            rad = (rad // g) * (s // g)
+    if rad != 1:
+        r = math.isqrt(rad)
+        if r * r == rad:
+            num *= r
+            rad = 1
+    return num, den, rad
+
+
+def fraction_sqrt(num, den=1) -> Fraction:
+    """Exact square root of the rational num/den (ints or Fractions,
+    den != 0), reduced once; ValueError unless it is the square of a
+    rational.  Builds one Fraction."""
+    n, d = num.numerator * den.denominator, num.denominator * den.numerator
+    if d < 0:
+        n, d = -n, -d
+    if n < 0:
         raise ValueError("negative radicand")
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        raise ValueError("%s is not a rational square" % q)
-    return Fraction(num, den)
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        raise ValueError("%s is not a rational square" % Fraction(n, d))
+    return Fraction(rn, rd)
 
 
 class Mat2:

@@ -23,7 +23,7 @@ from .flips import flip_edge, verify_flip_matrix_identities
 from .forms import center_vectors, penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix
 from .fuzz import SUITES, run_suite
 from .paths import PathWord, compile_path, evaluate, geodesic_function, lambda_length
-from .ribbon import FatGraph, GraphError, dual_arc, emit_graph, parse_graph, validate, windows
+from .ribbon import FatGraph, GraphError, _int_refusal, dual_arc, emit_graph, parse_graph, validate, windows
 
 __all__ = ["main"]
 
@@ -183,7 +183,8 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
         try:
             value = _parse_value(text)
         except (ValueError, ZeroDivisionError):
-            raise ValueError("line %d: %s %s = %s is not a number" % (lineno, kind, name, text)) from None
+            refusal = _int_refusal(re.findall(r"\d+", text), "%s %s = %s is not a number" % (kind, name, text))
+            raise ValueError("line %d: %s" % (lineno, refusal)) from None
         target = values if kind == "lambda" else omega
         if name in target:
             raise ValueError("line %d: %s %s is given twice" % (lineno, kind, name))

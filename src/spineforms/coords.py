@@ -22,13 +22,18 @@ _fock_table): each vertex adds +1 for every cyclically adjacent ordered
 pair of its coordinate slots, loops skipped, so an inner edge gets the
 cross-ratio of its quadrilateral.  Y_e = sum_j K_ej log(lambda_j), and
 an exact point gives q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact
-square root.  M and K are derived once per graph in a DualView
-cached on the graph (see dual_view), which checks K M = 2I before K is
-used.  M is counted in one pass over the graph's face orbits, with no
-dual arc cut; the view refuses, with a GraphError, a graph on which
-some dual arc cannot be cut and a loop edge that does not close at one
-trivalent vertex.  The dual arcs themselves (ribbon.dual_arc) and their
-matrix words (paths.lambda_length) remain an independent check.
+square root.  Exact values are folded in ints (numerators, denominators
+and radicands) with one Fraction built per value: each lambda_i from its
+row's even powers and odd factors (algebra._fold_sqrt), each q_e from
+the lambda^2 kept as int pairs, reduced once before its root is taken
+(algebra.fraction_sqrt).  M and K are derived once per graph in a
+DualView cached on the graph (see dual_view), which checks K M = 2I
+before K is used.  M is counted in one pass over the graph's face
+orbits, with no dual arc cut; the view refuses, with a GraphError, a
+graph on which some dual arc cannot be cut and a loop edge that does
+not close at one trivalent vertex.  The dual arcs themselves
+(ribbon.dual_arc) and their matrix words (paths.lambda_length) remain
+an independent check.
 Penner's form 1/4 M^T P M is 1/4 (M^T - M) once K M = 2I (forms).
 """
 
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import SqrtRational, fraction_sqrt
+from .algebra import SqrtRational, _fold_sqrt, _sqrt_parts, fraction_sqrt
 from .ribbon import FatGraph, GraphError
 
 __all__ = [
@@ -335,20 +340,29 @@ class DualView:
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
 
-        The radical is SqrtRational.sqrt_of_product of the odd factors
-        in the order of q, as matrix words fold theirs, so a dual arc's
-        word prints its lambda in the same form."""
-        rank = {n: i for i, n in enumerate(q)}
+        Folded in ints, with one Fraction per value: each q_j is read
+        once, as algebra._sqrt_parts, and each row multiplies its even
+        powers and then folds its odd factors, in the order of q, by
+        algebra._fold_sqrt, the rule matrix words fold theirs by, so a
+        dual arc's word prints its lambda in the same form."""
+        parts = {n: _sqrt_parts(x) for n, x in q.items()}
+        rows = self._terms  # each in file order, re-sorted when q's order differs
+        if tuple(q) != self.names:
+            rank = {n: i for i, n in enumerate(q)}
+            rows = [sorted(terms, key=lambda t: rank[t[0]]) for terms in rows]
         out = []
-        for terms in self._terms:
+        for terms in rows:
             num = den = 1
+            odd = []
             for n, m in terms:
+                x = parts[n]
+                if m & 1:
+                    odd.append(x)
                 if m > 1:
-                    x = q[n]
-                    num *= x.numerator ** (m // 2)
-                    den *= x.denominator ** (m // 2)
-            odd = sorted((n for n, m in terms if m & 1), key=rank.__getitem__)
-            out.append(SqrtRational.sqrt_of_product(map(q.__getitem__, odd)).scaled(num, den))
+                    num *= x[0] ** (m >> 1)
+                    den *= x[1] ** (m >> 1)
+            num, den, rad = _fold_sqrt(odd, num, den)
+            out.append(SqrtRational._of(Fraction(num, den), rad))
         return out
 
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
@@ -469,32 +483,42 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     Solves  M Y = 2 log(lambda)  for the coordinates by the local rule
     of the graph's DualView, K = 2 M^{-1}: exact inputs give
     q_i = sqrt(prod_j (lambda_j^2)^{K_ij}), an exact square root, and
-    float inputs Y_i = sum_j K_ij log(lambda_j).  Loop weights are not
-    determined by lambda-lengths: they are those a LambdaAssignment
-    carries, else the graph's stored ones.  The input is read as a
-    lambda file is (_lambda_reading): one float value or weight makes
-    it float; values must be positive, weights >= 0, finite and, when
-    exact, rational.
+    float inputs Y_i = sum_j K_ij log(lambda_j).  Exact inputs are
+    folded in ints: each lambda_j^2 is an int pair, K's powers multiply
+    as ints, and fraction_sqrt reduces the product once and takes its
+    root, building the one Fraction of q_i; a product that is not a
+    rational square is refused, naming the first such edge.  Loop
+    weights are not determined by lambda-lengths: they are those a
+    LambdaAssignment carries, else the graph's stored ones.  The input
+    is read as a lambda file is (_lambda_reading): one float value or
+    weight makes it float; values must be positive, weights >= 0,
+    finite and, when exact, rational.
     """
     lam, _, omega, exact = _lambda_reading(graph, lambdas, True)
     view = dual_view(graph)
     names = view.names
     if exact:
-        values = [_positive_lambda(n, lam[n], True) for n in names]
-        squares = [v.square() if isinstance(v, SqrtRational) else v * v for v in values]
+        squares = []  # each lambda^2 as ints (numerator, denominator), not reduced
+        for n in names:
+            v = _positive_lambda(n, lam[n], True)
+            if isinstance(v, SqrtRational):
+                r = v.rat
+                squares.append((r.numerator * r.numerator * v.rad, r.denominator * r.denominator))
+            else:
+                squares.append((v.numerator * v.numerator, v.denominator * v.denominator))
         q: dict[str, Fraction] = {}
         for name, terms in zip(names, view.inverse()):
             num = den = 1
             for j, k in terms:
-                sq = squares[j]
+                a, b = squares[j]
                 if k > 0:
-                    num *= sq.numerator**k
-                    den *= sq.denominator**k
+                    num *= a**k
+                    den *= b**k
                 else:
-                    num *= sq.denominator**-k
-                    den *= sq.numerator**-k
+                    num *= b**-k
+                    den *= a**-k
             try:
-                q[name] = fraction_sqrt(Fraction(num, den))
+                q[name] = fraction_sqrt(num, den)
             except ValueError:
                 raise ValueError("lambda-lengths give no rational q for %s" % name) from None
         return CoordinatePoint(True, q=q, omega=omega)

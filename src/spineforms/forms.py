@@ -119,6 +119,18 @@ def window_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     return CoordinateIndexedMatrix(names, table)
 
 
+class _Quarters(dict):
+    """Fraction(d, 4) by int d, each built once on first use and then
+    shared, as Fractions are immutable."""
+
+    def __missing__(self, d: int) -> Fraction:
+        x = self[d] = Fraction(d, 4)
+        return x
+
+
+_QUARTERS = _Quarters()
+
+
 def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     """Penner's form, P in d log lambda, pulled back through
     log lambda = 1/2 M Y: 1/4 M^T P M, which is 1/4 (M^T - M).
@@ -126,11 +138,15 @@ def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     K = P + E with K M = 2I, which view.inverse() checks (raising its
     ValueError where it fails), gives M^T P M = 2 M^T - M^T E M.  The
     left side is antisymmetric and M^T E M symmetric, so it is M^T - M.
+    Its entries are small ints over 4, 0 in about half the table, and
+    each is the one Fraction(d, 4) _QUARTERS keeps for its int d, in
+    rows that are lists of their own.
     """
     view = dual_view(graph)
     view.inverse()
-    m, cols = view.rows, range(len(view.names))
-    return CoordinateIndexedMatrix(view.names, [[Fraction(m[j][i] - m[i][j], 4) for j in cols] for i in cols])
+    m = view.rows
+    return CoordinateIndexedMatrix(view.names, [[_QUARTERS[a - b] for a, b in zip(col, row)]
+                                                for col, row in zip(zip(*m), m)])
 
 
 @dataclass

@@ -48,16 +48,17 @@ an odd number of times so far.  With q_e = n/m, X[e] maps the ints to
 by n when e enters S, by m when it leaves; F and -F^-1 with w = wn/wd
 scale the row operation by wd, and the denominator with it.  L and R
 are int row operations.  The radical is folded once, at the end, by
-SqrtRational.sqrt_of_product, the rule the closed-form lambda-lengths
-use.
+algebra._fold_sqrt, the rule the closed-form lambda-lengths use, and
+each entry is one Fraction times it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .algebra import LaurentPoly, Mat2, SqrtRational
+from .algebra import LaurentPoly, Mat2, SqrtRational, _fold_sqrt, _sqrt_parts
 
 if TYPE_CHECKING:
     from .coords import CoordinatePoint
@@ -313,7 +314,7 @@ def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat
     Float points run the atoms' row operations on floats.  Exact points
     run them on ints over one denominator and attach the word's single
     radical at the end, so every nonzero exact entry prints as r*sqrt(n)
-    with the n that SqrtRational.sqrt_of_product gives for the edges
+    with the n that algebra._fold_sqrt gives for the edges
     crossed an odd number of times, folded in the point's edge order;
     on a dual arc that is the form lambda_of_dual_arcs prints.
     """
@@ -519,8 +520,8 @@ def _evaluate_exact(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) 
             den *= wd
         else:
             raise ValueError("unknown atom %r" % (atom,))
-    root = SqrtRational.sqrt_of_product(x for e, x in q.items() if e in odd)
-    return Mat2(root.scaled(a, den), root.scaled(b, den), root.scaled(c, den), root.scaled(d, den))
+    num, den, rad = _fold_sqrt([_sqrt_parts(x) for e, x in q.items() if e in odd], 1, den)
+    return Mat2(*[SqrtRational._of(Fraction(v * num, den), rad if v else 1) for v in (a, b, c, d)])
 
 
 def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) -> Mat2:

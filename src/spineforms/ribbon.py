@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .paths import PathWord, Step
 
@@ -491,13 +491,14 @@ _VALUE_KEYS = {"inner": "Z", "pending": "pi", "loop": "omega"}
 _EXACT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def _int_refusal(digits: tuple[str, ...], refusal: str) -> GraphError:
+def _int_refusal(digits: Iterable[str], refusal: str) -> GraphError:
     """The error for runs of digits that str.isdigit or the regex \\d
     accepted but int() refused: more digits than
     sys.get_int_max_str_digits() allows, else ``refusal`` (int() does
-    not read every digit str.isdigit accepts, a superscript for one)."""
+    not read every digit str.isdigit accepts, a superscript for one).
+    The graph reader and the lambda-file reader both refuse by it."""
     limit = sys.get_int_max_str_digits()
-    longest = max(len(d.lstrip("+-")) for d in digits)
+    longest = max((len(d.lstrip("+-")) for d in digits), default=0)
     if 0 < limit < longest:
         return GraphError("a number of %d digits is too long; at most %d are read" % (longest, limit))
     return GraphError(refusal)

@@ -2,6 +2,8 @@
 surds, 2x2 matrices, and the dense rational linear algebra the tests
 use as an oracle."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from spineforms.algebra import (
     LaurentPoly,
     Mat2,
     SqrtRational,
+    _fold_sqrt,
+    _sqrt_parts,
     fraction_sqrt,
 )
 from spineforms.paths import MatrixWord, evaluate
@@ -172,6 +176,8 @@ def test_sqrt_of_product_folds_factor_by_factor():
         ([Fraction(2, 3), Fraction(3)], "sqrt(2)"),
         ([Fraction(10), Fraction(50), Fraction(8)], "10*sqrt(40)"),
         ([Fraction(8), Fraction(10), Fraction(50)], "20*sqrt(10)"),
+        # the radicand 8*2 = 16 stays in the root until the end
+        ([Fraction(8), Fraction(2), Fraction(3)], "2*sqrt(12)"),
     ]
     for qs, text in cases:
         root = SqrtRational.sqrt_of_product(qs)
@@ -181,6 +187,64 @@ def test_sqrt_of_product_folds_factor_by_factor():
         assert root == want and str(root) == text, qs
         assert root.scaled(-3, 4) == want * Fraction(-3, 4) and root.scaled(-3, 4).rad == root.rad
     assert str(SqrtRational.sqrt_of_product([Fraction(3)]).scaled(0, 5)) == "0"
+
+
+def _fraction_fold(qs):
+    """The fold in Fraction arithmetic, with whether a square radicand
+    other than 1 was met before the last factor."""
+    rat, rad, square_midway = Fraction(1), 1, False
+    for k, x in enumerate(qs):
+        s = x.numerator * x.denominator
+        rat /= x.denominator
+        r = math.isqrt(s)
+        if r * r == s:
+            rat *= r
+        else:
+            g = math.gcd(rad, s)
+            rat *= g
+            rad = rad // g * (s // g)
+        square_midway |= k < len(qs) - 1 and rad > 1 and math.isqrt(rad) ** 2 == rad
+    return SqrtRational(rat, rad), square_midway
+
+
+def _factor(rng):
+    kind = rng.randrange(4)
+    if kind == 0:  # a square
+        return Fraction(rng.randint(1, 6) ** 2, rng.randint(1, 6) ** 2)
+    if kind == 1:  # most often not a square
+        return Fraction(rng.randint(1, 30), rng.randint(1, 12))
+    if kind == 2:  # factors shared with the radicand so far
+        return Fraction(rng.choice((2, 3, 5)) * rng.choice((1, 2, 3, 4, 6, 8)), rng.choice((1, 2, 3)))
+    return Fraction(1)
+
+
+def test_one_fold_gives_one_form_in_any_order():
+    """sqrt_of_product folds in ints as the Fraction fold does, giving
+    the same (rat, rad) in every order of the factors; it equals the
+    product of the SqrtRational.sqrt(q) and has its form, except where a
+    square radicand met midway leaves the root later in the fold than in
+    the product.  A start num/den scales the value and keeps the rad."""
+    rng = random.Random(20261019)
+    seen = {False: 0, True: 0}
+    for _ in range(400):
+        qs = [_factor(rng) for _ in range(rng.randint(0, 7))]
+        for order in (qs, qs[::-1], rng.sample(qs, len(qs))):
+            root = SqrtRational.sqrt_of_product(order)
+            want, square_midway = _fraction_fold(order)
+            assert (root.rat, root.rad) == (want.rat, want.rad), order
+            assert root.rad == 1 or math.isqrt(root.rad) ** 2 != root.rad
+            chain = SqrtRational(1)
+            for q in order:
+                chain = chain * SqrtRational.sqrt(q)
+            assert root == chain, order
+            if not square_midway:
+                assert (root.rat, root.rad) == (chain.rat, chain.rad), order
+            seen[square_midway] += 1
+            num, den = rng.randint(-5, 5), rng.randint(1, 9)
+            n, d, rad = _fold_sqrt(map(_sqrt_parts, order), num, den)
+            scaled = root.scaled(num, den)
+            assert (Fraction(n, d), rad if n else 1) == (scaled.rat, scaled.rad), order
+    assert min(seen.values()) > 10, seen
 
 
 def test_to_fraction_requires_trivial_radical():
@@ -224,6 +288,14 @@ def test_fraction_sqrt():
     assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         fraction_sqrt(Fraction(2))
+    # ints are reduced once before the roots are taken
+    assert fraction_sqrt(18, 8) == Fraction(3, 2)
+    assert fraction_sqrt(-27, -12) == Fraction(3, 2)
+    assert fraction_sqrt(0, 5) == 0
+    with pytest.raises(ValueError, match="^8/3 is not a rational square$"):
+        fraction_sqrt(16, 6)
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        fraction_sqrt(-4, 1)
 
 
 # -- matrices ----------------------------------------------------------

@@ -221,6 +221,8 @@ def test_negative_loop_weight_in_lambda_file_is_bad_input(capsys, tmp_path):
 
 
 FIVE_HOLES_LAMBDAS = "".join("lambda %s = 1\n" % n for n in ("pi", "a1", "a2", "a3", "b1", "b2", "b3"))
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = "a number of %d digits is too long; at most %d are read" % (len(LONG), sys.get_int_max_str_digits())
 
 
 @pytest.mark.parametrize(
@@ -242,6 +244,18 @@ FIVE_HOLES_LAMBDAS = "".join("lambda %s = 1\n" % n for n in ("pi", "a1", "a2", "
         ("sigma_0_2_1", "lambda pi = 1.5\nomega w = inf\n", "loop weight omega[w] = inf must be finite"),
         ("sigma_0_5_1", FIVE_HOLES_LAMBDAS + "omega w1 = 2\nomega w2 = 2\nomega w3 = 2\n",
          "missing loop weights for w4"),
+        # int() reads at most sys.get_int_max_str_digits() digits; the
+        # reason is given once, as parse_graph gives it
+        pytest.param("sigma_0_2_1", "lambda pi = %s\n" % LONG, "line 1: " + TOO_LONG, id="numerator-too-long"),
+        pytest.param("sigma_0_2_1", "lambda pi = 2/%s\n" % LONG, "line 1: " + TOO_LONG, id="denominator-too-long"),
+        pytest.param("sigma_0_2_1", "lambda pi = %s/3*sqrt(2)\n" % LONG, "line 1: " + TOO_LONG,
+                     id="sqrt-factor-too-long"),
+        pytest.param("sigma_0_2_1", "lambda pi = 3*sqrt(%s)\n" % LONG, "line 1: " + TOO_LONG,
+                     id="radicand-too-long"),
+        pytest.param("sigma_0_2_1", "lambda pi = 1\nomega w = %s\n" % LONG, "line 2: " + TOO_LONG,
+                     id="omega-too-long"),
+        ("sigma_0_1_4", "lambda e = sqrt(2)\nlambda p1 = 1\nlambda p2 = 1\nlambda p3 = 1\nlambda p4 = 1\n",
+         "lambda-lengths give no rational q for p1"),
     ],
 )
 def test_malformed_lambda_file_is_bad_input(capsys, tmp_path, graph, text, message):

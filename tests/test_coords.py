@@ -156,8 +156,46 @@ def test_assignment_getitem(two_loops):
 
 def test_inconsistent_lambdas_rejected(t3):
     lam = LambdaAssignment({"p1": Fraction(1), "p2": Fraction(1)})
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="^missing lambda values for p3$"):
         shear_from_lambda(t3, lam)
+
+
+def test_lambdas_with_no_rational_q_are_refused(four_cusps):
+    """lambda_e = sqrt(2) and every other lambda 1 make q_p1 the square
+    root of 2: no rational q, and the first such edge is named."""
+    lam = {n: SqrtRational.sqrt(2) if n == "e" else 1 for n in four_cusps.coordinate_edges()}
+    with pytest.raises(ValueError, match="^lambda-lengths give no rational q for p1$"):
+        shear_from_lambda(four_cusps, lam)
+
+
+def _same_lambda(rng, v):
+    """v as another exact value equal to it: an int or a Fraction when
+    rational, else a SqrtRational whose rad keeps a square factor."""
+    if v.rad == 1:
+        forms = [v, v.rat, SqrtRational(v.rat)] + ([int(v.rat)] if v.rat.denominator == 1 else [])
+        return rng.choice(forms)
+    k = rng.randint(1, 3)
+    return SqrtRational(v.rat / k, v.rad * k * k)
+
+
+def test_every_exact_lambda_type_gives_the_same_q():
+    """Lambdas given as ints, Fractions, SqrtRationals with rad 1 and
+    SqrtRationals with rad > 1, in any mix and with a rad that is not
+    the smallest, give back the point."""
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for k in range(150):
+        graph = random_spine(rng)
+        point = random_exact_point(rng, graph)
+        if k % 2:  # squares q: every lambda rational, many of them ints
+            q = {n: Fraction(rng.randint(1, 4)) ** 2 for n in point.q}
+            point = CoordinatePoint(True, q=q, omega=point.omega)
+        lam = lambda_of_dual_arcs(graph, point)
+        given = {n: _same_lambda(rng, v) for n, v in lam.items()}
+        kinds.update(type(v).__name__ + (str(min(v.rad, 2)) if isinstance(v, SqrtRational) else "")
+                     for v in given.values())
+        assert shear_from_lambda(graph, LambdaAssignment(given, dict(lam.omega))) == point
+    assert set(kinds) == {"int", "Fraction", "SqrtRational1", "SqrtRational2"}, kinds
 
 
 def test_closed_form_matches_matrix_word_oracle():

@@ -156,6 +156,25 @@ def test_vertex_sum_proportional_to_window(name):
     assert penner_form_matrix(graph) == window_form_matrix(graph).scaled(Fraction(1, 4))
 
 
+def test_penner_table_is_quarter_counts_in_rows_of_their_own():
+    """Every entry is the Fraction (M_ji - M_ij)/4; entries share one
+    Fraction per value, but no two rows are one list, so writing into a
+    row changes no other row or later table."""
+    rng = random.Random(20261019)
+    graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(100)]
+    for graph in graphs:
+        m = dual_view(graph).rows
+        data = penner_form_matrix(graph).data
+        n = len(m)
+        assert all(type(x) is Fraction and x == Fraction(m[j][i] - m[i][j], 4)
+                   for i, row in enumerate(data) for j, x in enumerate(row))
+        assert all(type(row) is list for row in data) and len({id(row) for row in data}) == n
+        if n > 1:
+            data[0][1] = None
+            assert all(x is not None for row in data[1:] for x in row)
+            assert None not in penner_form_matrix(graph).data[0]
+
+
 def test_penner_form_refuses_a_broken_local_rule(monkeypatch, t3):
     """Penner's form is 1/4 (M^T - M) only where K M = 2I: one wrong
     entry of K makes it refuse, with DualView.inverse()'s error."""
