@@ -23,7 +23,7 @@ from .flips import flip_edge, verify_flip_matrix_identities
 from .forms import center_vectors, penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix
 from .fuzz import SUITES, run_suite
 from .paths import PathWord, compile_path, evaluate, geodesic_function, lambda_length
-from .ribbon import FatGraph, GraphError, _int_refusal, dual_arc, emit_graph, parse_graph, validate, windows
+from .ribbon import FatGraph, GraphError, _exact_parts, _int_refusal, dual_arc, emit_graph, parse_graph, validate, windows
 
 __all__ = ["main"]
 
@@ -153,17 +153,18 @@ def cmd_lambda_from_shear(args) -> int:
 
 
 _SQRT_RE = re.compile(r"^(?:([+-]?\d+(?:/\d+)?)\*)?sqrt\((\d+)\)$")
-_FRAC_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def _parse_value(text: str):
+    """r*sqrt(n) or a rational (read by ribbon._exact_parts), else a float."""
     text = text.strip()
     m = _SQRT_RE.match(text)
     if m:
-        rat = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        rat = Fraction(*_exact_parts(m.group(1))) if m.group(1) else Fraction(1)
         return SqrtRational(rat, int(m.group(2)))
-    if _FRAC_RE.match(text):
-        return SqrtRational(Fraction(text))
+    parts = _exact_parts(text)
+    if parts is not None:
+        return SqrtRational(Fraction(*parts))
     return float(text)
 
 
@@ -182,7 +183,7 @@ def _read_lambda_file(path: str) -> LambdaAssignment:
         kind, name, text = m.groups()
         try:
             value = _parse_value(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             refusal = _int_refusal(re.findall(r"\d+", text), "%s %s = %s is not a number" % (kind, name, text))
             raise ValueError("line %d: %s" % (lineno, refusal)) from None
         target = values if kind == "lambda" else omega

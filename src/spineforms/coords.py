@@ -28,12 +28,12 @@ row's even powers and odd factors (algebra._fold_sqrt), each q_e from
 the lambda^2 kept as int pairs, reduced once before its root is taken
 (algebra.fraction_sqrt).  M and K are derived once per graph in a
 DualView cached on the graph (see dual_view), which checks K M = 2I
-before K is used.  M is counted in one pass over the graph's face
-orbits, with no dual arc cut; the view refuses, with a GraphError, a
-graph on which some dual arc cannot be cut and a loop edge that does
-not close at one trivalent vertex.  The dual arcs themselves
-(ribbon.dual_arc) and their matrix words (paths.lambda_length) remain
-an independent check.
+before K is used.  M's rows read the runs into a cusp that dual_arc
+reads, from ribbon._run_into, counting the edges they leave through
+with no Step built; the view refuses, with a GraphError, a graph on
+which some dual arc cannot be cut and a loop edge that does not close
+at one trivalent vertex.  The matrix words of the dual arcs
+(paths.lambda_length) remain an independent check.
 Penner's form 1/4 M^T P M is 1/4 (M^T - M) once K M = 2I (forms).
 """
 
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .algebra import SqrtRational, _fold_sqrt, _sqrt_parts, fraction_sqrt
-from .ribbon import FatGraph, GraphError
+from .ribbon import FatGraph, GraphError, _run_into
 
 __all__ = [
     "CoordinatePoint",
@@ -136,7 +136,7 @@ class CoordinatePoint:
             elif v is None:
                 y[e.name] = 0.0
             else:
-                y[e.name] = v if isinstance(v, float) else math.log(float(v))
+                y[e.name] = v if isinstance(v, float) else _log_q(e.name, v)
         if exact:
             return cls(True, q=q, omega=omega)
         return cls(False, y=y, omega=omega)
@@ -159,13 +159,13 @@ class CoordinatePoint:
 
     def y_value(self, edge: str) -> float:
         if self.exact:
-            return math.log(float(self.q[edge]))
+            return _log_q(edge, self.q[edge])
         return self.y[edge]
 
     def as_float(self) -> "CoordinatePoint":
         if not self.exact:
             return CoordinatePoint(False, y=dict(self.y), omega=dict(self.omega))
-        y = {k: math.log(float(v)) for k, v in self.q.items()}
+        y = {k: _log_q(k, v) for k, v in self.q.items()}
         return CoordinatePoint(False, y=y, omega=self.omega)
 
     def value(self, name: str) -> Union[Fraction, float]:
@@ -230,49 +230,17 @@ def _fock_table(graph: FatGraph) -> list[list[int]]:
     return table
 
 
-def _hug_tails(graph: FatGraph, index: Mapping[str, int]) -> dict[str, Optional[tuple[list[int], int]]]:
-    """The coordinate edges the hugging run out through each half
-    crosses: the run from the last cusp the face walk visits before it
-    leaves through that half, through that step, as ribbon._run_into
-    cuts it.  Each is kept as (run, k), the indices of its edges being
-    run[:k]; None when that cusp sits on a loop-kind edge.  A half of an
-    orbit with no cusp is left out.
-
-    One forward pass over each cusped face orbit from a cusp visit
-    appends the index of each coordinate edge left through to the run,
-    which starts afresh at each cusp visit; the first cusp's run closes
-    the pass, once around."""
-    sigma, edge_of, owner, cusps = graph._sigma, graph._edge_of, graph._owner, graph.cusps
-    tails: dict[str, Optional[tuple[list[int], int]]] = {}
-    for orbit in graph.faces():
-        first = next((i for i, x in enumerate(orbit) if owner[x] in cusps), None)
-        if first is None:
-            continue
-        run = None
-        for x in orbit[first:] + orbit[:first + 1]:
-            j = index.get(edge_of[sigma[x]])
-            if run is not None:
-                if j is not None:
-                    run.append(j)
-                tails[sigma[x]] = (run, len(run)) if start_ok else None
-            if owner[x] in cusps:
-                # a cusp's run leaves along its own edge, a coordinate edge
-                # unless the cusp sits on a loop
-                start_ok = j is not None
-                run = [j] if start_ok else []
-    return tails
-
-
 class DualView:
     """The dual arcs of one graph as exponent vectors, derived once.
 
     ``names`` are the coordinate edges in file order and ``rows[i][j]``
     counts how often dual_arc(names[i]) runs through names[j] (loop
-    bounces are not counted): the traversal-count matrix M.  M is
-    counted in one pass over the face orbits (_hug_tails), cutting no
-    dual arc: a pending edge's row counts the hugging run into its cusp,
-    and an inner edge e's, with halves h1 and h2, the runs out through
-    h1 and h2 less one crossing of e.  The view refuses with dual_arc's
+    bounces are not counted): the traversal-count matrix M.  Each row
+    reads the runs into a cusp that dual_arc reads, from
+    ribbon._run_into, and counts the halves they leave through, building
+    no Step: a pending edge's row counts the run into its cusp, and an
+    inner edge e's, with halves h1 and h2, the runs out through h1 and
+    h2 less one crossing of e.  The view refuses with dual_arc's
     GraphError where dual_arc refuses (a face orbit with no cusp, or a
     run from a cusp on a loop-kind edge), and with its own a loop edge
     whose halves are not at one trivalent vertex.  The lambda-length of
@@ -288,26 +256,19 @@ class DualView:
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
-        tails = _hug_tails(graph, {n: j for j, n in enumerate(names)})
-
-        def count(row, h):
-            tail = tails.get(h)
-            if tail is None:
-                raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
-            run, k = tail
-            for j in run[:k]:
-                row[j] += 1
-
+        index = {n: j for j, n in enumerate(names)}
+        slot = {h: index.get(e) for h, e in graph._edge_of.items()}
         rows = []
-        for i, name in enumerate(names):
+        for name in names:
             edge = graph.edges[name]
-            row = [0] * len(names)
             if edge.kind == "pending":
-                count(row, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))
-            else:
-                count(row, edge.halves[0])
-                count(row, edge.halves[1])
-                row[i] -= 1
+                exits = _run_into(graph, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))[1]
+            else:  # as in dual_arc: the second run short of its crossing of the edge
+                exits = _run_into(graph, edge.halves[0])[1] + _run_into(graph, edge.halves[1])[1][:-1]
+            row = [0] * len(names)
+            for j in map(slot.__getitem__, exits):
+                if j is not None:
+                    row[j] += 1
             rows.append(tuple(row))
         # a cusp has one half, so a loop's halves at one vertex are at a trivalent one
         for name in graph.loop_edges():
@@ -366,8 +327,16 @@ class DualView:
         return out
 
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
-        """lambda_i = exp(sum_j M_ij Y_j / 2)."""
-        return [math.exp(0.5 * sum(m * y[n] for n, m in terms)) for terms in self._terms]
+        """lambda_i = exp(sum_j M_ij Y_j / 2), each held to
+        _positive_lambda's float rule, 0 < lambda < inf."""
+        out = []
+        for name, terms in zip(self.names, self._terms):
+            try:
+                v = math.exp(0.5 * sum(m * y[n] for n, m in terms))
+            except OverflowError:
+                v = math.inf
+            out.append(_positive_lambda(name, v, False))
+        return out
 
 
 def dual_view(graph: FatGraph) -> DualView:
@@ -409,6 +378,14 @@ def _float(v, label: str, name: str) -> float:
         return float(v)
     except OverflowError:
         raise ValueError("%s = %s is too large for a float" % (label % name, v)) from None
+
+
+def _log_q(name: str, q: Fraction) -> float:
+    """log q as a float; a q whose float is 0 or infinite is refused."""
+    x = _float(q, "q[%s]", name)
+    if not x:
+        raise ValueError("q[%s] = %s is too small for a float" % (name, q))
+    return math.log(x)
 
 
 def _positive_lambda(name: str, v, exact: bool):

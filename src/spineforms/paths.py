@@ -54,6 +54,7 @@ each entry is one Fraction times it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -311,7 +312,8 @@ def _resolve_steps(graph: "FatGraph", path: PathWord) -> tuple[Step, ...]:
 def evaluate(word: MatrixWord, point: Optional["CoordinatePoint"] = None) -> Mat2:
     """Multiply the word out over LaurentPoly (point=None) or numbers.
 
-    Float points run the atoms' row operations on floats.  Exact points
+    Float points run the atoms' row operations on floats, refusing a
+    t = e^(y/2) or a product entry outside the float range.  Exact points
     run them on ints over one denominator and attach the word's single
     radical at the end, so every nonzero exact entry prints as r*sqrt(n)
     with the n that algebra._fold_sqrt gives for the edges
@@ -529,8 +531,12 @@ def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) 
     for atom in atoms:
         kind = atom[0]
         if kind == "X":
-            t = point.t_value(atom[1])
-            mt, ti = -t, 1.0 / t
+            try:
+                t = point.t_value(atom[1])
+                mt, ti = -t, 1.0 / t
+            except (OverflowError, ZeroDivisionError):
+                e = atom[1]
+                raise ValueError("y[%s] = %r puts t = e^(y/2) out of the float range" % (e, point.y[e])) from None
             a, b, c, d = mt * c, mt * d, ti * a, ti * b
         elif kind == "L":
             a, b, c, d = c, d, -a - c, -b - d
@@ -544,6 +550,8 @@ def _evaluate_float(atoms: tuple[Atom, ...], point: "CoordinatePoint", a0: int) 
                 a, b, c, d = w * a + c, w * b + d, -a, -b
         else:
             raise ValueError("unknown atom %r" % (atom,))
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError("the matrix product is out of the float range")
     return Mat2(a, b, c, d)
 
 
@@ -566,11 +574,16 @@ def _sign_normalize(value):
 
 
 def lambda_length(graph: "FatGraph", path: PathWord, point: Optional["CoordinatePoint"] = None):
-    """Sign-normalized upper-right entry of the compiled path."""
+    """Sign-normalized upper-right entry of the compiled path; at a float
+    point it must be positive and finite, as _positive_lambda rules."""
     if path.closed:
         raise ValueError("closed path has no lambda-length; use geodesic_function")
     m = _evaluate(compile_path(graph, path), point, 0)
-    return _sign_normalize(m.b)
+    value = _sign_normalize(m.b)
+    if point is not None and not point.exact and not 0.0 < value < math.inf:
+        from .coords import _positive_lambda  # refuses, naming the path
+        _positive_lambda(",".join(path.tokens), value, False)
+    return value
 
 
 def geodesic_function(graph: "FatGraph", path: PathWord, point: Optional["CoordinatePoint"] = None) -> GeodesicFunction:

@@ -314,11 +314,11 @@ class Window:
         return [s.edge for s in self.steps if graph.edges[s.edge].kind != "loop"]
 
 
-def _cut(graph: FatGraph, run: list[str]) -> tuple[Step, ...]:
-    """The steps out of a stretch of a face orbit, each a '+' turn."""
-    sigma, edge_of, edges = graph._sigma, graph._edge_of, graph.edges
+def _steps(graph: FatGraph, exits: Iterable[str]) -> tuple[Step, ...]:
+    """The steps out through the given halves, each a '+' turn."""
+    edge_of, edges = graph._edge_of, graph.edges
     steps = []
-    for x in map(sigma.__getitem__, run):
+    for x in exits:
         name = edge_of[x]
         steps.append(Step(name, "+" if edges[name].kind == "loop" else None, x))
     return tuple(steps)
@@ -334,27 +334,29 @@ def windows(graph: FatGraph) -> list[Window]:
             if graph.edges[graph._edge_of[orbit[j]]].kind == "loop":
                 raise GraphError("window walk does not reach a cusp (invalid graph?)")
             run = orbit[i:j] if i < j else orbit[i:] + orbit[:j]
-            out.append(Window(fi, graph.vertex_of(orbit[i]), graph.vertex_of(orbit[j]), _cut(graph, run)))
+            steps = _steps(graph, map(graph._sigma.__getitem__, run))
+            out.append(Window(fi, graph.vertex_of(orbit[i]), graph.vertex_of(orbit[j]), steps))
     return out
 
 
-def _run_into(graph: FatGraph, half: str) -> tuple[str, tuple[Step, ...]]:
+def _run_into(graph: FatGraph, half: str) -> tuple[str, list[str]]:
     """The last cusp the face walk visits before it leaves through
-    ``half``, and the walk's steps from that cusp through that exit, read
-    by following the face orbit back from ``half``.  As in windows, that
-    cusp is refused when it sits on a loop edge."""
-    sigma_inv, mate, owner, cusps = graph._sigma_inv, graph._mate, graph._owner, graph.cusps
-    a = x = sigma_inv[half]
-    back = [a]
-    # on a spine a is no cusp, as the walk leaves it through ``half``; it is tried last
+    ``half``, and the halves it leaves through from there up to ``half``,
+    read by following the face orbit back from ``half``; that cusp is
+    refused on a loop edge, as in windows.  dual_arc cuts its steps from
+    these runs, and coords.DualView counts the rows of M from them."""
+    sigma_inv, mate = graph._sigma_inv, graph._mate
+    x, back = sigma_inv[half], [half]
+    # sigma fixes cusp halves only; on a spine ``half`` leaves no cusp: tried last
     while True:
-        x = sigma_inv[mate[x]]
-        back.append(x)
-        if owner[x] in cusps or x == a:
+        h = mate[x]
+        back.append(h)
+        x = sigma_inv[h]
+        if x == h or h == half:
             break
-    if owner[x] not in cusps or graph.edges[graph._edge_of[x]].kind == "loop":
+    if x != h or graph.edges[graph._edge_of[h]].kind == "loop":
         raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
-    return owner[x], _cut(graph, back[::-1])
+    return graph._owner[h], back[::-1]
 
 
 def dual_arc(graph: FatGraph, name: str) -> PathWord:
@@ -370,10 +372,12 @@ def dual_arc(graph: FatGraph, name: str) -> PathWord:
         raise GraphError("loop edge %s has no dual arc" % name)
     if edge.kind == "pending":
         cusp = graph.cusp_of_pending(name)
-        return PathWord(*_run_into(graph, graph.mate(graph.cusp_half(cusp))), cusp)
+        start, run = _run_into(graph, graph.mate(graph.cusp_half(cusp)))
+        return PathWord(start, _steps(graph, run), cusp)
     start, run = _run_into(graph, edge.halves[0])
     end, tail = _run_into(graph, edge.halves[1])
-    return PathWord(start, run + PathWord(end, tail[:-1], end).reversed(graph).steps, end)
+    back = PathWord(end, _steps(graph, tail[:-1]), end).reversed(graph)
+    return PathWord(start, _steps(graph, run) + back.steps, end)
 
 
 @dataclass
@@ -546,6 +550,8 @@ def _parse_value(kind: str, key: str, raw: str) -> Union[Fraction, float]:
         return value
     if key == "perimeter":
         p = _parse_float(raw)
+        if p < 0:
+            raise GraphError("hole perimeter perimeter=%s is negative; it must be >= 0" % raw)
         try:
             return 2.0 * math.cosh(p / 2.0)
         except OverflowError:
@@ -582,7 +588,7 @@ def parse_graph(text: str) -> FatGraph:
 
     An integer or fraction coordinate value is exact and denotes e^Y; a
     decimal value is a float Y.  Loop weights are given directly
-    (omega= with omega >= 0), via the hole perimeter (omega =
+    (omega= with omega >= 0), via the hole perimeter P >= 0 (omega =
     2cosh(P/2) >= 2), or via an orbifold order p (omega = 2cos(pi/p),
     refused when it rounds to 2 in float).
     """

@@ -170,7 +170,7 @@ def test_lambda_from_shear_lists_loop_weights(capsys, tmp_path):
 @pytest.mark.parametrize(
     "field, line",
     [("pi=nan", 5), ("pi=inf", 5), ("pi=1e400", 5), ("pi=3/0", 5), ("omega=nan", 6), ("omega=1/0", 6),
-     ("perimeter=5000", 6)],
+     ("perimeter=5000", 6), ("perimeter=-3", 6)],
 )
 def test_non_finite_value_is_bad_input(capsys, tmp_path, field, line):
     old = "pi=1" if field.startswith("pi=") else "omega=2"
@@ -181,6 +181,38 @@ def test_non_finite_value_is_bad_input(capsys, tmp_path, field, line):
     assert out == ""
     assert err.startswith("error: line %d: " % line)
     assert err.count("\n") == 1
+
+
+_BIG_Q = "1" + "0" * 400
+_OUT_OF_RANGE = "y[pi] = %s puts t = e^(y/2) out of the float range"
+
+
+@pytest.mark.parametrize("graph, fields, argv, message", [
+    ("sigma_0_2_1", {"pi=1": "pi=1e300"}, ("lambda", "pi,w+,pi"), _OUT_OF_RANGE % "1e+300"),
+    ("sigma_0_2_1", {"pi=1": "pi=1e300"}, ("geodesic", "pi,w+,pi"), _OUT_OF_RANGE % "1e+300"),
+    ("sigma_0_2_1", {"pi=1": "pi=1e300"}, ("lambda-from-shear",), "lambda pi = inf must be positive and finite"),
+    ("sigma_0_2_1", {"pi=1": "pi=-1e300"}, ("lambda", "pi,w+,pi"), _OUT_OF_RANGE % "-1e+300"),
+    ("sigma_0_2_1", {"pi=1": "pi=-1e300"}, ("geodesic", "pi,w+,pi"), _OUT_OF_RANGE % "-1e+300"),
+    ("sigma_0_2_1", {"pi=1": "pi=-1e300"}, ("lambda-from-shear",), "lambda pi = 0.0 must be positive and finite"),
+    ("sigma_0_2_1", {"pi=1": "pi=900.0"}, ("lambda", "pi,w+,pi"), "the matrix product is out of the float range"),
+    ("sigma_0_2_1", {"pi=1": "pi=900.0"}, ("geodesic", "pi,w+,pi"), "the matrix product is out of the float range"),
+    ("sigma_0_2_1", {"pi=1": "pi=900.0"}, ("lambda-from-shear",), "lambda pi = inf must be positive and finite"),
+    ("t3", {"p1_c pi=1": "p1_c pi=0.5", "p2_c pi=1": "p2_c pi=" + _BIG_Q}, ("lambda-from-shear",),
+     "q[p2] = %s is too large for a float" % _BIG_Q),
+    ("t3", {"p1_c pi=1": "p1_c pi=0.5", "p2_c pi=1": "p2_c pi=1/" + _BIG_Q}, ("lambda-from-shear",),
+     "q[p2] = 1/%s is too small for a float" % _BIG_Q),
+], ids=["lambda-1e300", "geodesic-1e300", "from-shear-1e300", "lambda--1e300", "geodesic--1e300",
+        "from-shear--1e300", "lambda-900", "geodesic-900", "from-shear-900", "t3-big-exact-q", "t3-tiny-exact-q"])
+def test_value_outside_the_float_range_is_bad_input(capsys, tmp_path, graph, fields, argv, message):
+    """A float graph whose values put a t, a matrix entry or a lambda
+    outside the float range is refused, not printed as inf or 0 and not
+    ended in a traceback."""
+    text = fixture_text(graph)
+    for old, new in fields.items():
+        text = text.replace(old, new)
+    source = tmp_path / "big.graph"
+    source.write_text(text)
+    assert run(capsys, argv[0], str(source), *argv[1:]) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("old, new", [

@@ -91,6 +91,17 @@ def test_point_accessors(one_loop):
     assert floated.y_value("pi") == pytest.approx(math.log(2.25))
 
 
+@pytest.mark.parametrize("q, message", [
+    (Fraction(10**400), "q[pi] = 1%s is too large for a float" % ("0" * 400)),
+    (Fraction(1, 10**400), "q[pi] = 1/1%s is too small for a float" % ("0" * 400)),
+])
+def test_exact_q_outside_the_float_range_has_no_float_y(q, message):
+    point = CoordinatePoint(True, q={"pi": q})
+    for read in (point.as_float, lambda: point.y_value("pi")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read()
+
+
 def test_cross_ratio_substitution():
     assert cross_ratio(2, 1, 3, 1) == Fraction(6)
 
@@ -352,12 +363,12 @@ def test_rewired_fixtures_without_dual_arcs_are_refused():
     assert windows_refused == 14
 
 
-def dual_arc_counts(graph):
-    """M counted step by step from every dual_arc, loop steps left out,
-    or the first refusal's message."""
+def dual_arc_counts(graph, arc=dual_arc):
+    """M counted step by step from every dual arc that ``arc`` gives,
+    loop steps left out, or the first refusal's message."""
     names = graph.coordinate_edges()
     try:
-        counts = [Counter(s.edge for s in dual_arc(graph, n).steps) for n in names]
+        counts = [Counter(s.edge for s in arc(graph, n).steps) for n in names]
     except GraphError as exc:
         return str(exc)
     return tuple(tuple(c[m] for m in names) for c in counts)
@@ -374,7 +385,10 @@ def test_dual_view_rows_are_the_dual_arc_counts_on_spines():
     rng = random.Random(1)
     graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(300)]
     for k, graph in enumerate(graphs):
-        assert dual_view_rows(graph) == dual_arc_counts(graph), k
+        rows = dual_view_rows(graph)
+        assert rows == dual_arc_counts(graph), k
+        # the turn-by-turn walks share no code with ribbon._run_into
+        assert rows == dual_arc_counts(graph, oracle_dual_arc), k
 
 
 def refusals_against_dual_arcs(graphs):
