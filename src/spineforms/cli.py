@@ -286,10 +286,12 @@ def cmd_verify_inverse(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         return _die("--trials must be at least 1, got %d" % args.trials)
-    if args.suite:
-        names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    else:
+    if args.suite is None:
         names = list(SUITES)
+    else:
+        names = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not names:
+            return _die("--suite %r names no suite; choose from %s" % (args.suite, ", ".join(SUITES)))
     for name in names:
         if name not in SUITES:
             return _die("unknown suite %r; choose from %s" % (name, ", ".join(SUITES)))

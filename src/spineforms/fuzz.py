@@ -1,10 +1,14 @@
 """Random spines and randomized property suites.
 
-Generation is rejection sampling: draw a surface signature, scatter
-loops, pendings and a perfect matching over the vertex slots, then keep
-the graph only if the full validator passes (connected, right number of
-holes, monogons exactly at the loops, Euler count).  Everything is
-driven by one ``random.Random`` so a seed reproduces the corpus.
+Generation is rejection sampling in three steps.  Draw: a surface
+signature, then loops, pendings and a perfect matching scattered over
+the vertex slots, all as ints (slot i of vertex v is 3v + i).  Screen:
+on those ints, count the face orbits and check that the monogons are
+exactly the loops' and every other face has a cusp, and that the graph
+is connected; about 7 draws in 8 stop here.  Build: only a survivor is
+named and built into a FatGraph, and the full validator and the
+signature check still run on it, raising if they refuse it.  Everything
+is driven by one ``random.Random`` so a seed reproduces the corpus.
 
 The suites re-check the structural invariants on that corpus: dual-arc
 lambdas stay monomial, compiled words stay sign-definite, flips are
@@ -27,7 +31,7 @@ from .coords import CoordinatePoint, dual_view, lambda_of_dual_arcs, shear_from_
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
 from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
-from .ribbon import Edge, FatGraph, dual_arc, validate, windows
+from .ribbon import Edge, FatGraph, GraphError, dual_arc, validate, windows
 
 __all__ = [
     "random_spine",
@@ -40,14 +44,20 @@ __all__ = [
 ]
 
 
+def _trivalent(sig: tuple[int, int, int, int]) -> int:
+    """The number of trivalent vertices of a spine of signature
+    (g, s_h, s_o, n): 4g - 4 + 2s + n, read off Euler's formula."""
+    g, s_h, s_o, n = sig
+    return 4 * g - 4 + 2 * (s_h + s_o) + n
+
+
 def _signature(rng: random.Random) -> tuple[int, int, int, int]:
     while True:
         g = rng.choice([0, 0, 0, 0, 1, 1, 2])
         s_h = rng.randint(1, 3)
         n = rng.randint(s_h, 4)
         s_o = rng.randint(0, max(0, 5 - s_h))
-        s = s_h + s_o
-        v3 = 4 * g - 4 + 2 * s + n
+        v3 = _trivalent((g, s_h, s_o, n))
         if v3 < max(1, s_o):
             continue
         if 3 * v3 - 2 * s_o - n < 0:
@@ -55,57 +65,121 @@ def _signature(rng: random.Random) -> tuple[int, int, int, int]:
         return g, s_h, s_o, n
 
 
-def _attempt(rng: random.Random, sig: tuple[int, int, int, int]) -> Optional[FatGraph]:
+def _draw(rng: random.Random, sig: tuple[int, int, int, int]) -> list[int]:
+    """One draw for the signature: the edges' halves, two by two, loops
+    first, then pendings, then inner edges.  Half 3v + i is slot i of
+    trivalent vertex v, and half 3v3 + k is the half of cusp k.
+
+    Loops take two slots at each of s_o distinct vertices; the free
+    slots are shuffled, n of them go to pendings, and the rest are
+    shuffled again and paired.  3v3 - 2s_o - n = 12g - 12 + 6s + 2n -
+    2s_o is even, so the pairing never runs short."""
     g, s_h, s_o, n = sig
-    s = s_h + s_o
-    v3 = 4 * g - 4 + 2 * s + n
-    slots = [(v, i) for v in range(v3) for i in range(3)]
-    half_id = {sl: "h%d_%d" % sl for sl in slots}
-
-    vertices_halves: dict[int, list[Optional[str]]] = {v: [None, None, None] for v in range(v3)}
-    edges: dict[str, Edge] = {}
-
-    loop_vertices = rng.sample(range(v3), s_o)
-    used: set[tuple[int, int]] = set()
-    for k, v in enumerate(loop_vertices):
+    cut = 3 * _trivalent(sig)
+    halves: list[int] = []
+    for v in rng.sample(range(cut // 3), s_o):
         i, j = sorted(rng.sample(range(3), 2))
-        name = "w%d" % (k + 1)
-        edges[name] = Edge(name, "loop", (half_id[(v, i)], half_id[(v, j)]))
-        used.add((v, i))
-        used.add((v, j))
-
-    free = [sl for sl in slots if sl not in used]
+        halves += (3 * v + i, 3 * v + j)
+    used = set(halves)
+    free = [h for h in range(cut) if h not in used]
     rng.shuffle(free)
-    cusps: dict[str, str] = {}
-    for k in range(n):
-        sl = free.pop()
-        name = "p%d" % (k + 1)
-        cusp = "c%d" % (k + 1)
-        cusp_half = "hc%d" % (k + 1)
-        cusps[cusp] = cusp_half
-        edges[name] = Edge(name, "pending", (half_id[sl], cusp_half))
+    for k in range(cut, cut + n):
+        halves += (free.pop(), k)
+    rng.shuffle(free)
+    return halves + free
 
-    if len(free) % 2 != 0:
+
+def _screen(sig: tuple[int, int, int, int], halves: list[int]) -> bool:
+    """True when the draw is a spine of signature sig, read on ints.
+
+    The draw already has trivalent vertices, every half in one edge,
+    pendings ending at cusps and loops at one vertex, and its Euler
+    count gives genus g once it has s faces.  What is left of validate
+    and the signature check: the orbits of h -> mate(sigma(h)) number
+    s, where sigma turns a slot to the next one at its vertex and fixes
+    cusp halves; s_o of them are monogons, each leaving through a loop
+    half; every other orbit holds a cusp half; and the graph is
+    connected.  A loop's two halves are neighbours at their vertex, so
+    each loop closes one monogon, and a count of s_o monogons leaves no
+    room for one closed by an inner edge."""
+    g, s_h, s_o, n = sig
+    cut = 3 * _trivalent(sig)
+    mate = [0] * (cut + n)
+    for k in range(0, len(halves), 2):
+        a, b = halves[k], halves[k + 1]
+        mate[a], mate[b] = b, a
+    seen = [False] * (cut + n)
+    faces = monogons = 0
+    for h in range(cut + n):
+        if seen[h]:
+            continue
+        faces += 1
+        cur, size, cusped = h, 0, False
+        while not seen[cur]:
+            seen[cur] = True
+            size += 1
+            if cur >= cut:
+                cusped = True
+                cur = mate[cur]
+            else:
+                cur = mate[cur + 1 if cur % 3 != 2 else cur - 2]
+        if size == 1:
+            monogons += 1
+        elif not cusped:
+            return False
+    if faces != s_h + s_o or monogons != s_o:
+        return False
+    # each cusp hangs off its pending's vertex, so the trivalent ones decide
+    reached = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for h in range(3 * v, 3 * v + 3):
+            u = mate[h] // 3
+            if mate[h] < cut and u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return len(reached) == cut // 3
+
+
+def _graph(sig: tuple[int, int, int, int], halves: list[int]) -> FatGraph:
+    """The draw as a FatGraph: vertex v is "v%d", its slot i "h%d_%d",
+    cusp k (from 1) "c%d" with half "hc%d", and the edges "w%d", "p%d"
+    and "e%d" in that order.  Each half's name is one string, shared
+    by its vertex or cusp and its edge."""
+    g, s_h, s_o, n = sig
+    v3 = _trivalent(sig)
+    names = ["h%d_%d" % (v, i) for v in range(v3) for i in range(3)]
+    names += ["hc%d" % k for k in range(1, n + 1)]
+    vertices = {"v%d" % v: tuple(names[3 * v : 3 * v + 3]) for v in range(v3)}
+    cusps = {"c%d" % k: h for k, h in enumerate(names[3 * v3 :], 1)}
+    edges: dict[str, Edge] = {}
+    pairs = zip(halves[::2], halves[1::2])
+    inner = len(halves) // 2 - s_o - n
+    for prefix, kind, count in (("w", "loop", s_o), ("p", "pending", n), ("e", "inner", inner)):
+        for k in range(1, count + 1):
+            a, b = next(pairs)
+            name = "%s%d" % (prefix, k)
+            edges[name] = Edge(name, kind, (names[a], names[b]))
+    return FatGraph(vertices, cusps, edges)
+
+
+def _attempt(rng: random.Random, sig: tuple[int, int, int, int]) -> Optional[FatGraph]:
+    """A spine drawn for the signature, or None when the screen refuses
+    the draw.  FatGraph, validate and the signature check stay the
+    authority: a survivor that any of them refuses is a fault of the
+    screen, and raises."""
+    halves = _draw(rng, sig)
+    if not _screen(sig, halves):
         return None
-    rng.shuffle(free)
-    for k in range(0, len(free), 2):
-        a, b = free[k], free[k + 1]
-        name = "e%d" % (k // 2 + 1)
-        edges[name] = Edge(name, "inner", (half_id[a], half_id[b]))
-
-    for v in range(v3):
-        vertices_halves[v] = [half_id[(v, i)] for i in range(3)]
-    vertices = {"v%d" % v: tuple(vertices_halves[v]) for v in range(v3)}
-
+    label = "g=%d sh=%d so=%d n=%d" % sig
     try:
-        graph = FatGraph(vertices, cusps, edges)
-    except ValueError:
-        return None
+        graph = _graph(sig, halves)
+    except GraphError as exc:
+        raise RuntimeError("spine screen passed a draw for %s that FatGraph refuses: %s" % (label, exc)) from exc
     report = validate(graph)
-    if not report.ok:
-        return None
-    if (report.genus, report.holes_with_cusps, report.monogon_holes, report.cusps) != sig:
-        return None
+    if not report.ok or (report.genus, report.holes_with_cusps, report.monogon_holes, report.cusps) != sig:
+        raise RuntimeError("spine screen passed a draw for %s that validate refuses" % label)
     return graph
 
 
@@ -114,7 +188,10 @@ _ARC_TRIES, _CLOSED_TRIES = 40, 60  # walks random_arc, random_closed_word try
 
 
 def random_spine(seed_or_rng) -> FatGraph:
-    """A validated random spine; deterministic for a given seed."""
+    """A validated random spine; deterministic for a given seed.
+
+    Draws a signature and a graph for it until the int screen accepts
+    one (about 8 draws per spine), then names and builds only that one."""
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     for _ in range(_MAX_TRIES):
         graph = _attempt(rng, _signature(rng))

@@ -709,6 +709,15 @@ def test_fuzz_unknown_suite(capsys):
     assert "unknown suite 'bogus'" in err
 
 
+@pytest.mark.parametrize("argv", [["--suite", ","], ["--suite", ", ", "--format", "tsv"], ["--suite", ""]])
+def test_fuzz_refuses_a_suite_list_naming_no_suite(capsys, argv):
+    code, out, err = run(capsys, "fuzz", "--trials", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: --suite %r names no suite; choose from monomiality, " % argv[1])
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_fuzz_refuses_trials_below_one(capsys, trials):
     code, out, err = run(capsys, "fuzz", "--trials", trials)

@@ -5,9 +5,13 @@ import random
 
 import pytest
 
-from spineforms import parse_graph, validate
+from spineforms import fuzz, parse_graph, validate
 from spineforms.fuzz import (
     SUITES,
+    _draw,
+    _graph,
+    _screen,
+    _signature,
     _sign_definite_in_s,
     random_arc,
     random_closed_word,
@@ -18,7 +22,7 @@ from spineforms.fuzz import (
 from spineforms import coords
 from spineforms.coords import lambda_of_dual_arcs, shear_from_lambda
 from spineforms.paths import PathWord, compile_path, evaluate
-from spineforms.ribbon import dual_arc, emit_graph
+from spineforms.ribbon import GraphError, dual_arc, emit_graph
 from spineforms.algebra import LaurentPoly
 
 
@@ -43,6 +47,48 @@ def test_generator_varies_topology():
     rng = random.Random(1)
     keys = {random_spine(rng).canonical_key() for _ in range(12)}
     assert len(keys) > 4
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_spine_screen_agrees_with_validate(seed):
+    """The int screen accepts a draw exactly when FatGraph builds it,
+    validate passes it and its signature is the one drawn for; every
+    draw is built, whatever the screen says."""
+    rng = random.Random(seed)
+    disagree = []
+    for k in range(20000):
+        sig = _signature(rng)
+        halves = _draw(rng, sig)
+        try:
+            graph = _graph(sig, halves)
+        except GraphError:
+            spine = False
+        else:
+            r = validate(graph)
+            spine = r.ok and (r.genus, r.holes_with_cusps, r.monogon_holes, r.cusps) == sig
+        if _screen(sig, halves) != spine:
+            disagree.append((k, sig, spine))
+    assert disagree == []
+
+
+def test_a_screen_that_passes_every_draw_fails_loudly(monkeypatch):
+    monkeypatch.setattr(fuzz, "_screen", lambda sig, halves: True)
+    with pytest.raises(RuntimeError, match=r"spine screen passed a draw for g=\d+ sh=\d+ so=\d+ n=\d+"):
+        random_spine(random.Random(1))
+
+
+@pytest.mark.parametrize("seed,digest,next_bits", [
+    (1, "ec98dda507b0b2dce861be565716f7f7b37759c799bbd3beb33ac93465fff922", 5170359680829520159),
+    (20261017, "f2117b8089b0809c227ef07059a5a42bc20e6320a8ecceaac33ab03058fa23d0", 5617046677323132294),
+])
+def test_spine_corpus_is_pinned(seed, digest, next_bits):
+    """300 spines as text, and the generator's next draw after them: the
+    digest changes if any spine does, the bits if the draws consumed
+    change."""
+    rng = random.Random(seed)
+    text = "".join(emit_graph(random_spine(rng)) for _ in range(300))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert rng.getrandbits(64) == next_bits
 
 
 def test_random_point_covers_all_edges():
