@@ -22,9 +22,7 @@ from .paths import (
 from .coords import (
     CoordinatePoint,
     LambdaAssignment,
-    cross_ratio,
     lambda_of_dual_arcs,
-    pending_ratio,
     shear_from_lambda,
 )
 from .flips import FlipRecord, flip_inner, flip_loop_adjacent, mutate_lambda, verify_flip_matrix_identities
@@ -61,9 +59,7 @@ __all__ = [
     "lambda_length",
     "CoordinatePoint",
     "LambdaAssignment",
-    "cross_ratio",
     "lambda_of_dual_arcs",
-    "pending_ratio",
     "shear_from_lambda",
     "FlipRecord",
     "flip_inner",

@@ -253,11 +253,10 @@ class SqrtRational:
     up with rad == 1.  Sums are only defined inside one square class
     (rad2/rad1 a rational square).  Matrix words and the closed-form
     lambda-lengths never sum or multiply these: they fold their values
-    in ints, the radical by _fold_sqrt (the fold sqrt_of_product runs
-    on Fractions), and build each entry once, with one Fraction, by
-    _of, so the entries of one word share one rad.  The Ptolemy
-    sums of flips.mutate_lambda are the one caller whose terms can carry
-    different rads of one class.
+    in ints, the radical by _fold_sqrt, and build each entry once,
+    with one Fraction, by _of, so the entries of one word share one
+    rad.  The Ptolemy sums of flips.mutate_lambda are the one caller
+    whose terms can carry different rads of one class.
     """
 
     __slots__ = ("rat", "rad")
@@ -293,14 +292,6 @@ class SqrtRational:
         out.rat = rat
         out.rad = rad
         return out
-
-    @classmethod
-    def sqrt_of_product(cls, qs: Iterable[Fraction]) -> "SqrtRational":
-        """sqrt(q_1 * ... * q_k) for positive Fractions, folded factor by
-        factor by _fold_sqrt; the r*sqrt(n) form it gives depends on the
-        order of the factors, so callers fix one."""
-        num, den, rad = _fold_sqrt(map(_sqrt_parts, qs))
-        return cls._of(Fraction(num, den), rad)
 
     def scaled(self, num: int, den: int = 1) -> "SqrtRational":
         """self * num/den for ints num and den != 0, keeping rad."""
@@ -444,9 +435,11 @@ def _fold_sqrt(parts: Iterable[tuple[int, int, int, int]], num: int = 1, den: in
     common to the radicand so far move out of it, and a square
     radicand left at the end leaves it too.  This keeps radicands small
     without factoring.  The form depends on the order of the factors,
-    so callers fix one.  It can differ from the product of the
-    SqrtRational.sqrt(x_i), which takes a square radicand out at every
-    step: 8, 2, 3 fold to 2*sqrt(12), their product is 4*sqrt(3)."""
+    so its callers, coords.DualView.exact_lambdas and
+    paths._evaluate_exact, fix one.  It can differ from the product of
+    the SqrtRational.sqrt(x_i), which takes a square radicand out at
+    every step: 8, 2, 3 fold to 2*sqrt(12), their product is
+    4*sqrt(3)."""
     rad = 1
     for _, d, s, r in parts:
         den *= d

@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except (GraphError, ValueError) as exc:
         return _die(str(exc))
     except OSError as exc:
-        return _die("%s: %s" % (exc.filename, exc.strerror))
+        return _die(exc.strerror if exc.filename is None else "%s: %s" % (exc.filename, exc.strerror))
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ sqrt(prod_{M_ij odd} q_j) and a float point exp(sum_j M_ij Y_j / 2).
 Going back is local: K = 2 M^{-1} is P + E, Fock's bracket table P
 plus 1 on the diagonal of each pending edge.  P is vertex-local (see
 _fock_table): each vertex adds +1 for every cyclically adjacent ordered
-pair of its coordinate slots, loops skipped, so an inner edge gets the
-cross-ratio of its quadrilateral.  Y_e = sum_j K_ej log(lambda_j), and
-an exact point gives q_e = sqrt(prod_j (lambda_j^2)^{K_ej}), one exact
-square root.  Exact values are folded in ints (numerators, denominators
+pair of its coordinate slots, loops skipped, so an inner edge's row is
+the cross-ratio of its quadrilateral and a pending edge's the ratio of
+its triangle; no separate function computes either.  Y_e = sum_j K_ej
+log(lambda_j), and an exact point gives q_e = sqrt(prod_j
+(lambda_j^2)^{K_ej}), one exact square root.  Exact values are folded in ints (numerators, denominators
 and radicands) with one Fraction built per value: each lambda_i from its
 row's even powers and odd factors (algebra._fold_sqrt), each q_e from
 the lambda^2 kept as int pairs, reduced once before its root is taken
@@ -53,8 +54,6 @@ __all__ = [
     "lambda_of_dual_arcs",
     "shear_from_lambda",
     "dual_view",
-    "cross_ratio",
-    "pending_ratio",
 ]
 
 Number = Union[int, Fraction, float, SqrtRational]
@@ -504,16 +503,3 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     y = {name: sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
     return CoordinatePoint(False, y=y, omega=omega)
 
-
-def cross_ratio(lam_a: Number, lam_b: Number, lam_c: Number, lam_d: Number):
-    """Exponentiated shear of the edge between opposite arcs a, c and
-    adjacent arcs b, d of the surrounding quadrilateral."""
-    a, b, c, d = map(_promote, (lam_a, lam_b, lam_c, lam_d))
-    return (a * c) / (b * d)
-
-
-def pending_ratio(lam_a: Number, lam_b: Number, lam_c: Number):
-    """Exponentiated coordinate of a pending edge from the two arcs at
-    its cusp and the arc closing the triangle."""
-    a, b, c = map(_promote, (lam_a, lam_b, lam_c))
-    return (a * b) / c

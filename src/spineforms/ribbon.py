@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
@@ -260,40 +261,38 @@ class FatGraph:
     def canonical_key(self):
         """Certificate invariant under renaming of vertex and cusp ids.
 
-        Edge names are part of the key (they are stable under flips);
-        the minimum over all BFS roots and rotations makes the key
-        independent of the stored vertex labels.
+        Edge names are part of the key, and flips keep them, so the
+        least-named pending edge from a cusp to a trivalent vertex is a
+        canonical root: one breadth-first pass from the far end of that
+        edge, each vertex read counterclockwise from the half it is
+        entered through, gives one row per trivalent vertex of (edge
+        name, kind, number of the mate half or -1).  A graph with no
+        such edge has no root and is refused.
         """
-        best = None
-        for v0 in self.vertices:
-            for rot in range(3):
-                cert = self._certificate(v0, rot)
-                if best is None or cert < best:
-                    best = cert
-        return best
-
-    def _certificate(self, v0: str, rot: int):
-        order0 = self.vertices[v0]
-        queue: list[tuple[str, tuple[str, ...]]] = [(v0, order0[rot:] + order0[:rot])]
-        placed = {v0}
+        mate, owner, sigma, edge_of = self._mate, self._owner, self._sigma, self._edge_of
+        roots = [(edge_of[h], mate[h]) for h in self.cusps.values()
+                 if owner[mate[h]] in self.vertices and self.edges[edge_of[h]].kind == "pending"]
+        if not roots:
+            raise GraphError("canonical key needs a pending edge from a cusp to a trivalent vertex")
+        start = min(roots)[1]
+        placed = {owner[start]}
+        queue = deque([start])
         halfnum: dict[str, int] = {}
-        entries = []
+        rows = []
         while queue:
-            vid, halves = queue.pop(0)
+            h = queue.popleft()
             row = []
-            for h in halves:
-                if h not in halfnum:
-                    halfnum[h] = len(halfnum)
-                m = self._mate[h]
-                row.append((self._edge_of[h], self.edges[self._edge_of[h]].kind, halfnum.get(m, -1)))
-                peer = self._owner[m]
+            for _ in range(3):
+                halfnum[h] = len(halfnum)
+                m = mate[h]
+                row.append((edge_of[h], self.edges[edge_of[h]].kind, halfnum.get(m, -1)))
+                peer = owner[m]
                 if peer in self.vertices and peer not in placed:
                     placed.add(peer)
-                    porder = self.vertices[peer]
-                    i = porder.index(m)
-                    queue.append((peer, porder[i:] + porder[:i]))
-            entries.append(tuple(row))
-        return tuple(entries)
+                    queue.append(m)
+                h = sigma[h]
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Dense Fraction linear algebra and float derivatives, kept as
-reference oracles.
+"""Dense Fraction linear algebra, float derivatives and the textbook
+ratios of lambda-lengths, kept as reference oracles.
 
 The package works on the nonzero entries of its sparse integer
 matrices, and takes brackets in closed form.  The tests compare it
 against the textbook routes: Gauss-Jordan for 2 M^{-1}, for the leaf
-check an orthogonal projection off the kernel of the bracket, and for
-the bracket of two functions central differences against the table.
+check an orthogonal projection off the kernel of the bracket, for the
+bracket of two functions central differences against the table, and
+for shear_from_lambda the cross-ratio of an inner edge's quadrilateral
+and the ratio of a pending edge's triangle.
 """
 
 import math
@@ -83,6 +85,24 @@ def frac_kernel(A):
             vec[pcol] = -rows[prow][fc]
         basis.append(vec)
     return basis
+
+
+def cross_ratio(lam_a, lam_b, lam_c, lam_d):
+    """Exponentiated shear of the edge between opposite arcs a, c and
+    adjacent arcs b, d of the surrounding quadrilateral."""
+    a, b, c, d = map(_promote, (lam_a, lam_b, lam_c, lam_d))
+    return (a * c) / (b * d)
+
+
+def pending_ratio(lam_a, lam_b, lam_c):
+    """Exponentiated coordinate of a pending edge from the two arcs at
+    its cusp and the arc closing the triangle."""
+    a, b, c = map(_promote, (lam_a, lam_b, lam_c))
+    return (a * b) / c
+
+
+def _promote(v):
+    return Fraction(v) if isinstance(v, int) else v
 
 
 def local_rule_mismatches(graph):

@@ -28,13 +28,13 @@ from spineforms import (
     window_form_matrix,
 )
 from spineforms.algebra import LaurentPoly
-from spineforms.coords import cross_ratio
 from spineforms.flips import flip_loop_adjacent
 from spineforms.fuzz import random_closed_word, random_exact_point, run_suite
 from spineforms.paths import PathWord, t_var
 from spineforms.ribbon import windows
 
 from conftest import ALL_FIXTURES, exact_values, load_fixture
+from dense_oracle import cross_ratio
 
 
 @contextmanager

@@ -167,6 +167,12 @@ def test_sqrt_rational_inverse_and_pow():
     assert x ** 2 == SqrtRational(Fraction(45, 4))
 
 
+def _folded(qs):
+    """sqrt(q_1 * ... * q_k) as _fold_sqrt folds it."""
+    num, den, rad = _fold_sqrt(map(_sqrt_parts, qs))
+    return SqrtRational._of(Fraction(num, den), rad)
+
+
 def test_sqrt_of_product_folds_factor_by_factor():
     """a/b enters as sqrt(a*b)/b, perfect squares leave the root and
     common factors move out; the order of the factors fixes the form."""
@@ -180,13 +186,13 @@ def test_sqrt_of_product_folds_factor_by_factor():
         ([Fraction(8), Fraction(2), Fraction(3)], "2*sqrt(12)"),
     ]
     for qs, text in cases:
-        root = SqrtRational.sqrt_of_product(qs)
+        root = _folded(qs)
         want = SqrtRational(1)
         for q in qs:
             want = want * SqrtRational.sqrt(q)
         assert root == want and str(root) == text, qs
         assert root.scaled(-3, 4) == want * Fraction(-3, 4) and root.scaled(-3, 4).rad == root.rad
-    assert str(SqrtRational.sqrt_of_product([Fraction(3)]).scaled(0, 5)) == "0"
+    assert str(_folded([Fraction(3)]).scaled(0, 5)) == "0"
 
 
 def _fraction_fold(qs):
@@ -219,7 +225,7 @@ def _factor(rng):
 
 
 def test_one_fold_gives_one_form_in_any_order():
-    """sqrt_of_product folds in ints as the Fraction fold does, giving
+    """_fold_sqrt folds in ints as the Fraction fold does, giving
     the same (rat, rad) in every order of the factors; it equals the
     product of the SqrtRational.sqrt(q) and has its form, except where a
     square radicand met midway leaves the root later in the fold than in
@@ -229,7 +235,7 @@ def test_one_fold_gives_one_form_in_any_order():
     for _ in range(400):
         qs = [_factor(rng) for _ in range(rng.randint(0, 7))]
         for order in (qs, qs[::-1], rng.sample(qs, len(qs))):
-            root = SqrtRational.sqrt_of_product(order)
+            root = _folded(order)
             want, square_midway = _fraction_fold(order)
             assert (root.rat, root.rad) == (want.rat, want.rad), order
             assert root.rad == 1 or math.isqrt(root.rad) ** 2 != root.rad

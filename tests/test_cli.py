@@ -66,6 +66,19 @@ def test_validate_missing_file(capsys):
     assert err.startswith("error: ")
 
 
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_os_errors_name_a_file_only_when_they_have_one(capsys, monkeypatch):
+    code, _, err = run(capsys, "validate", "no/such/file.graph")
+    assert (code, err) == (2, "error: no/such/file.graph: No such file or directory\n")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["validate", fx("t3")])
+    assert (code, capsys.readouterr().err) == (2, "error: Broken pipe\n")
+
+
 def test_validate_unpaired_half(capsys, tmp_path):
     target = tmp_path / "torn.graph"
     target.write_text(

@@ -12,10 +12,8 @@ import pytest
 from spineforms import (
     CoordinatePoint,
     LambdaAssignment,
-    cross_ratio,
     lambda_of_dual_arcs,
     penner_form_matrix,
-    pending_ratio,
     poisson_matrix,
     shear_from_lambda,
 )
@@ -27,7 +25,7 @@ from spineforms.paths import lambda_length
 from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
-from dense_oracle import frac_inverse, frac_matmul, local_rule_mismatches
+from dense_oracle import cross_ratio, frac_inverse, frac_matmul, local_rule_mismatches, pending_ratio
 from walk_oracle import oracle_dual_arc, oracle_windows
 
 

@@ -19,6 +19,7 @@ from spineforms import (
     lambda_length,
     paths,
 )
+from spineforms.algebra import _fold_sqrt, _sqrt_parts
 from spineforms.coords import CoordinatePoint, lambda_of_dual_arcs
 from spineforms.fuzz import random_arc, random_closed_word, random_exact_point, random_spine
 from spineforms.paths import MatrixWord, _packed_sum, t_var, w_var
@@ -327,7 +328,7 @@ def test_huge_q_toggles_parity_back():
     for word, odd in ((twice, ["b"]), (thrice, ["a", "b"])):
         _assert_exact_entries(word, square)
         got = _assert_exact_entries(word, plain)
-        rad = SqrtRational.sqrt_of_product(plain.q[e] for e in odd).rad
+        rad = _fold_sqrt(_sqrt_parts(plain.q[e]) for e in odd)[2]
         assert {x.rad for x in (got.a, got.b, got.c, got.d) if not x.is_zero()} == {rad}, str(word)
 
 

@@ -1,16 +1,19 @@
 """Spine structure: parsing, validation, boundary windows, dual arcs."""
 
 import hashlib
+import itertools
 import random
 import sys
 
 import pytest
 
 from spineforms import CoordinatePoint, PathWord, parse_graph, validate
-from spineforms.fuzz import random_exact_point, random_spine
+from spineforms.flips import flip_edge
+from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from key_oracle import oracle_key
 from walk_oracle import oracle_dual_arc, oracle_windows
 
 
@@ -242,6 +245,54 @@ def test_canonical_key_ignores_stored_rotation(five_holes):
     rotated[vid] = halves[1:] + halves[:1]
     other = FatGraph(rotated, five_holes.cusps, five_holes.edges, five_holes.declared)
     assert other.canonical_key() == five_holes.canonical_key()
+
+
+@pytest.mark.parametrize("text", ["", "cusp c1 half: a\ncusp c2 half: b\nedge p pending a b\n"])
+def test_canonical_key_refuses_a_graph_with_no_root(text):
+    with pytest.raises(GraphError, match="^canonical key needs a pending edge from a cusp to a trivalent vertex$"):
+        parse_graph(text).canonical_key()
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_canonical_key_ignores_cusp_ids_and_edge_order(name):
+    """Cusp ids renamed in reverse order and edge lines reversed."""
+    graph = load_fixture(name)
+    ids = list(graph.cusps)
+    cusps = {"k%d" % (len(ids) - i): graph.cusps[c] for i, c in enumerate(ids)}
+    other = FatGraph(graph.vertices, cusps, dict(reversed(graph.edges.items())))
+    assert list(other.edges) != list(graph.edges)
+    assert other.canonical_key() == graph.canonical_key()
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_canonical_key_agrees_with_the_min_over_roots_oracle(seed):
+    """On every pair of the first 120 spines, the rooted key and the
+    least certificate over all roots and rotations find the same pairs
+    equal."""
+    rng = random.Random(seed)
+    graphs = [random_spine(rng) for _ in range(120)]
+    keys = [g.canonical_key() for g in graphs]
+    oracle = [oracle_key(g) for g in graphs]
+    equal = 0
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        assert (keys[i] == keys[j]) == (oracle[i] == oracle[j]), (i, j)
+        equal += keys[i] == keys[j]
+    assert equal > 20
+
+
+def test_every_flip_changes_the_key_and_a_second_restores_it():
+    rng = random.Random(1)
+    flips = 0
+    for k in range(300):
+        graph = random_spine(rng)
+        key, point = graph.canonical_key(), random_exact_point(rng, graph)
+        for name in _flippable(graph):
+            g1, p1, _ = flip_edge(graph, name, point)
+            g2, _, _ = flip_edge(g1, name, p1)
+            assert g1.canonical_key() != key, (k, name)
+            assert g2.canonical_key() == key, (k, name)
+            flips += 1
+    assert flips > 1000
 
 
 def test_sigma_cycles_through_vertex(two_loops):
