@@ -251,12 +251,15 @@ class SqrtRational:
     Normalization clears the radicand's denominator and folds perfect
     squares into the rational part, so purely rational values always end
     up with rad == 1.  Sums are only defined inside one square class
-    (rad2/rad1 a rational square).  Matrix words and the closed-form
-    lambda-lengths never sum or multiply these: they fold their values
-    in ints, the radical by _fold_sqrt, and build each entry once,
-    with one Fraction, by _of, so the entries of one word share one
-    rad.  The Ptolemy sums of flips.mutate_lambda are the one caller
-    whose terms can carry different rads of one class.
+    (rad2/rad1 a rational square).  Products and sums take their
+    square-class rules from the int helpers _mul_parts and _add_parts.
+    Matrix words and the closed-form lambda-lengths never sum or
+    multiply these: they fold their values in ints, the radical by
+    _fold_sqrt, and build each entry once, with one Fraction, by _of,
+    so the entries of one word share one rad.  The exchange relation of
+    flips.mutate_lambda, whose terms can carry different rads of one
+    class, folds in ints by the same helpers, as these operators would
+    take it, and builds one value.
     """
 
     __slots__ = ("rat", "rad")
@@ -325,10 +328,9 @@ class SqrtRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = math.gcd(self.rad, other.rad)
         x, y = self.rat, other.rat
-        return SqrtRational(Fraction(x.numerator * y.numerator * g, x.denominator * y.denominator),
-                            (self.rad // g) * (other.rad // g))
+        num, den, rad = _mul_parts((x.numerator, x.denominator, self.rad), (y.numerator, y.denominator, other.rad))
+        return SqrtRational._of(Fraction(num, den), rad)
 
     __rmul__ = __mul__
 
@@ -365,18 +367,12 @@ class SqrtRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.rat == 0:
-            return other
-        if other.rat == 0:
-            return self
-        if self.rad == other.rad:
-            return SqrtRational(self.rat + other.rat, self.rad)
-        ratio = Fraction(other.rad, self.rad)
-        num_root = math.isqrt(ratio.numerator)
-        den_root = math.isqrt(ratio.denominator)
-        if num_root * num_root != ratio.numerator or den_root * den_root != ratio.denominator:
-            raise ValueError("incompatible square classes: %r + %r" % (self, other))
-        return SqrtRational(self.rat + other.rat * Fraction(num_root, den_root), self.rad)
+        x, y = self.rat, other.rat
+        parts = _add_parts((x.numerator, x.denominator, self.rad), (y.numerator, y.denominator, other.rad))
+        if parts is None:
+            raise _incompatible(self, other)
+        num, den, rad = parts
+        return SqrtRational._of(Fraction(num, den), rad)
 
     __radd__ = __add__
 
@@ -415,6 +411,51 @@ class SqrtRational:
 
     def __repr__(self):
         return "SqrtRational(%s, %s)" % (self.rat, self.rad)
+
+
+Parts = tuple  # (num, den, rad) of num/den * sqrt(rad): ints, den > 0, rad 1 or not a square
+
+
+def _mul_parts(x: Parts, y: Parts) -> Parts:
+    """The product of two Parts, as SqrtRational.__mul__ takes it: the
+    gcd of the radicands moves out of the radicand, a square radicand
+    left leaves it, and a zero product has rad 1.  num and den are not
+    reduced."""
+    g = math.gcd(x[2], y[2])
+    num, rad = x[0] * y[0] * g, (x[2] // g) * (y[2] // g)
+    if not num:
+        return 0, 1, 1
+    root = math.isqrt(rad)
+    if root * root == rad:
+        return num * root, x[1] * y[1], 1
+    return num, x[1] * y[1], rad
+
+
+def _add_parts(x: Parts, y: Parts) -> Optional[Parts]:
+    """The sum of two Parts, in the first one's square class, as
+    SqrtRational.__add__ takes it: a zero term gives the other, y's
+    radicand must be x's times a rational square (a/b with a and b
+    squares once the gcd is out), else None, and a zero sum has rad 1.
+    num and den are not reduced."""
+    if not x[0]:
+        return y
+    if not y[0]:
+        return x
+    if x[2] == y[2]:
+        num, den = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+    else:
+        g = math.gcd(x[2], y[2])
+        a, b = y[2] // g, x[2] // g
+        ra, rb = math.isqrt(a), math.isqrt(b)
+        if ra * ra != a or rb * rb != b:
+            return None
+        num, den = x[0] * y[1] * rb + y[0] * x[1] * ra, x[1] * y[1] * rb
+    return (num, den, x[2]) if num else (0, 1, 1)
+
+
+def _incompatible(x: SqrtRational, y: SqrtRational) -> ValueError:
+    """The refusal of a sum x + y across two square classes."""
+    return ValueError("incompatible square classes: %r + %r" % (x, y))
 
 
 def _sqrt_parts(x: Fraction) -> tuple[int, int, int, int]:

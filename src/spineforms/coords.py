@@ -117,28 +117,50 @@ class CoordinatePoint:
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":
-        """Read the values off the graph's edges.
+        """Read the values off the graph's edges, in one pass.
 
         Exact when no stored value is a float; missing values default
-        to q = 1 (Y = 0) and loop weight 2.
+        to q = 1 (Y = 0) and loop weight 2.  The first float turns the
+        values read so far into Y = log q, in edge order, as a float
+        point reads an exact q.  The checks and their order are
+        __init__'s: the first bad coordinate value, in edge order, is
+        refused before any weight is read by _loop_weight.
         """
-        exact = not any(isinstance(e.value, float) for e in graph.edges.values())
         q: dict[str, Fraction] = {}
-        y: dict[str, float] = {}
-        omega: dict[str, Number] = {}
+        y: Optional[dict[str, float]] = None
+        weights = []
+        bad = None  # the first q that is not positive, or Y not finite
         for e in graph.edges.values():
             v = e.value
+            if y is None and isinstance(v, float):
+                # _log_q refuses every q that is not positive, so ``bad`` stays None
+                y, q = {k: _log_q(k, x) for k, x in q.items()}, {}
             if e.kind == "loop":
-                omega[e.name] = 2 if v is None else v
-            elif exact:
-                q[e.name] = Fraction(1) if v is None else v
-            elif v is None:
-                y[e.name] = 0.0
+                weights.append((e.name, 2 if v is None else v))
+            elif y is None:
+                v = Fraction(1) if v is None else v if type(v) is Fraction else Fraction(v)
+                if v.numerator <= 0 and bad is None:
+                    bad = e.name
+                q[e.name] = v
             else:
-                y[e.name] = v if isinstance(v, float) else _log_q(e.name, v)
-        if exact:
-            return cls(True, q=q, omega=omega)
-        return cls(False, y=y, omega=omega)
+                if v is None:
+                    v = 0.0
+                elif isinstance(v, float):
+                    v = float(v)
+                    if not math.isfinite(v) and bad is None:
+                        bad = e.name
+                else:
+                    v = _log_q(e.name, v)
+                y[e.name] = v
+        if bad is not None:
+            if y is None:
+                raise ValueError("q[%s] = %s must be positive" % (bad, q[bad]))
+            raise ValueError("y[%s] = %s must be finite" % (bad, y[bad]))
+        exact = y is None
+        point = cls.__new__(cls)
+        point.exact, point.q, point.y = exact, q, y or {}
+        point.omega = {k: _loop_weight(k, v, exact) for k, v in weights}
+        return point
 
     # value accessors used by path evaluation
 
@@ -285,11 +307,16 @@ class DualView:
         self._checked = False
 
     def inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``local``, once K M = 2I has been checked on this graph."""
+        """``local``, once K M = 2I has been checked on this graph, row
+        by row over the nonzeros of K and of the rows of M they pick,
+        each column keyed by its edge."""
         if not self._checked:
-            cols = range(len(self.names))
-            for i, terms in enumerate(self.local):
-                if [sum(k * self.rows[j][c] for j, k in terms) for c in cols] != [2 * (c == i) for c in cols]:
+            for name, terms in zip(self.names, self.local):
+                row: dict[str, int] = {}
+                for j, k in terms:
+                    for n, m in self._terms[j]:
+                        row[n] = row.get(n, 0) + k * m
+                if {n: x for n, x in row.items() if x} != {name: 2}:
                     raise ValueError(
                         "dual-arc multiplicity matrix is not inverted by the local rule; "
                         "lambda-lengths do not determine the coordinates"

@@ -20,7 +20,15 @@ arc trades for the other diagonal of its quadrilateral,
     lam_e lam_e' = lam_A lam_C + lam_B lam_D
     lam_e lam_e' = lam_A^2 + w lam_A lam_B + lam_B^2   (loop case)
 
-while every other dual arc keeps its class and value.
+while every other dual arc keeps its class and value.  This is the
+exchange relation of the cluster algebra of the surface (Fomin,
+Shapiro and Thurston, "Cluster algebras and triangulated surfaces I").
+An exact exchange is folded in ints (numerators, denominators and
+radicands) by algebra's _mul_parts and _add_parts, the square-class
+rules SqrtRational's operators use.  It builds one value and gives
+what the formula written with those operators gives: the same
+SqrtRational, a Fraction when no lambda read is a SqrtRational, and
+the same refusal of a sum across two square classes.
 
 ``flip_edge`` is the entry point; it turns a loop's name into its
 stem.  Both flip kinds run through one body, ``_flip``, which reads the
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import LaurentPoly, Mat2
+from .algebra import LaurentPoly, Mat2, SqrtRational, _add_parts, _incompatible, _mul_parts
 from .coords import CoordinatePoint, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
@@ -267,8 +275,9 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     it (coords._lambda_reading), but only what the exchange reads is
     checked: the lambdas it reads, and the loop's weight at a loop stem.
     A float exchange whose products leave the float range, so that the
-    new lambda would read inf or 0.0, is refused.  The result carries
-    the input's weights.
+    new lambda would read inf or 0.0, is refused.  An exact exchange is
+    folded in ints (_exact_sum, _exact_ratio).  The result carries the
+    input's weights.
     """
     values, carried, omega, exact = _lambda_reading(graph, lambdas, False)
     name, site = _resolve(graph, name)
@@ -285,12 +294,61 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     if site.kind == "loop-stem":
         le = lam(h_e)  # a bad lambda is reported before a bad weight
         w = _loop_weight(site.loop, omega[site.loop], exact)
-        new = (la * la + w * la * lb + lb * lb) / le
+        if exact:
+            new = _exact_ratio(_exact_sum(((la, la), (w, la, lb), (lb, lb))), le)
+        else:
+            new = (la * la + w * la * lb + lb * lb) / le
+    elif exact:  # the sum is refused before a bad lam(h_e) is
+        new = _exact_ratio(_exact_sum(((la, lam(h_c)), (lb, lam(h_d)))), lam(h_e))
     else:
         new = (la * lam(h_c) + lb * lam(h_d)) / lam(h_e)
     if not exact and not 0.0 < new < math.inf:
         raise ValueError("exchanged lambda %s = %r is out of float range" % (name, new))
     return LambdaAssignment({**values, name: new}, dict(carried))
+
+
+def _parts(v) -> tuple:
+    """(num, den, rad) of a Fraction or a SqrtRational."""
+    if isinstance(v, SqrtRational):
+        r = v.rat
+        return r.numerator, r.denominator, v.rad
+    return v.numerator, v.denominator, 1
+
+
+def _exact_sum(products) -> tuple:
+    """(num, den, rad, radical) of the sum of the products of exact
+    values, folded in ints by algebra's _mul_parts and _add_parts as
+    SqrtRational arithmetic takes it left to right: a term is radical
+    when one of its factors is a SqrtRational, and a Fraction plus a
+    radical term is summed in the radical term's square class.  A sum
+    across two square classes is refused as SqrtRational refuses it."""
+    total = None
+    for first, *rest in products:
+        term, radical = _parts(first), isinstance(first, SqrtRational)
+        for v in rest:
+            term = _mul_parts(term, _parts(v))
+            radical = radical or isinstance(v, SqrtRational)
+        if total is None:
+            total, total_radical = term, radical
+            continue
+        x, y = (term, total) if radical and not total_radical else (total, term)
+        s = _add_parts(x, y)
+        if s is None:
+            raise _incompatible(*(SqrtRational._of(Fraction(n, d), r) for n, d, r in (x, y)))
+        total, total_radical = s, total_radical or radical
+    return (*total, total_radical)
+
+
+def _exact_ratio(total: tuple, le):
+    """An _exact_sum divided by the exact value le: a Fraction when
+    neither is radical, else the SqrtRational that multiplying by
+    le.inverse() gives, built once."""
+    num, den, rad, radical = total
+    e = _parts(le)
+    num, den, rad = _mul_parts((num, den, rad), (e[1], e[0] * e[2], e[2]))
+    if radical or isinstance(le, SqrtRational):
+        return SqrtRational._of(Fraction(num, den), rad)
+    return Fraction(num, den)
 
 
 # Symbolic verification of the substitution identities.

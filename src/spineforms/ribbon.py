@@ -14,19 +14,23 @@ on the graph.  Windows and dual arcs are stretches of those orbits: a
 window runs from one cusp visit to the next, and a dual arc is a run
 into a cusp, or two such runs joined across an inner edge.
 
-Text round trip: parse_graph reads an exact value as two ints from one
-match and builds one Fraction; FatGraph derives its indexes in one pass
-over the vertices and cusps and one over the edges; emit_graph writes
-each value with %s, the key taken from the edge kind.  A flip builds no
-graph from scratch: FatGraph._rewired derives the flipped graph from its
-parent, patching the indexes at the two rewired vertices and sharing
-what the flip leaves alone.
+Text round trip: parse_graph reads a graph file once, line by line,
+each declaration once (a second surface line, or a field given twice
+in one, is refused); an exact value is read as two ints by
+str.partition and str.isdecimal, with no regular expression, and
+builds one Fraction; FatGraph derives its indexes in one pass over the
+vertices and cusps and one over the edges; CoordinatePoint.from_graph
+reads the point in one more pass; emit_graph writes each value with
+%s, the key taken from the edge kind.  A flip builds no graph from
+scratch: FatGraph._rewired derives the flipped graph from its parent,
+patching the indexes at the two rewired vertices and sharing what the
+flip leaves alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import re
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -54,7 +58,7 @@ class GraphError(ValueError):
     """Structural problem in a graph file or graph mutation."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """One edge and the value a graph file gives it, or None.  An inner
     or pending edge holds q = e^Y as a Fraction or Y as a float; a loop
@@ -198,9 +202,7 @@ class FatGraph:
         return [e.name for e in self.edges.values() if e.kind == "loop"]
 
     def point(self):
-        from .coords import CoordinatePoint
-
-        return CoordinatePoint.from_graph(self)
+        return _coordinate_point().from_graph(self)
 
     # faces and derived counts
 
@@ -208,6 +210,7 @@ class FatGraph:
         """Orbits of arrival halves under h -> mate(sigma(h)); each orbit
         is one boundary walk (one hole)."""
         if self._faces is None:
+            mate, sigma = self._mate, self._sigma
             seen: set[str] = set()
             out: list[list[str]] = []
             for h in self._half_order:
@@ -218,7 +221,7 @@ class FatGraph:
                 while cur not in seen:
                     seen.add(cur)
                     orbit.append(cur)
-                    cur = self._mate[self._sigma[cur]]
+                    cur = mate[sigma[cur]]
                 out.append(orbit)
             self._faces = out
         return self._faces
@@ -293,6 +296,16 @@ class FatGraph:
                 h = sigma[h]
             rows.append(tuple(row))
         return tuple(rows)
+
+
+@functools.cache
+def _coordinate_point():
+    """coords.CoordinatePoint, imported once, on first use: coords
+    imports this module, and an import statement in FatGraph.point cost
+    more than reading the point."""
+    from .coords import CoordinatePoint
+
+    return CoordinatePoint
 
 
 @dataclass(frozen=True)
@@ -491,7 +504,6 @@ def validate(graph: FatGraph) -> ValidationReport:
 # The key each edge kind stores its value under, read and written; a
 # loop also reads perimeter= and orbifold=.
 _VALUE_KEYS = {"inner": "Z", "pending": "pi", "loop": "omega"}
-_EXACT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def _int_refusal(digits: Iterable[str], refusal: str) -> GraphError:
@@ -508,14 +520,16 @@ def _int_refusal(digits: Iterable[str], refusal: str) -> GraphError:
 
 
 def _exact_parts(raw: str) -> Optional[tuple[int, int]]:
-    """(numerator, denominator) of an integer or fraction value, else None."""
-    m = _EXACT_RE.match(raw)
-    if m is None:
+    """(numerator, denominator) of an integer or fraction value, else
+    None: an optionally signed run of decimal digits (str.isdecimal, the
+    digits int() reads), then optionally '/' and an unsigned run."""
+    top, slash, bottom = raw.partition("/")
+    if not (top[1:] if top[:1] in ("+", "-") else top).isdecimal() or slash and not bottom.isdecimal():
         return None
     try:
-        num, den = int(m[1]), int(m[2] or 1)
+        num, den = int(top), int(bottom or 1)
     except ValueError:
-        raise _int_refusal((m[1], m[2] or ""), "bad value %r" % raw) from None
+        raise _int_refusal((top, bottom), "bad value %r" % raw) from None
     if not den:
         raise GraphError("value %r is not finite" % raw)
     return num, den
@@ -589,7 +603,8 @@ def parse_graph(text: str) -> FatGraph:
     decimal value is a float Y.  Loop weights are given directly
     (omega= with omega >= 0), via the hole perimeter P >= 0 (omega =
     2cosh(P/2) >= 2), or via an orbifold order p (omega = 2cos(pi/p),
-    refused when it rounds to 2 in float).
+    refused when it rounds to 2 in float).  A file has at most one
+    surface line, which gives each of its fields at most once.
     """
     vertices: dict[str, tuple[str, ...]] = {}
     cusps: dict[str, str] = {}
@@ -623,8 +638,8 @@ def parse_graph(text: str) -> FatGraph:
                 vid = parts[1]
                 if vid in vertices or vid in cusps:
                     raise GraphError("duplicate vertex id %s" % vid)
-                hs = tuple(parts[3:6])
-                if len(set(hs)) != 3:
+                a, b, c = hs = tuple(parts[3:6])
+                if a == b or b == c or a == c:
                     raise GraphError("repeated half-edge at vertex %s" % vid)
                 vertices[vid] = hs
             elif head == "cusp":
@@ -635,12 +650,16 @@ def parse_graph(text: str) -> FatGraph:
                     raise GraphError("duplicate vertex id %s" % cid)
                 cusps[cid] = parts[3]
             elif head == "surface":
+                if declared is not None:
+                    raise GraphError("duplicate surface line")
                 declared = {}
                 for item in parts[1:]:
                     k, eq, v = item.partition("=")
                     refusal = "malformed surface field %r" % item
                     if not eq or k not in ("g", "sh", "so", "n") or not v.lstrip("-").isdigit():
                         raise GraphError(refusal)
+                    if k in declared:
+                        raise GraphError("duplicate surface field %s" % k)
                     try:
                         declared[k] = int(v)
                     except ValueError:

@@ -21,6 +21,7 @@ from spineforms.algebra import (
 from spineforms.paths import MatrixWord, evaluate
 
 from dense_oracle import frac_inverse, frac_kernel
+from exchange_oracle import OldSqrtRational, parts
 
 
 def lp(var):
@@ -390,3 +391,40 @@ def test_int_radicand_matches_the_fraction_one(rat, rad):
     assert type(fast.rad) is type(general.rad) is int
     assert (fast.rat, fast.rad) == (general.rat, general.rad)
     assert str(fast) == str(general)
+
+
+def _sqrt_outcome(call):
+    """("sqrt", rat, rad) of a result of either SqrtRational class, or
+    the refusal's message."""
+    try:
+        return parts(call())
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def test_products_and_sums_match_the_earlier_operators():
+    """SqrtRational's *, + and / take their square-class rules from
+    algebra's int helpers; on values across square classes (radicands
+    that share a class without being equal, such as 3 and 12, included)
+    they give the (rat, rad) and the refusals the earlier operators
+    gave, and an int or a Fraction on either side is read as rad 1."""
+    rng = random.Random(11)
+    rads = (1, 2, 3, 5, 6, 8, 12, 18, 20, 27, 45, 50)
+    refused = 0
+    for _ in range(3000):
+        xs = []
+        for _ in range(2):
+            rat = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            kind = rng.randrange(5)
+            xs.append(rat if kind == 0 else rng.randint(-4, 4) if kind == 1 else SqrtRational(rat, rng.choice(rads)))
+        x, y = xs
+        if not isinstance(x, SqrtRational) and not isinstance(y, SqrtRational):
+            continue
+        ox, oy = OldSqrtRational.of(x), OldSqrtRational.of(y)
+        assert _sqrt_outcome(lambda: x * y) == _sqrt_outcome(lambda: ox * oy)
+        assert _sqrt_outcome(lambda: x + y) == _sqrt_outcome(lambda: ox + oy)
+        assert _sqrt_outcome(lambda: x - y) == _sqrt_outcome(lambda: ox + (-1) * oy)
+        if y != 0:
+            assert _sqrt_outcome(lambda: x / y) == _sqrt_outcome(lambda: ox / oy)
+        refused += _sqrt_outcome(lambda: x + y)[0] == "refused"
+    assert 300 < refused

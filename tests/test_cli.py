@@ -914,3 +914,15 @@ def test_bad_path_tokens_exit_2_with_one_line(capsys, command, graph, path):
     code, out, err = run(capsys, command, fx(graph), path)
     assert (code, out) == (2, ""), err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("surface g=0", "surface g=0 g=5", "line 2: duplicate surface field g"),
+    ("vertex v ", "surface g=0 sh=1 so=0 n=3\nvertex v ", "line 3: duplicate surface line"),
+], ids=["field-twice", "line-twice"])
+def test_a_repeated_surface_declaration_is_bad_input(capsys, tmp_path, old, new, message):
+    """validate used to take the last g= or surface line and compare
+    its header check against that; now the file is refused."""
+    source = tmp_path / "twice.graph"
+    source.write_text(fixture_text("t3").replace(old, new, 1))
+    assert run(capsys, "validate", str(source)) == (2, "", "error: %s\n" % message)

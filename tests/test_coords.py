@@ -548,3 +548,38 @@ def test_point_reads_int_str_and_fraction_q_alike(value):
 def test_point_refuses_non_positive_q(value):
     with pytest.raises(ValueError, match=r"^q\[e\] = .* must be positive$"):
         CoordinatePoint(True, q={"e": value})
+
+
+def _dense_inverse_holds(view):
+    """K M = 2I by a dense sum over every column, as DualView.inverse()
+    checked it before it summed over nonzeros."""
+    cols = range(len(view.names))
+    return all([sum(k * view.rows[j][c] for j, k in terms) for c in cols] == [2 * (c == i) for c in cols]
+               for i, terms in enumerate(view.local))
+
+
+def test_inverse_check_agrees_with_the_dense_sums():
+    """inverse() sums K M = 2I over the nonzeros of K and of M's rows;
+    on 300 spines, most with one entry of K moved by +-1 (on or off the
+    diagonal, into a zero or out of one), it refuses exactly where the
+    dense sums over every column fail."""
+    rng = random.Random(4)
+    refused = 0
+    for _ in range(300):
+        view = coords.DualView(random_spine(rng))
+        n = len(view.names)
+        if rng.random() < 0.8:
+            i, j = rng.randrange(n), rng.randrange(n)
+            entries = dict(view.local[i])
+            entries[j] = entries.get(j, 0) + rng.choice((-1, 1))
+            row = tuple(sorted((c, k) for c, k in entries.items() if k))
+            view.local = view.local[:i] + (row,) + view.local[i + 1:]
+        try:
+            view.inverse()
+        except ValueError as exc:
+            assert "not inverted by the local rule" in str(exc)
+            assert not _dense_inverse_holds(view)
+            refused += 1
+        else:
+            assert _dense_inverse_holds(view)
+    assert 150 < refused < 300

@@ -17,12 +17,14 @@ from spineforms import (
     verify_flip_matrix_identities,
 )
 from spineforms import flips
+from spineforms.algebra import SqrtRational
 from spineforms.coords import LambdaAssignment
 from spineforms.flips import flip_edge, flip_site
-from spineforms.fuzz import random_exact_point, random_spine
-from spineforms.ribbon import FatGraph, GraphError, parse_graph, validate, windows
+from spineforms.fuzz import _flippable, random_exact_point, random_spine
+from spineforms.ribbon import FatGraph, GraphError, emit_graph, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from exchange_oracle import parts, ptolemy
 
 
 def test_symbolic_identities_all_hold():
@@ -480,3 +482,81 @@ def test_flip_site_is_read_once_per_graph_and_edge(monkeypatch, four_cusps):
         flip_edge(g1, name)
         assert calls == [stem, stem], calls
         calls.clear()
+
+
+def _exchange_outcome(call):
+    """parts() of a new lambda, or the refusal's type and message."""
+    try:
+        return parts(call())
+    except ValueError as exc:
+        return ("refused", type(exc).__name__, str(exc))
+
+
+def _agree_with_the_oracle(graph, lambdas, name):
+    def new():
+        out = mutate_lambda(graph, lambdas, name)
+        return out[flips._resolve(graph, name)[0]]
+
+    got = _exchange_outcome(new)
+    assert got == _exchange_outcome(lambda: ptolemy(graph, lambdas, name)), (emit_graph(graph), name)
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_exchange_matches_the_sqrt_rational_oracle(seed):
+    """mutate_lambda folds the exchange in ints; on 400 random spines
+    at an exact point it gives the (rat, rad) the Ptolemy formula over
+    the earlier SqrtRational operators gives, on every flippable edge
+    and every loop's name, at the point's loop weights and at weights
+    0 and 1 (orbifold orders 2 and 3)."""
+    rng = random.Random(seed)
+    kinds = {"inner": 0, "loop-stem": 0}
+    for _ in range(400):
+        graph = random_spine(rng)
+        lam = lambda_of_dual_arcs(graph, random_exact_point(rng, graph))
+        loops = graph.loop_edges()
+        weights = [lam.omega] + [{n: Fraction(w) for n in loops} for w in (0, 1) if loops]
+        for omega in weights:
+            lambdas = LambdaAssignment(lam.values, omega)
+            for name in _flippable(graph) + loops:
+                got = _agree_with_the_oracle(graph, lambdas, name)
+                if got[0] == "sqrt":
+                    kinds[flip_site(graph, flips._resolve(graph, name)[0]).kind] += 1
+                else:  # a loop whose stem is a pending edge
+                    assert got[2].startswith("only inner edges flip") and name in loops
+    assert kinds["inner"] > 500 and kinds["loop-stem"] > 200, kinds
+
+
+def test_exchange_matches_the_oracle_across_square_classes():
+    """Arbitrary exact lambdas: Fractions, ints and SqrtRationals whose
+    radicands share a class or not, with now and then a missing or a
+    non-positive value.  The new lambda, its type (a Fraction exactly
+    when no value read is a SqrtRational) and every refusal, message
+    and order included, are the oracle's."""
+    rng = random.Random(5)
+    rads = (1, 2, 3, 6, 8, 12, 18, 27)
+    outcomes = {"sqrt": 0, "Fraction": 0, "refused": 0}
+    messages = set()
+    for _ in range(400):
+        graph = random_spine(rng)
+        values = {}
+        for n in graph.coordinate_edges():
+            rat = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            kind = rng.randrange(12)
+            if kind < 4:
+                values[n] = SqrtRational(rat, rng.choice(rads))
+            elif kind < 8:
+                values[n] = rat
+            elif kind < 10:
+                values[n] = rng.randint(1, 5)
+            elif kind == 10:
+                values[n] = -rat
+        omega = {n: Fraction(rng.randint(0, 4), rng.randint(1, 2)) for n in graph.loop_edges()}
+        lambdas = LambdaAssignment(values, omega)
+        for name in _flippable(graph):
+            got = _agree_with_the_oracle(graph, lambdas, name)
+            outcomes[got[0]] += 1
+            if got[0] == "refused":
+                messages.add(got[2].split(" ")[0])
+    assert min(outcomes.values()) > 100, outcomes
+    assert {"incompatible", "lambda", "missing"} <= messages

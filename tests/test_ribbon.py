@@ -2,15 +2,19 @@
 
 import hashlib
 import itertools
+import math
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
 from spineforms import CoordinatePoint, PathWord, parse_graph, validate
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
-from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, emit_graph, windows
+from spineforms.coords import _log_q
+from spineforms.ribbon import Edge, FatGraph, GraphError, _exact_parts, _int_refusal, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
 from key_oracle import oracle_key
@@ -469,3 +473,129 @@ EMISSION_SHA256 = "1935e09d1897b84db13b5fbd38530233e2cc4914302a32301fe84ea6db57c
 def test_emission_bytes_are_pinned():
     digest = hashlib.sha256("\0".join(_emission_corpus()).encode("utf-8")).hexdigest()
     assert digest == EMISSION_SHA256
+
+
+# -- the value reader and the point, against their earlier forms -------
+
+_EXACT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def _oracle_exact_parts(raw):
+    """ribbon._exact_parts as it read a value with _EXACT_RE."""
+    m = _EXACT_RE.match(raw)
+    if m is None:
+        return None
+    try:
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:
+        raise _int_refusal((m[1], m[2] or ""), "bad value %r" % raw) from None
+    if not den:
+        raise GraphError("value %r is not finite" % raw)
+    return num, den
+
+
+def _reading(read, raw):
+    try:
+        return read(raw)
+    except GraphError as exc:
+        return ("refused", str(exc))
+
+
+def _value_tokens():
+    """Whitespace-free tokens: pinned edge cases, then random joins of
+    signs, digits of several scripts, slashes and stray characters."""
+    limit = sys.get_int_max_str_digits()
+    tokens = ["0", "+0", "-0", "7", "+7", "-7", "12/5", "-12/5", "+3/4", "1/", "/2", "/", "1/-2", "1/+2",
+              "1/0", "0/0", "-0/3", "1/2/3", "1_000", "1_0/3", "²", "1²", "2/²",
+              "٣", "١٢/٥", "-٧", "1.5", "1e5", "inf", "nan", "+-1", "--1", "++1",
+              "+", "-", "", "0x10", "１", "7" * limit, "7" * (limit + 1), "-" + "1" * (limit + 1),
+              "1/" + "7" * (limit + 1), "7" * (limit + 1) + "/3"]
+    pieces = ["", "+", "-", "/", "0", "1", "9", "42", "_", ".", "e", "²", "٣", "５", "x"]
+    rng = random.Random(3)
+    tokens += ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 5))) for _ in range(4000)]
+    return tokens
+
+
+def test_value_reader_matches_the_regex_oracle():
+    """_exact_parts reads a value with str.partition and str.isdecimal;
+    on every token it gives what the regular expression it replaced
+    gave: the same (num, den), None, or refusal text."""
+    seen = {"parts": 0, "none": 0, "refused": 0}
+    for raw in _value_tokens():
+        got = _reading(_exact_parts, raw)
+        assert got == _reading(_oracle_exact_parts, raw), raw
+        seen["none" if got is None else "refused" if got[0] == "refused" else "parts"] += 1
+    assert seen["parts"] > 100 and seen["none"] > 100 and seen["refused"] >= 6, seen
+
+
+def _oracle_point(graph):
+    """CoordinatePoint.from_graph as it read the edges in two passes and
+    handed them to the constructor."""
+    exact = not any(isinstance(e.value, float) for e in graph.edges.values())
+    q, y, omega = {}, {}, {}
+    for e in graph.edges.values():
+        v = e.value
+        if e.kind == "loop":
+            omega[e.name] = 2 if v is None else v
+        elif exact:
+            q[e.name] = Fraction(1) if v is None else v
+        elif v is None:
+            y[e.name] = 0.0
+        else:
+            y[e.name] = v if isinstance(v, float) else _log_q(e.name, v)
+    if exact:
+        return CoordinatePoint(True, q=q, omega=omega)
+    return CoordinatePoint(False, y=y, omega=omega)
+
+
+def _point_reading(read, graph):
+    try:
+        p = read(graph)
+    except ValueError as exc:
+        return ("refused", str(exc))
+    return p.exact, repr(p), [(type(v), repr(v)) for d in (p.q, p.y, p.omega) for v in d.values()]
+
+
+def test_point_refuses_the_first_bad_value_as_before():
+    """from_graph reads the point in one pass and refuses as the two
+    passes and the constructor did: the first bad coordinate value in
+    edge order before any weight, whatever comes first in the file; a
+    float anywhere, a weight's included, makes every value a Y."""
+    base = load_fixture("sigma_0_3_1")
+    # edge order w1, pi, w2, a1, b1: a weight comes first
+    order = ["w1", "pi", "w2", "a1", "b1"]
+    assert sorted(order) == sorted(base.edges)
+    bad_q = [Fraction(0), Fraction(-1, 2), 0, -3, Fraction(10) ** -400, Fraction(10) ** 400]
+    good_q = [None, Fraction(3, 2), 2, 0.5, -1.25]
+    bad_y = [math.inf, -math.inf, math.nan]
+    weights = [None, Fraction(0), Fraction(1, 2), 3, 2.5, -1, Fraction(-1, 3), -0.5, math.inf, math.nan]
+    rng = random.Random(9)
+    outcomes = set()
+    for _ in range(3000):
+        edges = {}
+        for name in order:
+            e = base.edges[name]
+            if e.kind == "loop":
+                v = rng.choice(weights)
+            else:
+                v = rng.choice(good_q if rng.random() < 0.8 else bad_q + bad_y)
+            edges[name] = Edge(name, e.kind, e.halves, v)
+        graph = FatGraph(base.vertices, base.cusps, edges)
+        got = _point_reading(CoordinatePoint.from_graph, graph)
+        assert got == _point_reading(_oracle_point, graph), [e.value for e in edges.values()]
+        outcomes.add(got[1][:2] if got[0] == "refused" else "exact" if got[0] else "float")
+    assert outcomes == {"exact", "float", "q[", "y[", "lo", "ma"}, outcomes
+
+
+def test_a_surface_line_is_read_once():
+    """A second surface line, or a field given twice in one, is refused
+    with its line, as a repeated vertex or edge name is; before, the
+    last one silently won."""
+    text = fixture_text("t3")
+    with pytest.raises(GraphError) as info:
+        parse_graph(text.replace("surface g=0", "surface g=0 g=5"))
+    assert str(info.value) == "line 2: duplicate surface field g"
+    with pytest.raises(GraphError) as info:
+        parse_graph(text + "surface g=0 sh=1 so=0 n=3\n")
+    assert str(info.value) == "line %d: duplicate surface line" % (len(text.splitlines()) + 1)
+    assert parse_graph(text).declared == {"g": 0, "sh": 1, "so": 0, "n": 3}
