@@ -416,6 +416,15 @@ class SqrtRational:
 Parts = tuple  # (num, den, rad) of num/den * sqrt(rad): ints, den > 0, rad 1 or not a square
 
 
+def _parts(v) -> Parts:
+    """The Parts of a Fraction (or an int) or a SqrtRational: the one
+    place an exact value is split into ints."""
+    if isinstance(v, SqrtRational):
+        r = v.rat
+        return r.numerator, r.denominator, v.rad
+    return v.numerator, v.denominator, 1
+
+
 def _mul_parts(x: Parts, y: Parts) -> Parts:
     """The product of two Parts, as SqrtRational.__mul__ takes it: the
     gcd of the radicands moves out of the radicand, a square radicand

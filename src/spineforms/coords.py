@@ -4,9 +4,12 @@ A coordinate point assigns a value to every non-loop edge (the shear or
 extended shear coordinate) and a weight to every loop edge.  Exact
 points store the exponentiated coordinate ``q = e^Y`` as a Fraction so
 edge matrices have ``SqrtRational`` entries ``t = sqrt(q)``; float
-points store ``Y`` itself.  A point keeps a Fraction q as given and
-checks q > 0 on its numerator, so a flip or a parse that already built
-the Fraction pays for no second one.
+points store ``Y`` itself.  Every point, whether built by hand, read
+off a graph or made by a flip, sets its values through one builder,
+CoordinatePoint._set: it keeps a Fraction q as given and checks q > 0
+on its numerator (float y: finite), refusing the first bad value in
+edge order, so a flip or a parse that already built the Fraction pays
+for no second one.
 
 Lambda-lengths and coordinates are maps on integer exponent vectors.
 The dual arc of coordinate edge i runs M_ij times through edge j, and
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import SqrtRational, _fold_sqrt, _sqrt_parts, fraction_sqrt
+from .algebra import SqrtRational, _fold_sqrt, _parts, _sqrt_parts, fraction_sqrt
 from .ribbon import FatGraph, GraphError, _run_into
 
 __all__ = [
@@ -79,29 +82,32 @@ class CoordinatePoint:
         y: Optional[Mapping[str, float]] = None,
         omega: Optional[Mapping[str, Union[Fraction, float]]] = None,
     ):
-        self.exact = bool(exact)
-        self.q = {k: v if type(v) is Fraction else Fraction(v) for k, v in (q or {}).items()}
-        self.y = {k: float(v) for k, v in (y or {}).items()}
-        if self.exact and self.y:
+        q = {k: v if type(v) is Fraction else Fraction(v) for k, v in (q or {}).items()}
+        y = {k: float(v) for k, v in (y or {}).items()}
+        if exact and y:
             raise ValueError("exact point carries q values, not y")
-        if not self.exact and self.q:
+        if not exact and q:
             raise ValueError("float point carries y values, not q")
-        self._check(self.q or self.y)
+        values = q if exact else y
+        self._set(bool(exact), values, values)
         self.omega = {k: _loop_weight(k, v, self.exact) for k, v in (omega or {}).items()}
 
-    def _check(self, names) -> None:
-        """Exact q must be positive and float y finite; the first bad
-        value among ``names``, in their order, is refused."""
-        if self.exact:
+    def _set(self, exact: bool, values: dict, names) -> None:
+        """Store ``values`` as given, as q when ``exact`` and else as y;
+        exact q must be positive and float y finite, and the first bad
+        value among ``names``, in their order, is refused.  Every point
+        sets its values here; the caller sets omega after."""
+        self.exact = exact
+        if exact:
+            self.q, self.y = values, {}
             for k in names:
-                v = self.q[k]
-                if v.numerator <= 0:
-                    raise ValueError("q[%s] = %s must be positive" % (k, v))
+                if values[k].numerator <= 0:
+                    raise ValueError("q[%s] = %s must be positive" % (k, values[k]))
         else:
+            self.q, self.y = {}, values
             for k in names:
-                v = self.y[k]
-                if not math.isfinite(v):
-                    raise ValueError("y[%s] = %s must be finite" % (k, v))
+                if not math.isfinite(values[k]):
+                    raise ValueError("y[%s] = %s must be finite" % (k, values[k]))
 
     @classmethod
     def _exchanged(cls, point: "CoordinatePoint", values: dict, written: set) -> "CoordinatePoint":
@@ -110,55 +116,38 @@ class CoordinatePoint:
         flip makes.  Only the written values are checked, in the point's
         edge order, so a flip reports what __init__ would."""
         new = cls.__new__(cls)
-        new.exact, new.omega = point.exact, dict(point.omega)
-        new.q, new.y = (values, {}) if point.exact else ({}, values)
-        new._check([k for k in values if k in written])
+        new._set(point.exact, values, [k for k in values if k in written])
+        new.omega = dict(point.omega)
         return new
 
     @classmethod
     def from_graph(cls, graph: FatGraph) -> "CoordinatePoint":
-        """Read the values off the graph's edges, in one pass.
+        """Read the values off the graph's edges.
 
-        Exact when no stored value is a float; missing values default
-        to q = 1 (Y = 0) and loop weight 2.  The first float turns the
-        values read so far into Y = log q, in edge order, as a float
-        point reads an exact q.  The checks and their order are
-        __init__'s: the first bad coordinate value, in edge order, is
-        refused before any weight is read by _loop_weight.
+        Exact when no stored value is a float, else every value is a Y,
+        an exact q read as Y = log q; missing values default to q = 1
+        (Y = 0) and loop weight 2.  One pass decides exactness and one
+        reads the values in edge order, where _log_q refuses a q it
+        cannot take; then the checks and their order are __init__'s:
+        the first bad coordinate value, in edge order, is refused
+        before any weight is read by _loop_weight.
         """
-        q: dict[str, Fraction] = {}
-        y: Optional[dict[str, float]] = None
+        edges = graph.edges.values()
+        exact = not any(isinstance(e.value, float) for e in edges)
+        values: dict = {}
         weights = []
-        bad = None  # the first q that is not positive, or Y not finite
-        for e in graph.edges.values():
+        for e in edges:
             v = e.value
-            if y is None and isinstance(v, float):
-                # _log_q refuses every q that is not positive, so ``bad`` stays None
-                y, q = {k: _log_q(k, x) for k, x in q.items()}, {}
             if e.kind == "loop":
                 weights.append((e.name, 2 if v is None else v))
-            elif y is None:
-                v = Fraction(1) if v is None else v if type(v) is Fraction else Fraction(v)
-                if v.numerator <= 0 and bad is None:
-                    bad = e.name
-                q[e.name] = v
+            elif exact:
+                values[e.name] = Fraction(1) if v is None else v if type(v) is Fraction else Fraction(v)
+            elif v is None:
+                values[e.name] = 0.0
             else:
-                if v is None:
-                    v = 0.0
-                elif isinstance(v, float):
-                    v = float(v)
-                    if not math.isfinite(v) and bad is None:
-                        bad = e.name
-                else:
-                    v = _log_q(e.name, v)
-                y[e.name] = v
-        if bad is not None:
-            if y is None:
-                raise ValueError("q[%s] = %s must be positive" % (bad, q[bad]))
-            raise ValueError("y[%s] = %s must be finite" % (bad, y[bad]))
-        exact = y is None
+                values[e.name] = float(v) if isinstance(v, float) else _log_q(e.name, v)
         point = cls.__new__(cls)
-        point.exact, point.q, point.y = exact, q, y or {}
+        point._set(exact, values, values)
         point.omega = {k: _loop_weight(k, v, exact) for k, v in weights}
         return point
 
@@ -407,7 +396,11 @@ def _float(v, label: str, name: str) -> float:
 
 
 def _log_q(name: str, q: Fraction) -> float:
-    """log q as a float; a q whose float is 0 or infinite is refused."""
+    """log q as a float; a q that is not positive is refused with an
+    exact point's message, and one whose float is 0 or infinite as out
+    of float range."""
+    if q.numerator <= 0:
+        raise ValueError("q[%s] = %s must be positive" % (name, q))
     x = _float(q, "q[%s]", name)
     if not x:
         raise ValueError("q[%s] = %s is too small for a float" % (name, q))
@@ -503,12 +496,8 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
     if exact:
         squares = []  # each lambda^2 as ints (numerator, denominator), not reduced
         for n in names:
-            v = _positive_lambda(n, lam[n], True)
-            if isinstance(v, SqrtRational):
-                r = v.rat
-                squares.append((r.numerator * r.numerator * v.rad, r.denominator * r.denominator))
-            else:
-                squares.append((v.numerator * v.numerator, v.denominator * v.denominator))
+            num, den, rad = _parts(_positive_lambda(n, lam[n], True))
+            squares.append((num * num * rad, den * den))
         q: dict[str, Fraction] = {}
         for name, terms in zip(names, view.inverse()):
             num = den = 1

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .algebra import LaurentPoly, Mat2, SqrtRational, _add_parts, _incompatible, _mul_parts
+from .algebra import LaurentPoly, Mat2, SqrtRational, _add_parts, _incompatible, _mul_parts, _parts
 from .coords import CoordinatePoint, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
@@ -305,14 +305,6 @@ def mutate_lambda(graph: FatGraph, lambdas, name: str) -> LambdaAssignment:
     if not exact and not 0.0 < new < math.inf:
         raise ValueError("exchanged lambda %s = %r is out of float range" % (name, new))
     return LambdaAssignment({**values, name: new}, dict(carried))
-
-
-def _parts(v) -> tuple:
-    """(num, den, rad) of a Fraction or a SqrtRational."""
-    if isinstance(v, SqrtRational):
-        r = v.rat
-        return r.numerator, r.denominator, v.rad
-    return v.numerator, v.denominator, 1
 
 
 def _exact_sum(products) -> tuple:

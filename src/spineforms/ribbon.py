@@ -20,7 +20,8 @@ in one, is refused); an exact value is read as two ints by
 str.partition and str.isdecimal, with no regular expression, and
 builds one Fraction; FatGraph derives its indexes in one pass over the
 vertices and cusps and one over the edges; CoordinatePoint.from_graph
-reads the point in one more pass; emit_graph writes each value with
+reads the point in two more, one deciding whether it is exact and one
+reading the values; emit_graph writes each value with
 %s, the key taken from the edge kind.  A flip builds no graph from
 scratch: FatGraph._rewired derives the flipped graph from its parent,
 patching the indexes at the two rewired vertices and sharing what the

@@ -63,10 +63,16 @@ def test_exact_point_validation():
 )
 def test_point_refuses_values_outside_the_domain(exact, values, omega, message):
     """A float y must be finite and a loop weight finite and >= 0, as in
-    a graph file."""
+    a graph file; a graph built in code that stores the same values on
+    its edges is refused with the same message by graph.point()."""
     key = "q" if exact else "y"
     with pytest.raises(ValueError, match=message):
         CoordinatePoint(exact, omega=omega, **{key: values})
+    base = load_fixture("sigma_0_2_1")
+    stored = {**values, **omega}
+    edges = {n: Edge(n, e.kind, e.halves, stored[n]) for n, e in base.edges.items()}
+    with pytest.raises(ValueError, match=message):
+        FatGraph(base.vertices, base.cusps, edges).point()
 
 
 def test_bad_lambda_is_reported_before_bad_loop_weight(one_loop):

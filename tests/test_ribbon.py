@@ -584,7 +584,12 @@ def test_point_refuses_the_first_bad_value_as_before():
         got = _point_reading(CoordinatePoint.from_graph, graph)
         assert got == _point_reading(_oracle_point, graph), [e.value for e in edges.values()]
         outcomes.add(got[1][:2] if got[0] == "refused" else "exact" if got[0] else "float")
-    assert outcomes == {"exact", "float", "q[", "y[", "lo", "ma"}, outcomes
+    assert outcomes == {"exact", "float", "q[", "y[", "lo"}, outcomes
+    # a q below 0 on a float reading is named, as an exact reading names it
+    values = {"a1": 0.5, "b1": Fraction(-1, 2)}
+    edges = {n: Edge(n, e.kind, e.halves, values.get(n)) for n, e in base.edges.items()}
+    with pytest.raises(ValueError, match=re.escape("q[b1] = -1/2 must be positive")):
+        FatGraph(base.vertices, base.cusps, edges).point()
 
 
 def test_a_surface_line_is_read_once():
