@@ -39,6 +39,15 @@ which some dual arc cannot be cut and a loop edge that does not close
 at one trivalent vertex.  The matrix words of the dual arcs
 (paths.lambda_length) remain an independent check.
 Penner's form 1/4 M^T P M is 1/4 (M^T - M) once K M = 2I (forms).
+
+A flip of edge k, whose parent's view is built, gets its view from the
+parent's by two closed forms (DualView._flipped), with d = 1 in a
+quadrilateral and 2 at a loop stem and S the shrink slots (B and D, or
+B): every row j != k of M keeps its counts but M'_jk = d sum_{s in S}
+M_js - M_jk, since its lambda is unchanged; and K' is K with P mutated
+at k as a cluster exchange matrix, P'_ik = -P_ik, P'_kj = -P_kj and
+P'_ij = P_ij + d sgn(P_ik) max(P_ik P_kj, 0).  Only row k of M is
+walked, and K' M' = 2I is still checked before K' is used.
 """
 
 from __future__ import annotations
@@ -268,18 +277,7 @@ class DualView:
         names = graph.coordinate_edges()
         index = {n: j for j, n in enumerate(names)}
         slot = {h: index.get(e) for h, e in graph._edge_of.items()}
-        rows = []
-        for name in names:
-            edge = graph.edges[name]
-            if edge.kind == "pending":
-                exits = _run_into(graph, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))[1]
-            else:  # as in dual_arc: the second run short of its crossing of the edge
-                exits = _run_into(graph, edge.halves[0])[1] + _run_into(graph, edge.halves[1])[1][:-1]
-            row = [0] * len(names)
-            for j in map(slot.__getitem__, exits):
-                if j is not None:
-                    row[j] += 1
-            rows.append(tuple(row))
+        rows = [_row(graph, name, slot.__getitem__, len(names)) for name in names]
         # a cusp has one half, so a loop's halves at one vertex are at a trivalent one
         for name in graph.loop_edges():
             a, b = graph.edges[name].halves
@@ -294,6 +292,59 @@ class DualView:
         # the (edge, M_ij) pairs of each row's nonzero counts
         self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
         self._checked = False
+
+    def _flipped(self, graph: FatGraph, name: str, shrink: tuple[str, ...], d: int) -> "DualView":
+        """The view of ``graph``, made by flipping the inner edge ``name``
+        of this view's graph, by the flip's closed forms; d is 1 in a
+        quadrilateral and 2 at a loop stem, and ``shrink`` the edges in
+        the shrink slots (B and D, or B alone), one per slot.
+
+        Every dual arc but name's keeps its lambda, so matching the
+        coefficients of Y_k, k = name, under the flip's coordinate rule
+        gives the rows j != k of M': they are M's but in column k, where
+        M'_jk = d sum_{s in shrink} M_js - M_jk (the grow and shrink
+        slots balance, so the shifts cancel).  Row k is walked on
+        ``graph``.  K' is K with P mutated at k, as a cluster algebra's
+        exchange matrix: P'_ik = -P_ik, P'_kj = -P_kj and otherwise
+        P'_ij = P_ij + d sgn(P_ik) max(P_ik P_kj, 0); E stays.  Rows that
+        do not change are shared with this view, and the new view checks
+        K' M' = 2I on its first inverse(), as a fresh one does."""
+        names = self.names
+        index = {n: j for j, n in enumerate(names)}
+        k = index[name]
+        a, b = [index[x] for x in shrink] * d  # d sum_S as two terms: (B, D) or (B, B)
+        rows, terms = list(self.rows), list(self._terms)
+        for j, row in enumerate(self.rows):
+            old = row[k]
+            m = row[a] + row[b] - old
+            if m != old and j != k:
+                head = row[:k]
+                rows[j] = head + (m,) + row[k + 1:]
+                at = k - head.count(0)  # where column k sits among the row's nonzeros
+                t = terms[j] = terms[j][:]
+                if not old:
+                    t.insert(at, (name, m))
+                elif m:
+                    t[at] = (name, m)
+                else:
+                    del t[at]
+        edge_of = graph._edge_of
+        row = rows[k] = _row(graph, name, lambda h: index.get(edge_of[h]), len(names))
+        terms[k] = [(names[j], m) for j, m in enumerate(row) if m]
+        local = list(self.local)
+        pk = local[k]  # P_kj; K_kk = 0 on an inner edge, and P_ik = -P_ki
+        local[k] = tuple((j, -p) for j, p in pk)
+        for i, p in pk:
+            new = dict(local[i])
+            new[k] = -new[k]
+            for j, pj in pk:
+                if -p * pj > 0:  # P_ik P_kj > 0: add d sgn(P_ik) P_ik P_kj
+                    new[j] = new.get(j, 0) + d * abs(p) * pj
+            local[i] = tuple(sorted([x for x in new.items() if x[1]]))
+        view = DualView.__new__(DualView)
+        view.names, view.rows, view.local, view._terms = names, tuple(rows), tuple(local), terms
+        view._checked = False
+        return view
 
     def inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``local``, once K M = 2I has been checked on this graph, row
@@ -354,11 +405,37 @@ class DualView:
         return out
 
 
+def _row(graph: FatGraph, name: str, column, n: int) -> tuple[int, ...]:
+    """Row ``name`` of M: how often the dual arc of coordinate edge
+    ``name`` leaves through each of the n columns, ``column`` giving a
+    half's column (None for a loop's half).  The halves are read from
+    ribbon._run_into: a pending edge's run into its cusp, and an inner
+    edge's two runs, the second short of its crossing of the edge, as
+    dual_arc cuts them."""
+    edge = graph.edges[name]
+    if edge.kind == "pending":
+        exits = _run_into(graph, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))[1]
+    else:
+        exits = _run_into(graph, edge.halves[0])[1] + _run_into(graph, edge.halves[1])[1][:-1]
+    row = [0] * n
+    for j in map(column, exits):
+        if j is not None:
+            row[j] += 1
+    return tuple(row)
+
+
 def dual_view(graph: FatGraph) -> DualView:
-    """The graph's DualView, built on first use and kept on the graph."""
+    """The graph's DualView, built on first use and kept on the graph.
+
+    A graph that a flip made from a parent with a built view holds, in
+    its place, the flip's record (parent view, edge, shrink edges, d),
+    which flips._flip leaves; the view is derived from it by
+    DualView._flipped and the record dropped.  A record holds a view,
+    never a graph, and a flip of a graph holding a record records
+    nothing, so no chain of parents is kept alive."""
     view = graph._dual
-    if view is None:
-        view = graph._dual = DualView(graph)
+    if type(view) is not DualView:
+        view = graph._dual = DualView(graph) if view is None else view[0]._flipped(graph, *view[1:])
     return view
 
 

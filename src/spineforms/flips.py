@@ -40,7 +40,13 @@ parent's indexes at the two rewired vertices (FatGraph._rewired) and
 keeps each Edge whose value is unchanged, and the new point checks only
 the values the exchange wrote.  ``flip_site`` caches each site on the
 graph, so a flip and mutate_lambda on the same graph and edge read it
-once.
+once.  When the parent's dual view is built, the new graph records it
+with the edge, the shrink slots' edges and d (1, or 2 at a loop stem),
+and coords.dual_view derives the new view from the flip's closed forms:
+the rows of M other than the flipped edge's change only in its column,
+M'_jk = d sum_{s in shrink} M_js - M_jk, and K = P + E changes by the
+mutation of P at k, P'_ik = -P_ik, P'_kj = -P_kj and P'_ij = P_ij +
+d sgn(P_ik) max(P_ik P_kj, 0).
 
 ``verify_flip_matrix_identities`` proves the matrix-word substitution
 rules symbolically over the Laurent ring.  The new letters carry one
@@ -57,7 +63,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2, SqrtRational, _add_parts, _incompatible, _mul_parts, _parts
-from .coords import CoordinatePoint, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
+from .coords import CoordinatePoint, DualView, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
 __all__ = [
@@ -222,7 +228,10 @@ def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[Coordinate
     far end (h_v, A, B) becomes (h_v, B, A) and the loop's halves swap
     at its vertex.  The new graph is derived from ``graph`` at those two
     vertices (FatGraph._rewired), and an Edge whose value is the same
-    object in the new point is kept."""
+    object in the new point is kept.  When ``graph``'s dual view is
+    built, the new graph holds (that view, name, shrink edges, d) in its
+    place, for coords.dual_view; a graph holding such a record, not a
+    view, passes nothing on."""
     if point is None:
         point = graph.point()
     (h1, a, b), (h2, c, d) = site.ends
@@ -230,18 +239,23 @@ def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[Coordinate
     sa, sb = graph.edge_of(a), graph.edge_of(b)
     if site.loop is None:
         slots = {"A": sa, "B": sb, "C": graph.edge_of(c), "D": graph.edge_of(d)}
-        point2 = _exchange(point, name, (sa, slots["C"]), (sb, slots["D"]))
+        shrink = (sb, slots["D"])
+        point2 = _exchange(point, name, (sa, slots["C"]), shrink)
         orders = {v1: (h1, d, a), v2: (h2, b, c)}
     else:
         slots = {"A": sa, "B": sb, "loop": site.loop}
-        point2 = _exchange(point, name, (sa,), (sb,), point.omega[site.loop])
+        shrink = (sb,)
+        point2 = _exchange(point, name, (sa,), shrink, point.omega[site.loop])
         orders = {v1: (h1, b, a), v2: (h2, d, c)}
     values = {**(point2.q if point2.exact else point2.y), **point2.omega}
     edges = {}
     for n, e in graph.edges.items():
         v = values[n]
         edges[n] = e if e.value is v else Edge(n, e.kind, e.halves, v)
-    return graph._rewired(orders, edges), point2, FlipRecord(name, site.kind, slots)
+    g1 = graph._rewired(orders, edges)
+    if type(graph._dual) is DualView:
+        g1._dual = (graph._dual, name, shrink, 1 if site.loop is None else 2)
+    return g1, point2, FlipRecord(name, site.kind, slots)
 
 
 def flip_inner(graph: FatGraph, name: str, point: Optional[CoordinatePoint] = None):

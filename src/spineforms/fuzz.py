@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import LaurentPoly
-from .coords import CoordinatePoint, dual_view, lambda_of_dual_arcs, shear_from_lambda
+from .coords import CoordinatePoint, DualView, dual_view, lambda_of_dual_arcs, shear_from_lambda
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
 from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
@@ -419,16 +419,22 @@ def suite_roundtrip(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_mutation(trials: int, seed: int) -> SuiteResult:
-    """Exchange-relation lambdas match the flipped graph's dual arcs."""
+    """Exchange-relation lambdas match the flipped graph's dual arcs.
+    The lambdas are read before the flip, so the flipped graph's dual
+    view is derived from its parent's (coords.dual_view), and it must
+    equal a fresh DualView."""
     res = SuiteResult("mutation", trials)
     for k, (graph, name, point) in zip(range(trials), _flip_draws(random.Random(seed))):
-        g1, p1, _ = flip_edge(graph, name, point)
         lam = lambda_of_dual_arcs(graph, point)
+        g1, p1, _ = flip_edge(graph, name, point)
         mutated = mutate_lambda(graph, lam, name)
         actual = lambda_of_dual_arcs(g1, p1)
         for n in graph.coordinate_edges():
             if mutated[n] != actual[n]:
                 res.failures.append("trial %d edge %s: lambda[%s] mismatch" % (k, name, n))
+        view, fresh = dual_view(g1), DualView(g1)
+        if any(getattr(view, f) != getattr(fresh, f) for f in ("names", "rows", "local", "_terms")):
+            res.failures.append("trial %d edge %s: derived dual view differs from a fresh one" % (k, name))
     return res
 
 

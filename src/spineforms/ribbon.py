@@ -134,7 +134,7 @@ class FatGraph:
         self._edge_of = edge_of
         self._mate = mate
         self._faces: Optional[list[list[str]]] = None
-        self._dual = None  # coords.DualView, built on first use
+        self._dual = None  # coords.DualView, built on first use (or a flip's record of its parent's)
         self._sites: dict = {}  # flips.FlipSite by edge name, read on first use
 
     def _rewired(self, orders: dict[str, tuple[str, ...]], edges: dict[str, Edge]) -> "FatGraph":

@@ -1,8 +1,10 @@
 """Flip moves: matrix identities, rewiring, coordinate rules, lambda
 mutation, and their exact involutivity."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from spineforms import (
 )
 from spineforms import flips
 from spineforms.algebra import SqrtRational
-from spineforms.coords import LambdaAssignment
+from spineforms.coords import DualView, LambdaAssignment, dual_view
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.ribbon import FatGraph, GraphError, emit_graph, parse_graph, validate, windows
@@ -459,6 +461,65 @@ def test_derived_graph_equals_a_fresh_build():
             assert g1.faces() == fresh.faces(), (i, name)
             assert windows(g1) == windows(fresh), (i, name)
     assert set(kinds) == {"inner", "loop-stem", "loop"} and min(kinds.values()) > 50, kinds
+
+
+def test_flipped_dual_view_is_derived_by_the_closed_forms():
+    """On every flip of a graph whose dual view is built, each row j != k
+    of the parent's M balances the flip's grow and shrink slots,
+    M_jA + M_jC = M_jB + M_jD in a quadrilateral and M_jA = M_jB at a
+    loop stem: the identity behind the column rule M'_jk =
+    d sum_{s in S} M_js - M_jk.  The view derived from the parent's
+    equals a fresh DualView field by field, and its K' M' = 2I check
+    holds."""
+    rng = random.Random(1)
+    graphs = [load_fixture(n) for n in ALL_FIXTURES] + [random_spine(rng) for _ in range(150)]
+    kinds = {}
+    for i, graph in enumerate(graphs):
+        view = dual_view(graph)
+        index = {n: j for j, n in enumerate(view.names)}
+        for name, edge in graph.edges.items():
+            if edge.kind != "inner" or flip_site(graph, name).kind == "refused":
+                continue
+            g1, _, record = flip_edge(graph, name)
+            kinds[record.kind] = kinds.get(record.kind, 0) + 1
+            grow, shrink = ("AC", "BD") if record.kind == "inner" else ("A", "B")
+            for j, row in enumerate(view.rows):
+                if view.names[j] != name:
+                    count = lambda slots: sum(row[index[record.slots[x]]] for x in slots)
+                    assert count(grow) == count(shrink), (i, name, view.names[j])
+            assert type(g1._dual) is tuple, (i, name)
+            derived, fresh = dual_view(g1), DualView(g1)
+            for field in ("names", "rows", "local", "_terms"):
+                assert getattr(derived, field) == getattr(fresh, field), (i, name, field)
+            assert derived.inverse() == fresh.local, (i, name)
+    assert set(kinds) == {"inner", "loop-stem"} and min(kinds.values()) > 100, kinds
+
+
+def test_a_flip_keeps_no_parent_alive(four_cusps):
+    """A flip records its parent's view only once that view is built;
+    the record holds the view, not the graph, and goes once the flipped
+    graph's view is derived.  A graph still holding a record passes
+    nothing on, so flips never chain parents."""
+    g1, _, _ = flip_edge(four_cusps, "e")
+    assert g1._dual is None
+    parent = dual_view(four_cusps)
+    g1, p1, _ = flip_edge(four_cusps, "e")
+    assert type(g1._dual) is tuple and g1._dual[0] is parent
+    assert not any(isinstance(x, FatGraph) for x in g1._dual)
+    g2, _, _ = flip_edge(g1, "e", p1)
+    assert g2._dual is None
+    view = dual_view(g1)
+    assert g1._dual is view and type(view) is DualView
+    assert dual_view(g2).rows == DualView(g2).rows
+
+    graph = parse_graph(fixture_text("sigma_0_1_4"))
+    dual_view(graph)
+    g1, _, _ = flip_edge(graph, "e")
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+    assert dual_view(g1).rows == DualView(g1).rows
 
 
 def test_flip_site_is_read_once_per_graph_and_edge(monkeypatch, four_cusps):

@@ -13,7 +13,6 @@ import pytest
 from spineforms import CoordinatePoint, PathWord, parse_graph, validate
 from spineforms.flips import flip_edge
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
-from spineforms.coords import _log_q
 from spineforms.ribbon import Edge, FatGraph, GraphError, _exact_parts, _int_refusal, dual_arc, emit_graph, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
@@ -528,9 +527,23 @@ def test_value_reader_matches_the_regex_oracle():
     assert seen["parts"] > 100 and seen["none"] > 100 and seen["refused"] >= 6, seen
 
 
+def _oracle_log(name, q):
+    """log q as a float, read on its own: a q <= 0 is refused as not
+    positive, one whose float is infinite or 0 as out of float range."""
+    if q <= 0:
+        raise ValueError("q[%s] = %s must be positive" % (name, q))
+    try:
+        x = float(q)
+    except OverflowError:
+        raise ValueError("q[%s] = %s is too large for a float" % (name, q)) from None
+    if x == 0.0:
+        raise ValueError("q[%s] = %s is too small for a float" % (name, q))
+    return math.log(x)
+
+
 def _oracle_point(graph):
     """CoordinatePoint.from_graph as it read the edges in two passes and
-    handed them to the constructor."""
+    handed them to the constructor, with its own log of an exact q."""
     exact = not any(isinstance(e.value, float) for e in graph.edges.values())
     q, y, omega = {}, {}, {}
     for e in graph.edges.values():
@@ -542,7 +555,7 @@ def _oracle_point(graph):
         elif v is None:
             y[e.name] = 0.0
         else:
-            y[e.name] = v if isinstance(v, float) else _log_q(e.name, v)
+            y[e.name] = v if isinstance(v, float) else _oracle_log(e.name, v)
     if exact:
         return CoordinatePoint(True, q=q, omega=omega)
     return CoordinatePoint(False, y=y, omega=omega)
