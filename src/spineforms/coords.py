@@ -26,28 +26,22 @@ pair of its coordinate slots, loops skipped, so an inner edge's row is
 the cross-ratio of its quadrilateral and a pending edge's the ratio of
 its triangle; no separate function computes either.  Y_e = sum_j K_ej
 log(lambda_j), and an exact point gives q_e = sqrt(prod_j
-(lambda_j^2)^{K_ej}), one exact square root.  Exact values are folded in ints (numerators, denominators
-and radicands) with one Fraction built per value: each lambda_i from its
-row's even powers and odd factors (algebra._fold_sqrt), each q_e from
-the lambda^2 kept as int pairs, reduced once before its root is taken
-(algebra.fraction_sqrt).  M and K are derived once per graph in a
-DualView cached on the graph (see dual_view), which checks K M = 2I
-before K is used.  M's rows read the runs into a cusp that dual_arc
-reads, from ribbon._run_into, counting the edges they leave through
-with no Step built; the view refuses, with a GraphError, a graph on
-which some dual arc cannot be cut and a loop edge that does not close
-at one trivalent vertex.  The matrix words of the dual arcs
-(paths.lambda_length) remain an independent check.
-Penner's form 1/4 M^T P M is 1/4 (M^T - M) once K M = 2I (forms).
+(lambda_j^2)^{K_ej}), one exact square root.  Exact values are folded
+in ints with one Fraction built per value: each lambda_i from its row's
+even powers and odd factors (algebra._fold_sqrt), each q_e from the
+lambda^2 kept as int pairs (algebra.fraction_sqrt).  M, held once as
+sparse rows {j: M_ij}, and K are derived once per graph in a DualView
+cached on the graph (see dual_view), which checks K M = 2I before K is
+used.  The matrix words of the dual arcs (paths.lambda_length) remain
+an independent check.  Penner's form 1/4 M^T P M is 1/4 (M^T - M) once
+K M = 2I (forms).
 
 A flip of edge k, whose parent's view is built, gets its view from the
-parent's by two closed forms (DualView._flipped), with d = 1 in a
-quadrilateral and 2 at a loop stem and S the shrink slots (B and D, or
-B): every row j != k of M keeps its counts but M'_jk = d sum_{s in S}
-M_js - M_jk, since its lambda is unchanged; and K' is K with P mutated
-at k as a cluster exchange matrix, P'_ik = -P_ik, P'_kj = -P_kj and
-P'_ij = P_ij + d sgn(P_ik) max(P_ik P_kj, 0).  Only row k of M is
-walked, and K' M' = 2I is still checked before K' is used.
+parent's by the flip's closed forms (DualView._flipped): the other rows
+of M change only in column k, so each changed row is a copy with that
+one entry set or deleted, row k alone is walked again, and K' is K with
+P mutated at k as a cluster exchange matrix.  K' M' = 2I is still
+checked before K' is used.
 """
 
 from __future__ import annotations
@@ -252,18 +246,15 @@ def _fock_table(graph: FatGraph) -> list[list[int]]:
 class DualView:
     """The dual arcs of one graph as exponent vectors, derived once.
 
-    ``names`` are the coordinate edges in file order and ``rows[i][j]``
-    counts how often dual_arc(names[i]) runs through names[j] (loop
-    bounces are not counted): the traversal-count matrix M.  Each row
-    reads the runs into a cusp that dual_arc reads, from
-    ribbon._run_into, and counts the halves they leave through, building
-    no Step: a pending edge's row counts the run into its cusp, and an
-    inner edge e's, with halves h1 and h2, the runs out through h1 and
-    h2 less one crossing of e.  The view refuses with dual_arc's
-    GraphError where dual_arc refuses (a face orbit with no cusp, or a
-    run from a cusp on a loop-kind edge), and with its own a loop edge
-    whose halves are not at one trivalent vertex.  The lambda-length of
-    dual arc i is the unit monomial prod_j t_j^{M_ij}, t_j = e^{Y_j/2}.
+    ``names`` are the coordinate edges in file order and ``rows[i]`` maps
+    each j, in ascending order, to the nonzero count of how often
+    dual_arc(names[i]) runs through names[j] (loop bounces are not
+    counted): the traversal-count matrix M, held once, each row read by
+    _row.  The view refuses with dual_arc's GraphError where dual_arc
+    refuses (a face orbit with no cusp, or a run from a cusp on a
+    loop-kind edge), and with its own a loop edge whose halves are not
+    at one trivalent vertex.  The lambda-length of dual arc i is the
+    unit monomial prod_j t_j^{M_ij}, t_j = e^{Y_j/2}.
     ``local[i]`` holds the nonzero (j, K_ij) of row i of K = P + E, P
     Fock's bracket table and E adding 1 on the diagonal of each pending
     edge, in ascending j.  K = 2 M^{-1} on a spine, and inverse() checks
@@ -271,26 +262,23 @@ class DualView:
     1/4 M^T P M is 1/4 (M^T - M) (forms).
     """
 
-    __slots__ = ("names", "rows", "local", "_terms", "_checked")
+    __slots__ = ("names", "rows", "local", "_checked")
 
     def __init__(self, graph: FatGraph):
         names = graph.coordinate_edges()
         index = {n: j for j, n in enumerate(names)}
         slot = {h: index.get(e) for h, e in graph._edge_of.items()}
-        rows = [_row(graph, name, slot.__getitem__, len(names)) for name in names]
+        self.rows = tuple([_row(graph, name, slot.__getitem__) for name in names])
         # a cusp has one half, so a loop's halves at one vertex are at a trivalent one
         for name in graph.loop_edges():
             a, b = graph.edges[name].halves
             if graph.vertex_of(a) != graph.vertex_of(b):
                 raise GraphError("loop edge %s does not close at one trivalent vertex" % name)
         self.names = tuple(names)
-        self.rows = tuple(rows)
         table = _fock_table(graph)  # K = P + E, P having a zero diagonal
         for i, name in enumerate(names):
             table[i][i] += graph.edges[name].kind == "pending"
         self.local = tuple(tuple((j, k) for j, k in enumerate(row) if k) for row in table)
-        # the (edge, M_ij) pairs of each row's nonzero counts
-        self._terms = [[(names[j], m) for j, m in enumerate(row) if m] for row in rows]
         self._checked = False
 
     def _flipped(self, graph: FatGraph, name: str, shrink: tuple[str, ...], d: int) -> "DualView":
@@ -303,34 +291,31 @@ class DualView:
         coefficients of Y_k, k = name, under the flip's coordinate rule
         gives the rows j != k of M': they are M's but in column k, where
         M'_jk = d sum_{s in shrink} M_js - M_jk (the grow and shrink
-        slots balance, so the shifts cancel).  Row k is walked on
-        ``graph``.  K' is K with P mutated at k, as a cluster algebra's
-        exchange matrix: P'_ik = -P_ik, P'_kj = -P_kj and otherwise
-        P'_ij = P_ij + d sgn(P_ik) max(P_ik P_kj, 0); E stays.  Rows that
-        do not change are shared with this view, and the new view checks
-        K' M' = 2I on its first inverse(), as a fresh one does."""
+        slots balance, so the shifts cancel).  A changed row is a copy
+        with column k set or deleted, re-sorted only when k is new to
+        it.  Row k is walked on ``graph``.  K' is K with P mutated at k,
+        as a cluster algebra's exchange matrix: P'_ik = -P_ik, P'_kj =
+        -P_kj and otherwise P'_ij = P_ij + d sgn(P_ik) max(P_ik P_kj, 0);
+        E stays.  Rows that do not change are shared with this view, and
+        the new view checks K' M' = 2I on its first inverse(), as a fresh
+        one does."""
         names = self.names
         index = {n: j for j, n in enumerate(names)}
         k = index[name]
         a, b = [index[x] for x in shrink] * d  # d sum_S as two terms: (B, D) or (B, B)
-        rows, terms = list(self.rows), list(self._terms)
+        rows = list(self.rows)
         for j, row in enumerate(self.rows):
-            old = row[k]
-            m = row[a] + row[b] - old
+            old = row.get(k, 0)
+            m = row.get(a, 0) + row.get(b, 0) - old
             if m != old and j != k:
-                head = row[:k]
-                rows[j] = head + (m,) + row[k + 1:]
-                at = k - head.count(0)  # where column k sits among the row's nonzeros
-                t = terms[j] = terms[j][:]
-                if not old:
-                    t.insert(at, (name, m))
-                elif m:
-                    t[at] = (name, m)
+                if not old:  # k new to the row: sorted into place
+                    rows[j] = dict(sorted([*row.items(), (k, m)]))
                 else:
-                    del t[at]
+                    row = rows[j] = {**row, k: m}
+                    if not m:
+                        del row[k]
         edge_of = graph._edge_of
-        row = rows[k] = _row(graph, name, lambda h: index.get(edge_of[h]), len(names))
-        terms[k] = [(names[j], m) for j, m in enumerate(row) if m]
+        rows[k] = _row(graph, name, lambda h: index.get(edge_of[h]))
         local = list(self.local)
         pk = local[k]  # P_kj; K_kk = 0 on an inner edge, and P_ik = -P_ki
         local[k] = tuple((j, -p) for j, p in pk)
@@ -342,27 +327,37 @@ class DualView:
                     new[j] = new.get(j, 0) + d * abs(p) * pj
             local[i] = tuple(sorted([x for x in new.items() if x[1]]))
         view = DualView.__new__(DualView)
-        view.names, view.rows, view.local, view._terms = names, tuple(rows), tuple(local), terms
-        view._checked = False
+        view.names, view.rows, view.local, view._checked = names, tuple(rows), tuple(local), False
         return view
 
     def inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``local``, once K M = 2I has been checked on this graph, row
-        by row over the nonzeros of K and of the rows of M they pick,
-        each column keyed by its edge."""
+        by row over the nonzeros of K and of the rows of M they pick."""
         if not self._checked:
-            for name, terms in zip(self.names, self.local):
-                row: dict[str, int] = {}
+            rows = self.rows
+            for i, terms in enumerate(self.local):
+                row: dict[int, int] = {}
                 for j, k in terms:
-                    for n, m in self._terms[j]:
-                        row[n] = row.get(n, 0) + k * m
-                if {n: x for n, x in row.items() if x} != {name: 2}:
+                    for c, m in rows[j].items():
+                        row[c] = row.get(c, 0) + k * m
+                if row.pop(i, 0) != 2 or any(row.values()):
                     raise ValueError(
                         "dual-arc multiplicity matrix is not inverted by the local rule; "
                         "lambda-lengths do not determine the coordinates"
                     )
             self._checked = True
         return self.local
+
+    def _in_order(self, values: Mapping, label: str) -> list:
+        """Each coordinate edge's value, in file order; a point with no
+        value for one is refused, naming the first such edge."""
+        if tuple(values) == self.names:
+            return list(values.values())
+        try:
+            return [values[n] for n in self.names]
+        except KeyError:
+            missing = next(n for n in self.names if n not in values)
+            raise ValueError("point has no %s value for coordinate edge %s" % (label, missing)) from None
 
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
@@ -372,17 +367,18 @@ class DualView:
         powers and then folds its odd factors, in the order of q, by
         algebra._fold_sqrt, the rule matrix words fold theirs by, so a
         dual arc's word prints its lambda in the same form."""
-        parts = {n: _sqrt_parts(x) for n, x in q.items()}
-        rows = self._terms  # each in file order, re-sorted when q's order differs
+        parts = list(map(_sqrt_parts, self._in_order(q, "q")))
+        rows = self.rows  # each in file order, re-sorted when q's order differs
         if tuple(q) != self.names:
             rank = {n: i for i, n in enumerate(q)}
-            rows = [sorted(terms, key=lambda t: rank[t[0]]) for terms in rows]
+            order = [rank[n] for n in self.names]
+            rows = [dict(sorted(row.items(), key=lambda t: order[t[0]])) for row in rows]
         out = []
-        for terms in rows:
+        for row in rows:
             num = den = 1
             odd = []
-            for n, m in terms:
-                x = parts[n]
+            for j, m in row.items():
+                x = parts[j]
                 if m & 1:
                     odd.append(x)
                 if m > 1:
@@ -395,33 +391,33 @@ class DualView:
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
         """lambda_i = exp(sum_j M_ij Y_j / 2), each held to
         _positive_lambda's float rule, 0 < lambda < inf."""
+        ys = self._in_order(y, "y")
         out = []
-        for name, terms in zip(self.names, self._terms):
+        for name, row in zip(self.names, self.rows):
             try:
-                v = math.exp(0.5 * sum(m * y[n] for n, m in terms))
+                v = math.exp(0.5 * sum(m * ys[j] for j, m in row.items()))
             except OverflowError:
                 v = math.inf
             out.append(_positive_lambda(name, v, False))
         return out
 
 
-def _row(graph: FatGraph, name: str, column, n: int) -> tuple[int, ...]:
-    """Row ``name`` of M: how often the dual arc of coordinate edge
-    ``name`` leaves through each of the n columns, ``column`` giving a
-    half's column (None for a loop's half).  The halves are read from
-    ribbon._run_into: a pending edge's run into its cusp, and an inner
-    edge's two runs, the second short of its crossing of the edge, as
-    dual_arc cuts them."""
+def _row(graph: FatGraph, name: str, column) -> dict[int, int]:
+    """Row ``name`` of M: {column: count}, in ascending column order, of
+    the halves the dual arc of coordinate edge ``name`` leaves through,
+    ``column`` giving a half's column (None for a loop's half).  The
+    halves are read from ribbon._run_into, building no Step: a pending
+    edge's run into its cusp, and an inner edge's two runs, the second
+    short of its crossing of the edge, as dual_arc cuts them."""
     edge = graph.edges[name]
     if edge.kind == "pending":
         exits = _run_into(graph, graph.mate(graph.cusp_half(graph.cusp_of_pending(name))))[1]
     else:
         exits = _run_into(graph, edge.halves[0])[1] + _run_into(graph, edge.halves[1])[1][:-1]
-    row = [0] * n
-    for j in map(column, exits):
-        if j is not None:
-            row[j] += 1
-    return tuple(row)
+    row: dict[int, int] = {}
+    for j in sorted([j for j in map(column, exits) if j is not None]):
+        row[j] = row.get(j, 0) + 1
+    return row
 
 
 def dual_view(graph: FatGraph) -> DualView:
@@ -448,7 +444,8 @@ def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None
     sqrt(prod_{M_ij odd} q_j), whose a*sqrt(b) form is fixed by the
     arc's exponent vector; float points give exp(sum_j M_ij Y_j / 2).
     The matrix word of the arc, lambda_length(graph, dual_arc(graph,
-    name), point), gives the same values.
+    name), point), gives the same values.  A point with no value for
+    some coordinate edge is refused, naming the first in file order.
     """
     if point is None:
         point = graph.point()

@@ -133,20 +133,22 @@ _QUARTERS = _Quarters()
 
 def penner_form_matrix(graph: FatGraph) -> CoordinateIndexedMatrix:
     """Penner's form, P in d log lambda, pulled back through
-    log lambda = 1/2 M Y: 1/4 M^T P M, which is 1/4 (M^T - M).
-
-    K = P + E with K M = 2I, which view.inverse() checks (raising its
-    ValueError where it fails), gives M^T P M = 2 M^T - M^T E M.  The
-    left side is antisymmetric and M^T E M symmetric, so it is M^T - M.
-    Its entries are small ints over 4, 0 in about half the table, and
-    each is the one Fraction(d, 4) _QUARTERS keeps for its int d, in
-    rows that are lists of their own.
+    log lambda = 1/2 M Y: 1/4 M^T P M, which is 1/4 (M^T - M) once
+    view.inverse() has checked K M = 2I (raising its ValueError where it
+    fails; see the module docstring).  The table starts at 0 and each
+    nonzero M_ij of the view's sparse rows scatters d = M_ji - M_ij to
+    (i, j) and -d to (j, i); every entry is the one Fraction(d, 4)
+    _QUARTERS keeps for its int d, in rows that are lists of their own.
     """
     view = dual_view(graph)
     view.inverse()
-    m = view.rows
-    return CoordinateIndexedMatrix(view.names, [[_QUARTERS[a - b] for a, b in zip(col, row)]
-                                                for col, row in zip(zip(*m), m)])
+    rows = view.rows
+    table = [[_QUARTERS[0]] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, m in row.items():
+            d = rows[j].get(i, 0) - m
+            table[i][j], table[j][i] = _QUARTERS[d], _QUARTERS[-d]
+    return CoordinateIndexedMatrix(view.names, table)
 
 
 @dataclass

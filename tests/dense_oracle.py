@@ -105,11 +105,18 @@ def _promote(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
+def dense_rows(view):
+    """The view's traversal-count matrix M as dense rows: one tuple per
+    coordinate edge, with a count, 0 or not, for every column."""
+    n = len(view.names)
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for row in view.rows)
+
+
 def local_rule_mismatches(graph):
     """(edge, row of the DualView's local rule, row of 2 M^{-1}) for
     every coordinate edge where the two differ."""
     view = dual_view(graph)
-    inverse = frac_inverse(view.rows)
+    inverse = frac_inverse(dense_rows(view))
     out = []
     for name, terms, inv in zip(view.names, view.local, inverse):
         row = [0] * len(view.names)

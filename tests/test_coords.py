@@ -25,7 +25,7 @@ from spineforms.paths import lambda_length
 from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
-from dense_oracle import cross_ratio, frac_inverse, frac_matmul, local_rule_mismatches, pending_ratio
+from dense_oracle import cross_ratio, dense_rows, frac_inverse, frac_matmul, local_rule_mismatches, pending_ratio
 from walk_oracle import oracle_dual_arc, oracle_windows
 
 
@@ -73,6 +73,25 @@ def test_point_refuses_values_outside_the_domain(exact, values, omega, message):
     edges = {n: Edge(n, e.kind, e.halves, stored[n]) for n, e in base.edges.items()}
     with pytest.raises(ValueError, match=message):
         FatGraph(base.vertices, base.cusps, edges).point()
+
+
+@pytest.mark.parametrize("exact", (True, False))
+@pytest.mark.parametrize(
+    "given, missing",
+    [({"e1": 2}, "e"), ({"p4": 3, "e": 2, "p1": 5}, "p2"), ({"e": 1, "p1": 1, "p2": 1, "p3": 1}, "p4")],
+)
+def test_lambdas_refuse_a_point_missing_a_coordinate_edge(exact, given, missing):
+    """A point with no value for some coordinate edge is refused with a
+    ValueError naming the first such edge in file order, not whichever
+    the point lists first."""
+    graph = load_fixture("sigma_0_1_4")
+    if exact:
+        point = CoordinatePoint(True, q=given)
+    else:
+        point = CoordinatePoint(False, y={n: float(v) for n, v in given.items()})
+    key = "q" if exact else "y"
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge %s$" % (key, missing)):
+        lambda_of_dual_arcs(graph, point)
 
 
 def test_bad_lambda_is_reported_before_bad_loop_weight(one_loop):
@@ -156,7 +175,7 @@ def test_round_trip_float(two_loops):
 def test_multiplicity_matrix_is_invertible_on_fixtures():
     for name in ALL_FIXTURES:
         graph = load_fixture(name)
-        m = [[Fraction(x) for x in row] for row in coords.dual_view(graph).rows]
+        m = [[Fraction(x) for x in row] for row in dense_rows(coords.dual_view(graph))]
         inv = frac_inverse(m)
         for row in inv:
             for x in row:
@@ -380,12 +399,14 @@ def dual_arc_counts(graph, arc=dual_arc):
 
 def dual_view_rows(graph):
     try:
-        return coords.DualView(graph).rows
+        return dense_rows(coords.DualView(graph))
     except GraphError as exc:
         return str(exc)
 
 
 def test_dual_view_rows_are_the_dual_arc_counts_on_spines():
+    """Each sparse row of M holds the nonzero dual-arc counts, and only
+    those, in ascending column order."""
     rng = random.Random(1)
     graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(300)]
     for k, graph in enumerate(graphs):
@@ -393,6 +414,8 @@ def test_dual_view_rows_are_the_dual_arc_counts_on_spines():
         assert rows == dual_arc_counts(graph), k
         # the turn-by-turn walks share no code with ribbon._run_into
         assert rows == dual_arc_counts(graph, oracle_dual_arc), k
+        sparse = [list(row.items()) for row in coords.DualView(graph).rows]
+        assert sparse == [[(j, c) for j, c in enumerate(row) if c] for row in rows], k
 
 
 def refusals_against_dual_arcs(graphs):
@@ -445,7 +468,7 @@ def test_rewired_fixtures_that_fail_validate_are_refused():
         graph = parse_graph(text)
         if validate(graph).ok:
             valid += 1
-            m = coords.dual_view(graph).rows
+            m = dense_rows(coords.dual_view(graph))
             mtpm = frac_matmul(frac_matmul(list(zip(*m)), poisson_matrix(graph).data), m)
             assert penner_form_matrix(graph).data == [[x / 4 for x in row] for row in mtpm], tag
             continue
@@ -559,8 +582,8 @@ def test_point_refuses_non_positive_q(value):
 def _dense_inverse_holds(view):
     """K M = 2I by a dense sum over every column, as DualView.inverse()
     checked it before it summed over nonzeros."""
-    cols = range(len(view.names))
-    return all([sum(k * view.rows[j][c] for j, k in terms) for c in cols] == [2 * (c == i) for c in cols]
+    cols, m = range(len(view.names)), dense_rows(view)
+    return all([sum(k * m[j][c] for j, k in terms) for c in cols] == [2 * (c == i) for c in cols]
                for i, terms in enumerate(view.local))
 
 

@@ -26,6 +26,7 @@ from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.ribbon import FatGraph, GraphError, emit_graph, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from dense_oracle import dense_rows
 from exchange_oracle import parts, ptolemy
 
 
@@ -469,11 +470,14 @@ def test_flipped_dual_view_is_derived_by_the_closed_forms():
     M_jA + M_jC = M_jB + M_jD in a quadrilateral and M_jA = M_jB at a
     loop stem: the identity behind the column rule M'_jk =
     d sum_{s in S} M_js - M_jk.  The view derived from the parent's
-    equals a fresh DualView field by field, and its K' M' = 2I check
-    holds."""
+    equals a fresh DualView field by field, each row of M in the same
+    order (dict == ignores order), whether column k was already in a
+    changed row, new to it or dropped from it; its exact lambdas print
+    as a fresh view's, at a point in file order and in reversed order,
+    and its K' M' = 2I check holds."""
     rng = random.Random(1)
     graphs = [load_fixture(n) for n in ALL_FIXTURES] + [random_spine(rng) for _ in range(150)]
-    kinds = {}
+    kinds, cases = {}, {"kept": 0, "new": 0, "dropped": 0}
     for i, graph in enumerate(graphs):
         view = dual_view(graph)
         index = {n: j for j, n in enumerate(view.names)}
@@ -483,16 +487,24 @@ def test_flipped_dual_view_is_derived_by_the_closed_forms():
             g1, _, record = flip_edge(graph, name)
             kinds[record.kind] = kinds.get(record.kind, 0) + 1
             grow, shrink = ("AC", "BD") if record.kind == "inner" else ("A", "B")
-            for j, row in enumerate(view.rows):
+            for j, row in enumerate(dense_rows(view)):
                 if view.names[j] != name:
                     count = lambda slots: sum(row[index[record.slots[x]]] for x in slots)
                     assert count(grow) == count(shrink), (i, name, view.names[j])
             assert type(g1._dual) is tuple, (i, name)
             derived, fresh = dual_view(g1), DualView(g1)
-            for field in ("names", "rows", "local", "_terms"):
-                assert getattr(derived, field) == getattr(fresh, field), (i, name, field)
+            assert (derived.names, derived.local) == (fresh.names, fresh.local), (i, name)
+            k = index[name]
+            for j, (before, row, want) in enumerate(zip(view.rows, derived.rows, fresh.rows)):
+                assert list(row.items()) == list(want.items()), (i, name, j)
+                if j != k and row is not before:
+                    cases["kept" if k in before and k in row else "new" if k in row else "dropped"] += 1
+            point = random_exact_point(rng, g1)
+            for q in (point.q, dict(reversed(point.q.items()))):
+                assert list(map(str, derived.exact_lambdas(q))) == list(map(str, fresh.exact_lambdas(q))), (i, name)
             assert derived.inverse() == fresh.local, (i, name)
     assert set(kinds) == {"inner", "loop-stem"} and min(kinds.values()) > 100, kinds
+    assert min(cases.values()) > 100, cases
 
 
 def test_a_flip_keeps_no_parent_alive(four_cusps):
@@ -510,7 +522,7 @@ def test_a_flip_keeps_no_parent_alive(four_cusps):
     assert g2._dual is None
     view = dual_view(g1)
     assert g1._dual is view and type(view) is DualView
-    assert dual_view(g2).rows == DualView(g2).rows
+    assert dense_rows(dual_view(g2)) == dense_rows(DualView(g2))
 
     graph = parse_graph(fixture_text("sigma_0_1_4"))
     dual_view(graph)
@@ -519,7 +531,7 @@ def test_a_flip_keeps_no_parent_alive(four_cusps):
     del graph
     gc.collect()
     assert ref() is None
-    assert dual_view(g1).rows == DualView(g1).rows
+    assert dense_rows(dual_view(g1)) == dense_rows(DualView(g1))
 
 
 def test_flip_site_is_read_once_per_graph_and_edge(monkeypatch, four_cusps):

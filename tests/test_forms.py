@@ -23,7 +23,7 @@ from spineforms.paths import PathWord, t_var
 from spineforms.ribbon import emit_graph, parse_graph
 
 from conftest import ALL_FIXTURES, exact_values, fixture_text, load_fixture
-from dense_oracle import dense_verify_inverse, numeric_bracket
+from dense_oracle import dense_rows, dense_verify_inverse, numeric_bracket
 
 
 def as_ints(mat):
@@ -163,7 +163,7 @@ def test_penner_table_is_quarter_counts_in_rows_of_their_own():
     rng = random.Random(20261019)
     graphs = [load_fixture(name) for name in ALL_FIXTURES] + [random_spine(rng) for _ in range(100)]
     for graph in graphs:
-        m = dual_view(graph).rows
+        m = dense_rows(dual_view(graph))
         data = penner_form_matrix(graph).data
         n = len(m)
         assert all(type(x) is Fraction and x == Fraction(m[j][i] - m[i][j], 4)
@@ -207,7 +207,7 @@ def test_one_fock_table_against_a_dense_oracle():
         assert graph._dual is None, k
         assert penner_form_matrix(graph).scaled(4) == window, k
         view = dual_view(graph)
-        m = view.rows
+        m = dense_rows(view)
         n = len(m)
         pm = [[sum(p[u][v] * m[v][g] for v in range(n)) for g in range(n)] for u in range(n)]
         mtpm = [[sum(m[u][f] * pm[u][g] for u in range(n)) for g in range(n)] for f in range(n)]
