@@ -25,7 +25,7 @@ from .coords import (
     lambda_of_dual_arcs,
     shear_from_lambda,
 )
-from .flips import FlipRecord, flip_inner, flip_loop_adjacent, mutate_lambda, verify_flip_matrix_identities
+from .flips import FlipRecord, flip_edge, flip_inner, flip_loop_adjacent, mutate_lambda, verify_flip_matrix_identities
 from .forms import (
     CenterBasis,
     CoordinateIndexedMatrix,
@@ -62,6 +62,7 @@ __all__ = [
     "lambda_of_dual_arcs",
     "shear_from_lambda",
     "FlipRecord",
+    "flip_edge",
     "flip_inner",
     "flip_loop_adjacent",
     "mutate_lambda",

@@ -12,7 +12,7 @@ Three value families cover every computation in the package:
 agnostic: entries only need ``+``, ``*`` and unary ``-``.  There is
 no general matrix type: the coordinate matrices (the bracket table, the
 dual-arc counts, the forms) are sparse and integral, and coords and
-forms work on the nonzero entries of their rows.
+forms work on the nonzero entries of their rows (see _sparse_product).
 """
 
 from __future__ import annotations
@@ -522,6 +522,17 @@ def fraction_sqrt(num, den=1) -> Fraction:
     if rn * rn != n or rd * rd != d:
         raise ValueError("%s is not a rational square" % Fraction(n, d))
     return Fraction(rn, rd)
+
+
+def _sparse_product(a, b):
+    """The rows of A B as dicts {column: entry}, one at a time so a check
+    can stop early; A's rows are (column, entry) pairs, B's rows dicts."""
+    for terms in a:
+        row: dict = {}
+        for j, x in terms:
+            for c, y in b[j].items():
+                row[c] = row.get(c, 0) + x * y
+        yield row
 
 
 class Mat2:

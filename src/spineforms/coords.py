@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .algebra import SqrtRational, _fold_sqrt, _parts, _sqrt_parts, fraction_sqrt
+from .algebra import SqrtRational, _fold_sqrt, _parts, _sparse_product, _sqrt_parts, fraction_sqrt
 from .ribbon import FatGraph, GraphError, _run_into
 
 __all__ = [
@@ -331,15 +331,10 @@ class DualView:
         return view
 
     def inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``local``, once K M = 2I has been checked on this graph, row
-        by row over the nonzeros of K and of the rows of M they pick."""
+        """``local``, once K M = 2I has been checked on this graph, row by
+        row of algebra._sparse_product, stopping at the first that fails."""
         if not self._checked:
-            rows = self.rows
-            for i, terms in enumerate(self.local):
-                row: dict[int, int] = {}
-                for j, k in terms:
-                    for c, m in rows[j].items():
-                        row[c] = row.get(c, 0) + k * m
+            for i, row in enumerate(_sparse_product(self.local, self.rows)):
                 if row.pop(i, 0) != 2 or any(row.values()):
                     raise ValueError(
                         "dual-arc multiplicity matrix is not inverted by the local rule; "
@@ -348,16 +343,9 @@ class DualView:
             self._checked = True
         return self.local
 
-    def _in_order(self, values: Mapping, label: str) -> list:
-        """Each coordinate edge's value, in file order; a point with no
-        value for one is refused, naming the first such edge."""
-        if tuple(values) == self.names:
-            return list(values.values())
-        try:
-            return [values[n] for n in self.names]
-        except KeyError:
-            missing = next(n for n in self.names if n not in values)
-            raise ValueError("point has no %s value for coordinate edge %s" % (label, missing)) from None
+    def _in_order(self, values: Mapping) -> list:
+        """Each coordinate edge's value, in file order."""
+        return list(values.values()) if tuple(values) == self.names else [values[n] for n in self.names]
 
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
@@ -367,7 +355,7 @@ class DualView:
         powers and then folds its odd factors, in the order of q, by
         algebra._fold_sqrt, the rule matrix words fold theirs by, so a
         dual arc's word prints its lambda in the same form."""
-        parts = list(map(_sqrt_parts, self._in_order(q, "q")))
+        parts = list(map(_sqrt_parts, self._in_order(q)))
         rows = self.rows  # each in file order, re-sorted when q's order differs
         if tuple(q) != self.names:
             rank = {n: i for i, n in enumerate(q)}
@@ -391,7 +379,7 @@ class DualView:
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
         """lambda_i = exp(sum_j M_ij Y_j / 2), each held to
         _positive_lambda's float rule, 0 < lambda < inf."""
-        ys = self._in_order(y, "y")
+        ys = self._in_order(y)
         out = []
         for name, row in zip(self.names, self.rows):
             try:
@@ -418,6 +406,22 @@ def _row(graph: FatGraph, name: str, column) -> dict[int, int]:
     for j in sorted([j for j in map(column, exits) if j is not None]):
         row[j] = row.get(j, 0) + 1
     return row
+
+
+def _incomplete(graph: FatGraph, point: CoordinatePoint, error: KeyError) -> Exception:
+    """What a reader that caught ``error`` raises: a ValueError naming the
+    first coordinate edge in file order with no q (or y) value, else the
+    first loop with no weight; ``error`` itself if the point is complete.
+    Built only after the catch, so a complete point pays nothing."""
+    label, values = ("q", point.q) if point.exact else ("y", point.y)
+    for names, given, what in (
+        (graph.coordinate_edges(), values, label + " value for coordinate edge"),
+        (graph.loop_edges(), point.omega, "weight for loop edge"),
+    ):
+        missing = next((n for n in names if n not in given), None)
+        if missing is not None:
+            return ValueError("point has no %s %s" % (what, missing))
+    return error
 
 
 def dual_view(graph: FatGraph) -> DualView:
@@ -450,7 +454,10 @@ def lambda_of_dual_arcs(graph: FatGraph, point: Optional[CoordinatePoint] = None
     if point is None:
         point = graph.point()
     view = dual_view(graph)
-    values = view.exact_lambdas(point.q) if point.exact else view.float_lambdas(point.y)
+    try:
+        values = view.exact_lambdas(point.q) if point.exact else view.float_lambdas(point.y)
+    except KeyError as exc:
+        raise _incomplete(graph, point, exc) from None
     return LambdaAssignment(dict(zip(view.names, values)), dict(point.omega))
 
 
@@ -514,6 +521,17 @@ def _loop_weight(name: str, v, exact: bool):
     return v
 
 
+def _check_names(given: Mapping, names, what: str, kind: str, plural: str) -> None:
+    """Refuse the first name in ``given`` not in ``names``, then those missing."""
+    known = set(names)
+    for n in given:
+        if n not in known:
+            raise ValueError("%s given for %s, which is not a %s" % (what, n, kind))
+    missing = [n for n in names if n not in given]
+    if missing:
+        raise ValueError("missing %s for %s" % (plural, ", ".join(missing)))
+
+
 def _lambda_reading(graph: FatGraph, lambdas, complete: bool):
     """(values, carried weights, weights, exact) of a LambdaAssignment or
     a mapping of values; with ``complete`` the values must name exactly
@@ -526,23 +544,10 @@ def _lambda_reading(graph: FatGraph, lambdas, complete: bool):
     else:
         values, carried = lambdas, {}
     if complete:
-        names = graph.coordinate_edges()
-        known = set(names)
-        for n in values:
-            if n not in known:
-                raise ValueError("lambda given for %s, which is not a coordinate edge" % n)
-        missing = [n for n in names if n not in values]
-        if missing:
-            raise ValueError("missing lambda values for %s" % ", ".join(missing))
+        _check_names(values, graph.coordinate_edges(), "lambda", "coordinate edge", "lambda values")
     loops = graph.loop_edges()
     if carried:
-        known = set(loops)
-        for n in carried:
-            if n not in known:
-                raise ValueError("loop weight given for %s, which is not a loop edge" % n)
-        missing = [n for n in loops if n not in carried]
-        if missing:
-            raise ValueError("missing loop weights for %s" % ", ".join(missing))
+        _check_names(carried, loops, "loop weight", "loop edge", "loop weights")
     omega = carried or (graph.point().omega if loops else {})
     return values, carried, omega, _all_exact(values.values()) and _all_exact(omega.values())
 

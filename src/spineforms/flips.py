@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import LaurentPoly, Mat2, SqrtRational, _add_parts, _incompatible, _mul_parts, _parts
-from .coords import CoordinatePoint, DualView, LambdaAssignment, _lambda_reading, _loop_weight, _positive_lambda
+from .coords import CoordinatePoint, DualView, LambdaAssignment, _incomplete, _lambda_reading, _loop_weight, _positive_lambda
 from .ribbon import Edge, FatGraph, GraphError
 
 __all__ = [
@@ -231,27 +231,31 @@ def _flip(graph: FatGraph, name: str, site: FlipSite, point: Optional[Coordinate
     object in the new point is kept.  When ``graph``'s dual view is
     built, the new graph holds (that view, name, shrink edges, d) in its
     place, for coords.dual_view; a graph holding such a record, not a
-    view, passes nothing on."""
+    view, passes nothing on.  An incomplete point is refused as
+    coords._incomplete words it."""
     if point is None:
         point = graph.point()
     (h1, a, b), (h2, c, d) = site.ends
     v1, v2 = graph.vertex_of(h1), graph.vertex_of(h2)
     sa, sb = graph.edge_of(a), graph.edge_of(b)
-    if site.loop is None:
-        slots = {"A": sa, "B": sb, "C": graph.edge_of(c), "D": graph.edge_of(d)}
-        shrink = (sb, slots["D"])
-        point2 = _exchange(point, name, (sa, slots["C"]), shrink)
-        orders = {v1: (h1, d, a), v2: (h2, b, c)}
-    else:
-        slots = {"A": sa, "B": sb, "loop": site.loop}
-        shrink = (sb,)
-        point2 = _exchange(point, name, (sa,), shrink, point.omega[site.loop])
-        orders = {v1: (h1, b, a), v2: (h2, d, c)}
-    values = {**(point2.q if point2.exact else point2.y), **point2.omega}
-    edges = {}
-    for n, e in graph.edges.items():
-        v = values[n]
-        edges[n] = e if e.value is v else Edge(n, e.kind, e.halves, v)
+    try:
+        if site.loop is None:
+            slots = {"A": sa, "B": sb, "C": graph.edge_of(c), "D": graph.edge_of(d)}
+            shrink = (sb, slots["D"])
+            point2 = _exchange(point, name, (sa, slots["C"]), shrink)
+            orders = {v1: (h1, d, a), v2: (h2, b, c)}
+        else:
+            slots = {"A": sa, "B": sb, "loop": site.loop}
+            shrink = (sb,)
+            point2 = _exchange(point, name, (sa,), shrink, point.omega[site.loop])
+            orders = {v1: (h1, b, a), v2: (h2, d, c)}
+        values = {**(point2.q if point2.exact else point2.y), **point2.omega}
+        edges = {}
+        for n, e in graph.edges.items():
+            v = values[n]
+            edges[n] = e if e.value is v else Edge(n, e.kind, e.halves, v)
+    except KeyError as exc:
+        raise _incomplete(graph, point, exc) from None
     g1 = graph._rewired(orders, edges)
     if type(graph._dual) is DualView:
         g1._dual = (graph._dual, name, shrink, 1 if site.loop is None else 2)

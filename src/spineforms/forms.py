@@ -17,7 +17,7 @@ Three coordinate-indexed matrices are built combinatorially:
   The window form equals it on every spine.
 
 P and W are tables of ints; Penner's form, with its entries x/4, is the
-one table of Fractions.
+one table of Fractions, and verify_inverse reads either kind as it is.
 
 Centers of the bracket: one counting vector per cusped hole (the
 traversal counts of its full boundary walk) and the loop weights, which
@@ -30,12 +30,11 @@ returns 4{f, g} of two Laurent polynomials as one, with no derivative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import LaurentPoly, _merge_keys
+from .algebra import LaurentPoly, _merge_keys, _sparse_product
 from .coords import _fock_table, dual_view
 from .paths import t_var, w_var
 from .ribbon import FatGraph, windows
@@ -188,24 +187,6 @@ def center_vectors(graph: FatGraph) -> CenterBasis:
     return CenterBasis(names, holes, graph.loop_edges())
 
 
-def _int_rows(m: CoordinateIndexedMatrix) -> tuple[list[dict[int, int]], int]:
-    """(rows, d) with m = rows / d, each row {column: nonzero int}."""
-    d = math.lcm(*(x.denominator for row in m.data for x in row))
-    return [{j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x} for row in m.data], d
-
-
-def _times(a: list[dict[int, int]], b: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Product of two matrices given as rows of {column: entry}."""
-    out = []
-    for row in a:
-        acc: dict[int, int] = {}
-        for t, x in row.items():
-            for j, y in b[t].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(acc)
-    return out
-
-
 def verify_inverse(
     form: CoordinateIndexedMatrix,
     bracket: CoordinateIndexedMatrix,
@@ -218,26 +199,25 @@ def verify_inverse(
     check after projecting off the kernel of P (the direction of the
     Casimirs): P is antisymmetric, so the orthogonal projector T off its
     kernel has T P = P T = P, and T (W P) T = c T exactly when
-    P W P = c P.  The products run over the nonzero entries of each row,
-    in integers once each matrix's denominators are cleared.
+    P W P = c P.  The products are algebra._sparse_product over each
+    row's nonzeros as the table holds them, ints or Fractions.
 
     c is read from the first nonzero entry of the target (I, or P with
-    ``leaf``) in row-major order and the residual is
-    max |product - c * target|.  Returns (c, residual); c is None when
+    ``leaf``) in row-major order and the residual max |product -
+    c * target| is max |b * product - a * target| / b for c = a/b, in
+    ints for int tables.  Returns (c, residual), Fractions; c is None when
     the target has no nonzero entry, the residual then max |product|.
     """
     if form.names != bracket.names:
         raise ValueError("mismatched coordinate labels")
-    (w, dw), (p, dp) = _int_rows(form), _int_rows(bracket)
-    # product = prod / scale, target = want / unit
-    prod, scale = _times(w, p), dw * dp
+    w, p = [[{j: x for j, x in enumerate(row) if x} for row in m.data] for m in (form, bracket)]
+    prod = list(_sparse_product(map(dict.items, w), p))
     if leaf:
-        prod, scale, want, unit = _times(p, prod), scale * dp, p, dp
-    else:
-        want, unit = [{i: 1} for i in range(len(p))], 1
+        prod = list(_sparse_product(map(dict.items, p), prod))
+    want = p if leaf else [{i: 1} for i in range(len(p))]
     first = next(((i, j) for i, row in enumerate(want) for j in row), None)
     if first is None:
-        return None, Fraction(max((abs(x) for row in prod for x in row.values()), default=0), scale)
+        return None, Fraction(max((abs(x) for row in prod for x in row.values()), default=0))
     i, j = first
     r = Fraction(prod[i].get(j, 0), want[i][j])
     residual = max(
@@ -245,7 +225,7 @@ def verify_inverse(
         for got, row in zip(prod, want)
         for k in got.keys() | row.keys()
     )
-    return r * unit / scale, Fraction(residual, r.denominator * scale)
+    return r, Fraction(residual, r.denominator)
 
 
 def poisson_bracket(graph: FatGraph, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -224,25 +224,26 @@ def _walk(rng: random.Random, graph: FatGraph, start_cusp: str, want_closed: boo
     return None
 
 
-def random_arc(rng: random.Random, graph: FatGraph, max_len: int = 20) -> Optional[PathWord]:
-    """Random realizable cusp-to-cusp path (never an invented word)."""
+def _random_word(rng: random.Random, graph: FatGraph, closed: bool, max_len: int) -> Optional[PathWord]:
+    """The first of _ARC_TRIES walks (_CLOSED_TRIES if ``closed``) to end
+    at a cusp, its start cusp after more than 2 steps if closed; or None."""
     cusp_names = list(graph.cusps)
-    for _ in range(_ARC_TRIES):
-        path = _walk(rng, graph, rng.choice(cusp_names), False, max_len)
-        if path is not None:
+    for _ in range(_CLOSED_TRIES if closed else _ARC_TRIES):
+        path = _walk(rng, graph, rng.choice(cusp_names), closed, max_len)
+        if path is not None and (not closed or len(path.steps) > 2):
             return path
     return None
+
+
+def random_arc(rng: random.Random, graph: FatGraph, max_len: int = 20) -> Optional[PathWord]:
+    """Random realizable cusp-to-cusp path (never an invented word)."""
+    return _random_word(rng, graph, False, max_len)
 
 
 def random_closed_word(rng: random.Random, graph: FatGraph, max_len: int = 24) -> Optional[PathWord]:
     """Random realizable based loop: leaves a cusp and first returns to
     the same cusp."""
-    cusp_names = list(graph.cusps)
-    for _ in range(_CLOSED_TRIES):
-        path = _walk(rng, graph, rng.choice(cusp_names), True, max_len)
-        if path is not None and len(path.steps) > 2:
-            return path
-    return None
+    return _random_word(rng, graph, True, max_len)
 
 
 @dataclass
@@ -269,14 +270,20 @@ class SuiteResult:
         return out
 
 
+def _spine_trials(trials: int, seed: int):
+    """(trial, spine, rng) for each trial, one spine drawn per trial from
+    random.Random(seed); a suite that draws more from the rng gets it."""
+    rng = random.Random(seed)
+    for k in range(trials):
+        yield k, random_spine(rng), rng
+
+
 def suite_monomiality(trials: int, seed: int) -> SuiteResult:
     """Dual-arc lambdas are single monomials with unit coefficient whose
     exponent vector is the arc's row of the traversal-count matrix, the
     closed form lambda_of_dual_arcs evaluates."""
-    rng = random.Random(seed)
     res = SuiteResult("monomiality", trials)
-    for k in range(trials):
-        graph = random_spine(rng)
+    for k, graph, _ in _spine_trials(trials, seed):
         view = dual_view(graph)
         for name, row in zip(view.names, view.rows):
             lam = lambda_length(graph, dual_arc(graph, name))
@@ -326,32 +333,24 @@ def suite_positivity(trials: int, seed: int) -> SuiteResult:
     res = SuiteResult("positivity", trials + closed_trials)
     # term counts grow exponentially with word length; the default caps
     # in random_arc / random_closed_word keep evaluation in memory
-    graph = random_spine(rng)
-    made = 0
-    while made < trials:
-        if made % 10 == 0:
-            graph = random_spine(rng)
-        path = random_arc(rng, graph)
-        if path is None:
-            graph = random_spine(rng)
-            continue
-        m = evaluate(compile_path(graph, path))
-        for label, entry in (("ul", m.a), ("ur", m.b), ("ll", m.c), ("lr", m.d)):
-            if not _sign_definite_in_s(entry):
-                res.failures.append("arc %s entry %s mixed: %s" % (path.token_string(), label, entry))
-        made += 1
-    made = 0
-    while made < closed_trials:
-        if made % 10 == 0:
-            graph = random_spine(rng)
-        path = random_closed_word(rng, graph)
-        if path is None:
-            graph = random_spine(rng)
-            continue
-        tr = evaluate(compile_path(graph, path)).trace()
-        if not _sign_definite_in_s(tr):
-            res.failures.append("closed %s trace mixed: %s" % (path.token_string(), tr))
-        made += 1
+    random_spine(rng)  # never used; drawing it keeps each seed's corpus
+    for draw, count in ((random_arc, trials), (random_closed_word, closed_trials)):
+        made = 0
+        while made < count:
+            if made % 10 == 0:
+                graph = random_spine(rng)
+            path = draw(rng, graph)
+            if path is None:
+                graph = random_spine(rng)
+                continue
+            m = evaluate(compile_path(graph, path))
+            entries = {"trace": m.trace()} if path.closed else {
+                "entry ul": m.a, "entry ur": m.b, "entry ll": m.c, "entry lr": m.d}
+            for label, entry in entries.items():
+                if not _sign_definite_in_s(entry):
+                    res.failures.append("%s %s %s mixed: %s" % (
+                        "closed" if path.closed else "arc", path.token_string(), label, entry))
+            made += 1
     return res
 
 
@@ -402,10 +401,8 @@ def suite_roundtrip(trials: int, seed: int) -> SuiteResult:
     goes through DualView.inverse(), which checks K M = 2I exactly for
     the local rule K and the dual-arc matrix M; M is square, so that is
     K = 2 M^{-1}, and a graph where it fails fails the trial."""
-    rng = random.Random(seed)
     res = SuiteResult("roundtrip", trials)
-    for k in range(trials):
-        graph = random_spine(rng)
+    for k, graph, rng in _spine_trials(trials, seed):
         point = random_exact_point(rng, graph)
         try:
             lam = lambda_of_dual_arcs(graph, point)
@@ -440,18 +437,11 @@ def suite_mutation(trials: int, seed: int) -> SuiteResult:
 
 def suite_centers(trials: int, seed: int) -> SuiteResult:
     """Hole vectors annihilate the bracket table."""
-    rng = random.Random(seed)
     res = SuiteResult("centers", trials)
-    for k in range(trials):
-        graph = random_spine(rng)
-        table = poisson_matrix(graph)
-        basis = center_vectors(graph)
-        for face, vec in basis.holes:
-            prod = [
-                sum(table.data[i][j] * vec[j] for j in range(len(vec)))
-                for i in range(len(vec))
-            ]
-            if any(x != 0 for x in prod):
+    for k, graph, _ in _spine_trials(trials, seed):
+        table = poisson_matrix(graph).data
+        for face, vec in center_vectors(graph).holes:
+            if any(sum(p * v for p, v in zip(row, vec)) for row in table):
                 res.failures.append("graph %d hole %d: P v != 0" % (k, face))
     return res
 
@@ -460,11 +450,9 @@ def suite_proportionality(trials: int, seed: int) -> SuiteResult:
     """The window form W, read off the windows, equals M^T - M (which is
     M^T P M wherever DualView.inverse() passes), four times Penner's
     form, on every graph; tabulates kappa = Penner / W, 1/4 unless W = 0."""
-    rng = random.Random(seed)
     res = SuiteResult("proportionality", trials)
     seen: dict[str, int] = {}
-    for k in range(trials):
-        graph = random_spine(rng)
+    for k, graph, _ in _spine_trials(trials, seed):
         window = window_form_matrix(graph)
         mtpm = penner_form_matrix(graph).scaled(4)
         if window != mtpm:
@@ -481,12 +469,10 @@ def suite_inversion(trials: int, seed: int) -> SuiteResult:
     """On single-cusp graphs the window form inverts the bracket up to
     one scalar on the nonzero block; multi-cusp graphs are only
     reported, their product need not be scalar."""
-    rng = random.Random(seed)
     res = SuiteResult("inversion", trials)
     scalars: dict[str, int] = {}
     skipped = 0
-    for k in range(trials):
-        graph = random_spine(rng)
+    for k, graph, _ in _spine_trials(trials, seed):
         if len(graph.cusps) != 1:
             skipped += 1
             continue

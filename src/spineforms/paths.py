@@ -573,12 +573,23 @@ def _sign_normalize(value):
     return -value if value < 0 else value
 
 
+def _evaluate_path(graph: "FatGraph", path: PathWord, point: Optional["CoordinatePoint"], a0: int) -> Mat2:
+    """_evaluate of the compiled path; a point with no value for an edge
+    the word reads is refused as coords._incomplete words it."""
+    word = compile_path(graph, path)
+    try:
+        return _evaluate(word, point, a0)
+    except KeyError as exc:
+        from .coords import _incomplete  # coords imports ribbon, which imports paths
+        raise exc if point is None else _incomplete(graph, point, exc) from None
+
+
 def lambda_length(graph: "FatGraph", path: PathWord, point: Optional["CoordinatePoint"] = None):
     """Sign-normalized upper-right entry of the compiled path; at a float
     point it must be positive and finite, as _positive_lambda rules."""
     if path.closed:
         raise ValueError("closed path has no lambda-length; use geodesic_function")
-    m = _evaluate(compile_path(graph, path), point, 0)
+    m = _evaluate_path(graph, path, point, 0)
     value = _sign_normalize(m.b)
     if point is not None and not point.exact and not 0.0 < value < math.inf:
         from .coords import _positive_lambda  # refuses, naming the path
@@ -590,6 +601,6 @@ def geodesic_function(graph: "FatGraph", path: PathWord, point: Optional["Coordi
     """Sign-normalized trace of a closed path based at a cusp."""
     if path.start_cusp != path.end_cusp:
         raise ValueError("open path: starts at %s, ends at %s" % (path.start_cusp, path.end_cusp))
-    raw = evaluate(compile_path(graph, path), point).trace()
+    raw = _evaluate_path(graph, path, point, 1).trace()
     return GeodesicFunction(_sign_normalize(raw), raw, path)
 

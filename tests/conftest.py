@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from spineforms import SqrtRational, parse_graph
+from spineforms import CoordinatePoint, SqrtRational, parse_graph
 from spineforms.paths import t_var, w_var
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -24,6 +24,14 @@ def exact_values(point):
     values = {t_var(e): SqrtRational.sqrt(q) for e, q in point.q.items()}
     values.update((w_var(e), w) for e, w in point.omega.items())
     return values
+
+
+def partial_point(exact, values, omega=None):
+    """An exact point with q = values, or a float one with y = values as
+    floats, that may lack values some graph needs."""
+    if exact:
+        return CoordinatePoint(True, q=values, omega=omega)
+    return CoordinatePoint(False, y={n: float(v) for n, v in values.items()}, omega=omega)
 
 
 ALL_FIXTURES = ("t3", "sigma_0_2_1", "sigma_0_3_1", "sigma_0_1_4", "sigma_0_5_1")

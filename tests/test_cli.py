@@ -612,6 +612,22 @@ def test_fuzz_output_is_pinned(capsys):
         "e94f9ba96f6b6f20358f1391427bc09d77b34f3f584cc4dc5d768e00b2674aab")
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (2, "0ce3f1261c5b15f169fd3a38f44312c6ba09dc64b88dece415ae2e87b346487e"),
+        (3, "62d47f401a9bf6646f0f1292b60ca46fbbdcf8ce6f660d2dcb2a56da4759d41f"),
+    ],
+    ids=["seed2", "seed3"],
+)
+def test_fuzz_output_is_pinned_at_more_seeds(capsys, seed, digest):
+    """sha256 of the stdout of `fuzz --seed S --trials 50`, taken before
+    the word drawers and the one-spine-per-trial suites shared code."""
+    code, out, _ = run(capsys, "fuzz", "--seed", str(seed), "--trials", "50")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_flip_identities(capsys):
     code, out, _ = run(capsys, "verify-flip-identities")
     assert code == 0

@@ -35,3 +35,10 @@ def test_runtime_is_standard_library_only():
     assert "spineforms.fuzz" in added
     tops = {name.partition(".")[0] for name in added}
     assert tops - {"spineforms"} <= sys.stdlib_module_names
+
+
+def test_flip_edge_is_exported_from_the_package():
+    import spineforms
+    from spineforms import flips
+
+    assert spineforms.flip_edge is flips.flip_edge and "flip_edge" in spineforms.__all__

@@ -25,7 +25,7 @@ from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
 from spineforms.ribbon import FatGraph, GraphError, emit_graph, parse_graph, validate, windows
 
-from conftest import ALL_FIXTURES, fixture_text, load_fixture
+from conftest import ALL_FIXTURES, fixture_text, load_fixture, partial_point
 from dense_oracle import dense_rows
 from exchange_oracle import parts, ptolemy
 
@@ -633,3 +633,35 @@ def test_exchange_matches_the_oracle_across_square_classes():
                 messages.add(got[2].split(" ")[0])
     assert min(outcomes.values()) > 100, outcomes
     assert {"incompatible", "lambda", "missing"} <= messages
+
+
+@pytest.mark.parametrize("flip", [flip_edge, flip_inner])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("given, missing", [({"e1": 2}, "e"), ({"e": 2, "p1": 3, "p4": 5}, "p2")])
+def test_flip_refuses_a_point_missing_a_coordinate_edge(flip, exact, given, missing):
+    """A flip of a point with no value for some coordinate edge is
+    refused with a ValueError naming the first such edge in file order,
+    worded as lambda_of_dual_arcs words it, not with a KeyError."""
+    graph = load_fixture("sigma_0_1_4")
+    label = "q" if exact else "y"
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge %s$" % (label, missing)):
+        flip(graph, "e", partial_point(exact, given))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize(
+    "values, omega, refusal",
+    [
+        ({"pi": 2, "a1": 3, "b1": 5}, {}, "weight for loop edge w1"),
+        ({"pi": 2, "a1": 3, "b1": 5}, {"w1": 2}, "weight for loop edge w2"),
+        ({"a1": 3, "b1": 5}, {}, "{} value for coordinate edge pi"),
+    ],
+    ids=["w1", "w2", "pi"],
+)
+def test_flip_refuses_a_point_missing_a_weight(exact, values, omega, refusal):
+    """With every coordinate value there, the first loop with no weight
+    is named in file order, whether the flip reads it or not; a missing
+    coordinate value is named before any missing weight."""
+    graph = load_fixture("sigma_0_3_1")
+    with pytest.raises(ValueError, match="^point has no %s$" % refusal.format("q" if exact else "y")):
+        flip_edge(graph, "w1", partial_point(exact, values, omega))

@@ -140,6 +140,30 @@ def test_inverse_check_matches_the_dense_oracle():
     assert cases > 300 and failing > 50
 
 
+def test_penner_table_inverts_as_a_quarter_of_the_window_form():
+    """verify_inverse reads Penner's Fraction table as it holds it: on
+    the window form's nonzero block it returns exactly (c/4, residual/4)
+    of the window form's, both Fractions, in both modes, on the fixtures
+    and 300 spines each of seeds 1 and 20261017."""
+    graphs = [load_fixture(name) for name in ALL_FIXTURES]
+    for seed in (1, 20261017):
+        rng = random.Random(seed)
+        graphs += [random_spine(rng) for _ in range(300)]
+    scalars = residuals = 0
+    for k, graph in enumerate(graphs):
+        window, table = window_form_matrix(graph), poisson_matrix(graph)
+        block = window.nonzero_row_names()
+        penner, table = penner_form_matrix(graph).restrict(block), table.restrict(block)
+        for leaf in (False, True):
+            c, residual = verify_inverse(window.restrict(block), table, leaf=leaf)
+            got = verify_inverse(penner, table, leaf=leaf)
+            assert got == (None if c is None else c / 4, residual / 4), (k, leaf)
+            assert type(got[1]) is Fraction and type(got[0]) is (Fraction if c is not None else type(None)), (k, leaf)
+            scalars += c is not None and residual == 0
+            residuals += residual != 0
+    assert scalars > 400 and residuals > 400
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_antisymmetry_and_integrality(name):
     graph = load_fixture(name)

@@ -26,7 +26,7 @@ from spineforms.paths import MatrixWord, _packed_sum, t_var, w_var
 from spineforms.ribbon import dual_arc
 
 import token_corpus
-from conftest import ALL_FIXTURES, exact_values, load_fixture
+from conftest import ALL_FIXTURES, exact_values, load_fixture, partial_point
 
 
 def tokens(graph, text, closed=False):
@@ -610,3 +610,36 @@ def test_threads_reading_one_entry_all_get_its_terms():
     assert not any(t.is_alive() for t in threads)
     for out in got:
         assert out == [w for w in want for _ in range(4)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_words_refuse_a_point_missing_a_value_they_read(exact):
+    """lambda_length and geodesic_function refuse a point with no value
+    for an edge their word reads, naming the first coordinate edge in
+    file order with no value, else the first loop with no weight, as
+    lambda_of_dual_arcs and flips word it; a value the word does not
+    read need not be there."""
+    label = "q" if exact else "y"
+
+    def point(values, omega=None):
+        return partial_point(exact, values, omega)
+
+    g = load_fixture("sigma_0_1_4")
+    arc = dual_arc(g, "p1")
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge e$" % label):
+        lambda_length(g, arc, point({"e1": 2}))
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge p2$" % label):
+        lambda_length(g, arc, point({"e": 2, "p1": 3}))
+    whole = point({"e": 2, "p1": 3, "p2": 7, "p3": 11, "p4": 5})
+    assert lambda_length(g, arc, point({"e": 2, "p1": 3, "p4": 5})) == lambda_length(g, arc, whole)
+    g = load_fixture("sigma_0_3_1")
+    closed = tokens(g, "pi,a1,w1-,a1,pi", closed=True)
+    with pytest.raises(ValueError, match=r"^point has no weight for loop edge w1$"):
+        geodesic_function(g, closed, point({"pi": 2, "a1": 3, "b1": 5}))
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge b1$" % label):
+        geodesic_function(g, closed, point({"pi": 2, "a1": 3}))
+    with pytest.raises(ValueError, match=r"^point has no %s value for coordinate edge pi$" % label):
+        geodesic_function(g, closed, point({"a1": 3}, {"w1": 2}))
+    partial = geodesic_function(g, closed, point({"pi": 2, "a1": 3}, {"w1": 2}))
+    whole = geodesic_function(g, closed, point({"pi": 2, "a1": 3, "b1": 5}, {"w1": 2, "w2": 3}))
+    assert partial.value == whole.value
