@@ -343,10 +343,6 @@ class DualView:
             self._checked = True
         return self.local
 
-    def _in_order(self, values: Mapping) -> list:
-        """Each coordinate edge's value, in file order."""
-        return list(values.values()) if tuple(values) == self.names else [values[n] for n in self.names]
-
     def exact_lambdas(self, q: Mapping[str, Fraction]) -> list[SqrtRational]:
         """lambda_i = prod_j q_j^{floor(M_ij/2)} * sqrt(prod_{M_ij odd} q_j).
 
@@ -355,7 +351,7 @@ class DualView:
         powers and then folds its odd factors, in the order of q, by
         algebra._fold_sqrt, the rule matrix words fold theirs by, so a
         dual arc's word prints its lambda in the same form."""
-        parts = list(map(_sqrt_parts, self._in_order(q)))
+        parts = [_sqrt_parts(q[n]) for n in self.names]
         rows = self.rows  # each in file order, re-sorted when q's order differs
         if tuple(q) != self.names:
             rank = {n: i for i, n in enumerate(q)}
@@ -379,7 +375,7 @@ class DualView:
     def float_lambdas(self, y: Mapping[str, float]) -> list[float]:
         """lambda_i = exp(sum_j M_ij Y_j / 2), each held to
         _positive_lambda's float rule, 0 < lambda < inf."""
-        ys = self._in_order(y)
+        ys = [y[n] for n in self.names]
         out = []
         for name, row in zip(self.names, self.rows):
             try:

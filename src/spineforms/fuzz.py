@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import intern
 from typing import Callable, Optional
 
 from .algebra import LaurentPoly
@@ -146,20 +147,21 @@ def _graph(sig: tuple[int, int, int, int], halves: list[int]) -> FatGraph:
     """The draw as a FatGraph: vertex v is "v%d", its slot i "h%d_%d",
     cusp k (from 1) "c%d" with half "hc%d", and the edges "w%d", "p%d"
     and "e%d" in that order.  Each half's name is one string, shared
-    by its vertex or cusp and its edge."""
+    by its vertex or cusp and its edge; every name is interned, so
+    spines share one string per name while any of them holds it."""
     g, s_h, s_o, n = sig
     v3 = _trivalent(sig)
-    names = ["h%d_%d" % (v, i) for v in range(v3) for i in range(3)]
-    names += ["hc%d" % k for k in range(1, n + 1)]
-    vertices = {"v%d" % v: tuple(names[3 * v : 3 * v + 3]) for v in range(v3)}
-    cusps = {"c%d" % k: h for k, h in enumerate(names[3 * v3 :], 1)}
+    names = [intern("h%d_%d" % (v, i)) for v in range(v3) for i in range(3)]
+    names += [intern("hc%d" % k) for k in range(1, n + 1)]
+    vertices = {intern("v%d" % v): tuple(names[3 * v : 3 * v + 3]) for v in range(v3)}
+    cusps = {intern("c%d" % k): h for k, h in enumerate(names[3 * v3 :], 1)}
     edges: dict[str, Edge] = {}
     pairs = zip(halves[::2], halves[1::2])
     inner = len(halves) // 2 - s_o - n
     for prefix, kind, count in (("w", "loop", s_o), ("p", "pending", n), ("e", "inner", inner)):
         for k in range(1, count + 1):
             a, b = next(pairs)
-            name = "%s%d" % (prefix, k)
+            name = intern("%s%d" % (prefix, k))
             edges[name] = Edge(name, kind, (names[a], names[b]))
     return FatGraph(vertices, cusps, edges)
 
@@ -368,7 +370,7 @@ def _flip_draws(rng: random.Random):
             yield graph, rng.choice(options), random_exact_point(rng, graph)
 
 
-_INDEXES = ("_owner", "_sigma", "_sigma_inv", "_edge_of", "_mate", "_half_order")
+_INDEXES = ("_owner", "_sigma", "_edge_of", "_mate")
 
 
 def _as_built(graph: FatGraph) -> bool:

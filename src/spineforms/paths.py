@@ -104,7 +104,7 @@ class Step(NamedTuple):
         return self.edge + (self.sign or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathWord:
     """Cusp-to-cusp token sequence.
 

@@ -18,14 +18,16 @@ Text round trip: parse_graph reads a graph file once, line by line,
 each declaration once (a second surface line, or a field given twice
 in one, is refused); an exact value is read as two ints by
 str.partition and str.isdecimal, with no regular expression, and
-builds one Fraction; FatGraph derives its indexes in one pass over the
-vertices and cusps and one over the edges; CoordinatePoint.from_graph
-reads the point in two more, one deciding whether it is exact and one
-reading the values; emit_graph writes each value with
-%s, the key taken from the edge kind.  A flip builds no graph from
-scratch: FatGraph._rewired derives the flipped graph from its parent,
-patching the indexes at the two rewired vertices and sharing what the
-flip leaves alone.
+builds one Fraction; FatGraph derives its four indexes, the owner,
+sigma, edge and mate of each half, in one pass over the vertices and
+cusps and one over the edges (sigma is a 3-cycle at a trivalent vertex
+and fixes a cusp half, so sigma_inv is sigma twice and has no table);
+CoordinatePoint.from_graph reads the point in two more, one deciding
+whether it is exact and one reading the values; emit_graph writes each
+value with %s, the key taken from the edge kind.  A flip builds no
+graph from scratch: FatGraph._rewired derives the flipped graph from
+its parent, patching the indexes at the two rewired vertices and
+sharing what the flip leaves alone.
 """
 
 from __future__ import annotations
@@ -76,8 +78,11 @@ class FatGraph:
 
     vertices: id -> tuple of half ids in stored (counterclockwise)
     cyclic order; cusps: id -> single half id; edges: name -> Edge in
-    file order.  All cross-reference maps are built eagerly so lookups
-    during walks are dict hits.
+    file order.  Four half-keyed maps are built eagerly so lookups
+    during walks are dict hits: _owner (vertex or cusp), _sigma (next
+    half counterclockwise), _edge_of and _mate.  sigma is a 3-cycle at
+    each trivalent vertex and fixes each cusp half, so sigma_inv is
+    sigma applied twice and needs no table of its own.
     """
 
     def __init__(
@@ -94,7 +99,6 @@ class FatGraph:
 
         owner: dict[str, str] = {}
         sigma: dict[str, str] = {}
-        sigma_inv: dict[str, str] = {}
         for vid, halves in self.vertices.items():
             if len(halves) != 3:
                 raise GraphError("vertex %s must list exactly 3 half-edges" % vid)
@@ -104,16 +108,12 @@ class FatGraph:
                 owner[h] = vid
             a, b, c = halves
             sigma[a], sigma[b], sigma[c] = b, c, a
-            sigma_inv[b], sigma_inv[c], sigma_inv[a] = a, b, c
         for cid, h in self.cusps.items():
             if h in owner:
                 raise GraphError("half-edge %s used twice" % h)
-            owner[h] = cid
-            sigma[h] = sigma_inv[h] = h
+            owner[h], sigma[h] = cid, h
         self._owner = owner
         self._sigma = sigma
-        self._sigma_inv = sigma_inv
-        self._half_order: list[str] = list(owner)
 
         edge_of: dict[str, str] = {}
         mate: dict[str, str] = {}
@@ -141,21 +141,20 @@ class FatGraph:
         """This graph with the trivalent vertices in ``orders`` taking new
         cyclic orders of the same halves, and with ``edges`` (the same
         names, kinds and halves) for its edges: the graph a flip makes.
-        The owner and sigma maps are copied and patched at those
-        vertices; the half-to-edge maps, which a rewiring leaves alone,
-        are shared; the halves are listed as a fresh build lists them,
-        so the faces come out in the same order.  Nothing is checked
+        Of the four indexes, _owner and _sigma are copied and patched at
+        those vertices, and _edge_of and _mate, which a rewiring leaves
+        alone, are shared; sigma_inv is sigma twice, so there is no
+        third map to patch.  The vertices keep their order, so the
+        faces come out in a fresh build's order.  Nothing is checked
         again, and the new graph declares no surface line."""
         g = FatGraph.__new__(FatGraph)
         g.vertices = {**self.vertices, **orders}
         g.cusps, g.edges, g.declared = self.cusps, edges, None
-        owner, sigma, sigma_inv = dict(self._owner), dict(self._sigma), dict(self._sigma_inv)
+        owner, sigma = dict(self._owner), dict(self._sigma)
         for vid, (a, b, c) in orders.items():
             owner[a] = owner[b] = owner[c] = vid
             sigma[a], sigma[b], sigma[c] = b, c, a
-            sigma_inv[b], sigma_inv[c], sigma_inv[a] = a, b, c
-        g._owner, g._sigma, g._sigma_inv = owner, sigma, sigma_inv
-        g._half_order = [*chain.from_iterable(g.vertices.values()), *g.cusps.values()]
+        g._owner, g._sigma = owner, sigma
         g._edge_of, g._mate = self._edge_of, self._mate
         g._faces = g._dual = None
         g._sites = {}
@@ -167,7 +166,7 @@ class FatGraph:
         return self._sigma[h]
 
     def sigma_inv(self, h: str) -> str:
-        return self._sigma_inv[h]
+        return self._sigma[self._sigma[h]]
 
     def mate(self, h: str) -> str:
         return self._mate[h]
@@ -209,12 +208,13 @@ class FatGraph:
 
     def faces(self) -> list[list[str]]:
         """Orbits of arrival halves under h -> mate(sigma(h)); each orbit
-        is one boundary walk (one hole)."""
+        is one boundary walk (one hole), started from its first half in
+        the order the vertices, then the cusps, list their halves."""
         if self._faces is None:
             mate, sigma = self._mate, self._sigma
             seen: set[str] = set()
             out: list[list[str]] = []
-            for h in self._half_order:
+            for h in chain(chain.from_iterable(self.vertices.values()), self.cusps.values()):
                 if h in seen:
                     continue
                 orbit = []
@@ -248,9 +248,9 @@ class FatGraph:
         }
 
     def is_connected(self) -> bool:
-        if not self._half_order:
+        if not self._owner:
             return False
-        start = self._owner[self._half_order[0]]
+        start = next(iter(self._owner.values()))
         seen = {start}
         stack = [start]
         while stack:
@@ -358,13 +358,13 @@ def _run_into(graph: FatGraph, half: str) -> tuple[str, list[str]]:
     read by following the face orbit back from ``half``; that cusp is
     refused on a loop edge, as in windows.  dual_arc cuts its steps from
     these runs, and coords.DualView counts the rows of M from them."""
-    sigma_inv, mate = graph._sigma_inv, graph._mate
-    x, back = sigma_inv[half], [half]
+    sigma, mate = graph._sigma, graph._mate
+    x, back = sigma[sigma[half]], [half]
     # sigma fixes cusp halves only; on a spine ``half`` leaves no cusp: tried last
     while True:
         h = mate[x]
         back.append(h)
-        x = sigma_inv[h]
+        x = sigma[sigma[h]]
         if x == h or h == half:
             break
     if x != h or graph.edges[graph._edge_of[h]].kind == "loop":
@@ -425,7 +425,7 @@ def validate(graph: FatGraph) -> ValidationReport:
     def check(name: str, passed: bool, detail: str = ""):
         checks.append((name, bool(passed), detail))
 
-    check("pairing", True, "%d half-edges in %d edges" % (len(graph._half_order), len(graph.edges)))
+    check("pairing", True, "%d half-edges in %d edges" % (len(graph._owner), len(graph.edges)))
     check("valence", True, "all trivalent or cusp")
 
     pending = [e for e in graph.edges.values() if e.kind == "pending"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import chain
 
 import pytest
 
@@ -30,6 +31,30 @@ def test_generator_is_seed_deterministic():
     a = [random_spine(random.Random(5)).canonical_key() for _ in range(3)]
     b = [random_spine(random.Random(5)).canonical_key() for _ in range(3)]
     assert a == b
+
+
+def _held_names(graph):
+    """Every name string a spine holds: in its vertices, cusps, edges
+    and indexes."""
+    yield from graph.vertices
+    yield from chain.from_iterable(graph.vertices.values())
+    yield from chain.from_iterable(graph.cusps.items())
+    for name, edge in graph.edges.items():
+        yield from (name, edge.name, *edge.halves)
+    for index in (graph._owner, graph._sigma, graph._edge_of, graph._mate):
+        yield from chain.from_iterable(index.items())
+
+
+def test_generated_spines_share_their_names():
+    """Spines drawn apart hold one string object per name: two drawn
+    from the same seed, and one from another seed, share every name
+    they have in common."""
+    spines = [random_spine(random.Random(1)), random_spine(random.Random(1)), random_spine(random.Random(2))]
+    held = {}
+    for i, graph in enumerate(spines):
+        for name in _held_names(graph):
+            assert held.setdefault(name, name) is name, (i, name)
+    assert set(_held_names(spines[0])) == set(_held_names(spines[1]))
 
 
 def test_generator_output_validates_and_respects_bounds():

@@ -2,6 +2,7 @@
 geodesic functions, sign normalization."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -643,3 +644,19 @@ def test_words_refuse_a_point_missing_a_value_they_read(exact):
     partial = geodesic_function(g, closed, point({"pi": 2, "a1": 3}, {"w1": 2}))
     whole = geodesic_function(g, closed, point({"pi": 2, "a1": 3, "b1": 5}, {"w1": 2, "w2": 3}))
     assert partial.value == whole.value
+
+
+def test_path_words_hold_no_dict_and_copy_equal(two_loops):
+    """PathWord has slots, so a held word carries no __dict__; copies,
+    pickles and dataclasses.replace give back an equal word with an
+    equal hash."""
+    rng = random.Random(1)
+    words = [dual_arc(two_loops, n) for n in two_loops.coordinate_edges()]
+    words += filter(None, (random_closed_word(rng, two_loops, 12) for _ in range(5)))
+    assert any(w.closed for w in words)
+    for word in words:
+        assert not hasattr(word, "__dict__")
+        for twin in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word)),
+                     dataclasses.replace(word)):
+            assert type(twin) is PathWord and twin == word and hash(twin) == hash(word)
+        assert dataclasses.replace(word, closed=not word.closed) != word

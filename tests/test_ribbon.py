@@ -47,7 +47,7 @@ def test_fixture_counts(name, edges, faces, monogons, cusps):
 
 def test_faces_partition_arrival_halves(five_holes):
     seen = [h for orbit in five_holes.faces() for h in orbit]
-    assert sorted(seen) == sorted(five_holes._half_order)
+    assert sorted(seen) == sorted(five_holes._owner)
     assert len(seen) == len(set(seen))
 
 
@@ -400,20 +400,17 @@ def test_build_errors_are_pinned(vertices, cusps, edges, message):
 
 def _reference_indexes(vertices, cusps, edges):
     """FatGraph's cross-reference maps, each derived on its own."""
-    half_order = [h for hs in vertices.values() for h in hs] + list(cusps.values())
     owner = {h: v for v, hs in vertices.items() for h in hs}
     owner.update((h, c) for c, h in cusps.items())
     sigma = {hs[i]: hs[(i + 1) % 3] for hs in vertices.values() for i in range(3)}
     sigma.update((h, h) for h in cusps.values())
-    sigma_inv = {b: a for a, b in sigma.items()}
     mate = {}
     edge_of = {}
     for e in edges.values():
         a, b = e.halves
         mate[a], mate[b] = b, a
         edge_of[a] = edge_of[b] = e.name
-    return {"_half_order": half_order, "_owner": owner, "_sigma": sigma,
-            "_sigma_inv": sigma_inv, "_mate": mate, "_edge_of": edge_of}
+    return {"_owner": owner, "_sigma": sigma, "_mate": mate, "_edge_of": edge_of}
 
 
 def test_round_trip_and_indexes_on_seeded_spines():

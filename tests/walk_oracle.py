@@ -15,7 +15,7 @@ from spineforms.ribbon import GraphError, Window
 def oracle_windows(graph):
     """All windows in face order, each walked by '+' turns out of a cusp."""
     out = []
-    limit = 2 * len(graph._half_order)
+    limit = 2 * len(graph._owner)
     for fi, orbit in enumerate(graph.faces()):
         for h in filter(graph.is_cusp_half, orbit):
             steps = []
@@ -33,7 +33,7 @@ def _hug_walk(graph, start, steps):
     every vertex until a pending edge drops into a cusp."""
     steps = list(steps)
     arrival = graph.mate(steps[-1].exit_half)
-    limit = len(steps) + 2 * len(graph._half_order) + 2
+    limit = len(steps) + 2 * len(graph._owner) + 2
     while True:
         if len(steps) > limit:
             raise GraphError("hugging walk does not reach a cusp (invalid graph?)")
