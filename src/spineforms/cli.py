@@ -6,6 +6,10 @@ explicit precision), and exits 0 on success and nonzero with a
 diagnostic on stderr otherwise.  Every subcommand but ``validate``
 refuses, with exit code 2, a graph that fails a check of ``validate``.
 Output is byte-identical for identical command, input, and seed.
+Each listing (``windows``, ``dual-arcs``, ``lambda-from-shear``, the tsv
+of ``forms``) builds one list of rows in full and prints it in either
+``--format``: as text each row fills the listing's template, as tsv its
+fields join by tabs under a header.  ``fuzz`` prints each suite as it ends.
 """
 
 from __future__ import annotations
@@ -65,6 +69,15 @@ def _render(v) -> str:
     return str(v)
 
 
+def _print_rows(fmt: str, columns: str, template: str, rows: list) -> None:
+    """As tsv, the columns and then each row's fields joined by tabs; as
+    text, each row filling the template."""
+    if fmt == "tsv":
+        print("\t".join(columns.split()))
+    for row in rows:
+        print("\t".join(map(str, row)) if fmt == "tsv" else template % row)
+
+
 def cmd_validate(args) -> int:
     graph = _read(args.graph)
     report = validate(graph)
@@ -75,40 +88,22 @@ def cmd_validate(args) -> int:
 
 def cmd_windows(args) -> int:
     graph = _load(args.graph)
-    wins = windows(graph)
-    if args.format == "tsv":
-        print("window\thole\tstart\tend\ttokens\torder")
-        for i, w in enumerate(wins):
-            print("%d\t%d\t%s\t%s\t%s\t%s" % (
-                i, w.hole, w.start_cusp, w.end_cusp,
-                ",".join(w.tokens), ",".join(w.coordinate_tokens(graph))))
-        return 0
-    for i, w in enumerate(wins):
-        print("window %d of hole %d: %s -> %s" % (i, w.hole, w.start_cusp, w.end_cusp))
-        print("  tokens %s" % ",".join(w.tokens))
-        print("  order  %s" % ",".join(w.coordinate_tokens(graph)))
+    rows = [(i, w.hole, w.start_cusp, w.end_cusp, ",".join(w.tokens), ",".join(w.coordinate_tokens(graph)))
+            for i, w in enumerate(windows(graph))]
+    _print_rows(args.format, "window hole start end tokens order",
+                "window %d of hole %d: %s -> %s\n  tokens %s\n  order  %s", rows)
     return 0
 
 
 def cmd_dual_arcs(args) -> int:
     graph = _load(args.graph)
-    names = args.edges or graph.coordinate_edges()
     rows = []
-    for name in names:
+    for name in args.edges or graph.coordinate_edges():
         arc = dual_arc(graph, name)
-        word = compile_path(graph, arc)
-        lam = lambda_length(graph, arc)
-        rows.append((name, arc, word, lam))
-    if args.format == "tsv":
-        print("edge\tstart\tend\tpath\tword\tlambda")
-        for name, arc, word, lam in rows:
-            print("%s\t%s\t%s\t%s\t%s\t%s" % (name, arc.start_cusp, arc.end_cusp, arc.token_string(), word, lam))
-        return 0
-    for name, arc, word, lam in rows:
-        print("dual %s: %s -> %s" % (name, arc.start_cusp, arc.end_cusp))
-        print("  path   %s" % arc.token_string())
-        print("  word   %s" % word)
-        print("  lambda %s" % lam)
+        rows.append((name, arc.start_cusp, arc.end_cusp, arc.token_string(),
+                     compile_path(graph, arc), lambda_length(graph, arc)))
+    _print_rows(args.format, "edge start end path word lambda",
+                "dual %s: %s -> %s\n  path   %s\n  word   %s\n  lambda %s", rows)
     return 0
 
 
@@ -138,17 +133,9 @@ def cmd_geodesic(args) -> int:
 def cmd_lambda_from_shear(args) -> int:
     graph = _load(args.graph)
     assignment = lambda_of_dual_arcs(graph, graph.point())
-    if args.format == "tsv":
-        print("kind\tedge\tvalue")
-        for name, value in assignment.items():
-            print("lambda\t%s\t%s" % (name, _render(value)))
-        for name, value in sorted(assignment.omega.items()):
-            print("omega\t%s\t%s" % (name, _render(value)))
-        return 0
-    for name, value in assignment.items():
-        print("lambda %s = %s" % (name, _render(value)))
-    for name, value in sorted(assignment.omega.items()):
-        print("omega %s = %s" % (name, _render(value)))
+    rows = [("lambda", name, _render(value)) for name, value in assignment.items()]
+    rows += [("omega", name, _render(value)) for name, value in sorted(assignment.omega.items())]
+    _print_rows(args.format, "kind edge value", "%s %s = %s", rows)
     return 0
 
 
@@ -238,31 +225,20 @@ def cmd_verify_flip_identities(args) -> int:
 
 def cmd_forms(args) -> int:
     graph = _load(args.graph)
-    sections = [
-        ("poisson bracket table", poisson_matrix(graph)),
-        ("window form", window_form_matrix(graph)),
-        ("vertex-sum form", penner_form_matrix(graph)),
-    ]
+    sections = [("poisson bracket table", poisson_matrix(graph)), ("window form", window_form_matrix(graph)),
+                ("vertex-sum form", penner_form_matrix(graph))]
+    basis = center_vectors(graph)
     if args.format == "tsv":
-        print("matrix\trow\tcol\tvalue")
-        for title, mat in sections:
-            for i, u in enumerate(mat.names):
-                for j, v in enumerate(mat.names):
-                    if mat.data[i][j]:
-                        print("%s\t%s\t%s\t%s" % (title, u, v, mat.data[i][j]))
-        basis = center_vectors(graph)
-        for face, vec in basis.holes:
-            for name, c in zip(basis.names, vec):
-                if c:
-                    print("center\thole %d\t%s\t%s" % (face, name, c))
+        rows = [(title, u, v, x) for title, mat in sections
+                for u, row in zip(mat.names, mat.data) for v, x in zip(mat.names, row) if x]
+        rows += [("center", "hole %d" % face, name, c) for face, vec in basis.holes
+                 for name, c in zip(basis.names, vec) if c]
+        _print_rows("tsv", "matrix row col value", "", rows)
         return 0
-    for title, mat in sections:
+    for title, table in sections + [("centers", basis)]:
         print("# %s" % title)
-        for line in mat.lines():
+        for line in table.lines():
             print(line)
-    print("# centers")
-    for line in center_vectors(graph).lines():
-        print(line)
     return 0
 
 
@@ -296,18 +272,13 @@ def cmd_fuzz(args) -> int:
         if name not in SUITES:
             return _die("unknown suite %r; choose from %s" % (name, ", ".join(SUITES)))
     ok = True
-    if args.format == "tsv":
-        print("suite\tstatus\ttrials\tfailures\tinfo")
-        for name in names:
-            r = run_suite(name, args.trials, args.seed)
-            info = " ".join("%s=%s" % kv for kv in sorted(r.info.items()))
-            print("%s\t%s\t%d\t%d\t%s" % (r.name, "pass" if r.ok else "FAIL", r.trials, len(r.failures), info))
-            ok = ok and r.ok
-        return 0 if ok else 1
-    print("fuzz seed=%d trials=%d" % (args.seed, args.trials))
+    tsv = args.format == "tsv"
+    print("suite\tstatus\ttrials\tfailures\tinfo" if tsv else "fuzz seed=%d trials=%d" % (args.seed, args.trials))
     for name in names:
         r = run_suite(name, args.trials, args.seed)
-        print(r.summary())
+        info = " ".join("%s=%s" % kv for kv in sorted(r.info.items()))
+        print("%s\t%s\t%d\t%d\t%s" % (r.name, "pass" if r.ok else "FAIL", r.trials, len(r.failures), info)
+              if tsv else r.summary())
         ok = ok and r.ok
     return 0 if ok else 1
 
@@ -332,12 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("windows", cmd_windows, "print each hole's boundary windows")
     p.add_argument("graph")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     p = add("dual-arcs", cmd_dual_arcs, "print the dual arc of each coordinate edge")
     p.add_argument("graph")
     p.add_argument("edges", nargs="*", metavar="edge")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     p = add("lambda", cmd_lambda, "lambda-length of a comma-separated arc, e.g. p2,e,p3")
     p.add_argument("graph")
@@ -349,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("lambda-from-shear", cmd_lambda_from_shear, "lambda-lengths of all dual arcs at the file's values")
     p.add_argument("graph")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     p = add("shear-from-lambda", cmd_shear_from_lambda, "rebuild the graph file's values from a lambda listing")
     p.add_argument("graph")
@@ -364,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("forms", cmd_forms, "dump the bracket table, both 2-forms, and the centers")
     p.add_argument("graph")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
 
     p = add("verify-inverse", cmd_verify_inverse, "check the window form inverts the bracket on its nonzero block")
     p.add_argument("graph")
@@ -374,8 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--suite", help="comma-separated suite names (default: all)")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
 
+    for name in ("windows", "dual-arcs", "lambda-from-shear", "forms", "fuzz"):
+        sub.choices[name].add_argument("--format", choices=("text", "tsv"), default="text")
     return parser
 
 

@@ -510,10 +510,11 @@ _VALUE_KEYS = {"inner": "Z", "pending": "pi", "loop": "omega"}
 def _int_refusal(digits: Iterable[str], refusal: str) -> GraphError:
     """The error for runs of digits that str.isdigit or the regex \\d
     accepted but int() refused: more digits than
-    sys.get_int_max_str_digits() allows, else ``refusal`` (int() does
-    not read every digit str.isdigit accepts, a superscript for one).
+    sys.get_int_max_str_digits() allows (Python before 3.10.7 has no
+    such limit), else ``refusal`` (int() does not read every digit
+    str.isdigit accepts, a superscript for one).
     The graph reader and the lambda-file reader both refuse by it."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     longest = max((len(d.lstrip("+-")) for d in digits), default=0)
     if 0 < limit < longest:
         return GraphError("a number of %d digits is too long; at most %d are read" % (longest, limit))

@@ -1,5 +1,6 @@
 """Drives the command line in process and pins its printed output."""
 
+import functools
 import hashlib
 import os
 import random
@@ -243,6 +244,23 @@ def test_number_int_refuses_is_bad_input(capsys, tmp_path, old, new):
     assert out == ""
     assert err.startswith("error: line ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("surface g=0", "surface g=²", "line 2: malformed surface field 'g=²'"),
+    ("omega=2", "orbifold=²", "line 6: orbifold order must be an integer >= 2"),
+    (None, "lambda pi = abc\n", "LAMBDAS: line 1: lambda pi = abc is not a number"),
+], ids=["surface-superscript", "orbifold-superscript", "lambda-not-a-number"])
+def test_refusals_need_no_digit_limit(capsys, tmp_path, monkeypatch, old, new, message):
+    """Python before 3.10.7 has no sys.get_int_max_str_digits: without
+    it, numbers that int() refuses are refused with the same messages."""
+    graph, lambdas = tmp_path / "bad.graph", tmp_path / "bad.lam"
+    text = fixture_text("sigma_0_2_1")
+    graph.write_text(text.replace(old, new) if old else text, encoding="utf-8")
+    lambdas.write_text(new, encoding="utf-8")
+    argv = ["validate", str(graph)] if old else ["shear-from-lambda", str(graph), str(lambdas)]
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message.replace("LAMBDAS", str(lambdas)))
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "-2/3", "-0.5"])
@@ -711,6 +729,114 @@ def test_windows_and_dual_arcs_output_is_pinned(capsys, command, name, fmt):
     code, out, _ = run(capsys, command, fx(name), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDARY_SHA256[command, name, fmt]
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_spines():
+    """Five spines drawn off one seeded stream, each written at an exact
+    point of its own: every fixture is a genus-0 graph with one cusped
+    hole, these are not."""
+    rng = random.Random(20261021)
+    texts = []
+    for _ in range(5):
+        graph = random_spine(rng)
+        texts.append(emit_graph(graph, random_exact_point(rng, graph)))
+    return tuple(texts)
+
+
+def test_drawn_spines_reach_beyond_the_fixtures():
+    assert [text.splitlines()[0] for text in _drawn_spines()] == [
+        "surface g=0 sh=1 so=0 n=3", "surface g=1 sh=1 so=1 n=3", "surface g=2 sh=1 so=0 n=4",
+        "surface g=0 sh=1 so=0 n=4", "surface g=0 sh=3 so=2 n=3"]
+
+
+# sha256 of the listings' stdout on _drawn_spines(), taken while each
+# listing still built its fields once per format
+DRAWN_SHA256 = {
+    ("windows", 0, "text"): "b0cfd41765a7f78a54808973cd9b3463c493bcb739742416072c13606c4f2749",
+    ("windows", 0, "tsv"): "bf95d6d67d34d347ae0b6c7b12296538669bfab89e9cf28057cfb25724a15710",
+    ("dual-arcs", 0, "text"): "669e6f7e012c3b55de548ab48e950926d1689a868602e88d310920c10eb7cef8",
+    ("dual-arcs", 0, "tsv"): "d720340c40f57ff38ff3c481cb8bf0667aad3b9959c208a5c06ea7cfc75b2f38",
+    ("lambda-from-shear", 0, "text"): "6351cf037eec287f811e108100bd96acce894af190acede89a14bc9d73ae34cf",
+    ("lambda-from-shear", 0, "tsv"): "53a95ebb3c2516eef941fb321498a93ee24cb46e19c1e19124808448cc734c73",
+    ("forms", 0, "text"): "96dd9a669e5711e9862fd1d9046b307a8f00f3020fe430f8ec16d88d1834149e",
+    ("forms", 0, "tsv"): "18775fde9e5209c821776e1e499cb5e94cd72f1cb106cb047986d2b5bd3a4abe",
+    ("windows", 1, "text"): "01c79b41bc5727cb41ee752d5c896183857c83a8ecc35373e65aa25d9a266e92",
+    ("windows", 1, "tsv"): "b1202e444a6d583a110f762dadae7831575cdcb61cda26d570bec0b6d14b5f3b",
+    ("dual-arcs", 1, "text"): "114e066bccedfad833fa99820b5db81b72814c16f9bd07c88c3570e6267504c3",
+    ("dual-arcs", 1, "tsv"): "012a11b448203ca4a8ce0bf92b97ce5643d44946c55f9605bb04024eabaa2499",
+    ("lambda-from-shear", 1, "text"): "1da8522fc7a30062bdb1fdbecb7f10832bdbd80d06baf46df986fd1293b6e778",
+    ("lambda-from-shear", 1, "tsv"): "61aafea301f53b05aea2fd9f5641f990cd8011fb3f650b8992cb14c98555a338",
+    ("forms", 1, "text"): "5b1dc2e2e965dab60287681848010309257662e20f67298bf9697910d0d10283",
+    ("forms", 1, "tsv"): "4ab1607caf5bb9d87777a4247d3781e87101146c1b61eb59b849c956ab21745b",
+    ("windows", 2, "text"): "125fc7bd8b451d031628ec344b6874d1b950f0e90367b77263090adbbfe1e21c",
+    ("windows", 2, "tsv"): "c4159c2310a8f6a37c2d8cf6d815c2fe59f1ec918a0ba09ae9b068268b987c1a",
+    ("dual-arcs", 2, "text"): "346d1cb7140022b5d4ea5b9b1fa73029055113efed5fce5b078cdbf9e12b5c86",
+    ("dual-arcs", 2, "tsv"): "c65a33ce019eb41d7a4fbf47666c3cef96cec8af14ed609553b5e40d0d6254af",
+    ("lambda-from-shear", 2, "text"): "8e43ce0fd221deba6b5f5775ba5b48d158d6764d8274ed23799fd9313f0bec9e",
+    ("lambda-from-shear", 2, "tsv"): "34e180f6818b6181f612765c328a9cbafeb4658235a185ebde4dae961665df28",
+    ("forms", 2, "text"): "9d10f9503160e82885dc939afa3c8ed47ec22ec44a74663ec619968e87af14c4",
+    ("forms", 2, "tsv"): "99b4fb0723499f596f0adb835e816437632f0abc58d0128581de008ae1914a2b",
+    ("windows", 3, "text"): "ddef34132ac937228178f9853f3fa53ab0731652f2ba55e2d63c6317efcfa7a0",
+    ("windows", 3, "tsv"): "cc1d9c19d4aaba07cf62ab8ed4075af09205a361cfe51b097170ec0373b586c6",
+    ("dual-arcs", 3, "text"): "30f1b589e0134ed54c900873dd2f6fd85ae945cccaf8dac4345796f6f6e7b6d6",
+    ("dual-arcs", 3, "tsv"): "c2bb84e0022e36d25db302ab36178833d02ab5729ad8630385357ada2b89a657",
+    ("lambda-from-shear", 3, "text"): "a48354cd433743db79467a16b83453c87bfb66022b281e22e4b050b66ffa40ed",
+    ("lambda-from-shear", 3, "tsv"): "74682d906eacd339157c0c418046edf6558b6d1ec4f4d428d95d435bf0415069",
+    ("forms", 3, "text"): "73fa0bf4959a65c35f282005ace3f40de8e710197887abe753eadc6ef39d5f94",
+    ("forms", 3, "tsv"): "0d42714c5e71e49392a353a929bd97cd364e7cb38647e02c49b2c78961e455db",
+    ("windows", 4, "text"): "bf49660461eff2d4718371b1efe6d67c8e37af9373558d1fb7cdcc2490eb8f9f",
+    ("windows", 4, "tsv"): "acca49d946016e3b875907814d19d95a5a5ba78408985ef95e9ed2b10cf20840",
+    ("dual-arcs", 4, "text"): "1f67175253b10f5390b382574ca7f3abf009d3c576c8423d3f05cdc67842e650",
+    ("dual-arcs", 4, "tsv"): "c34a922a2a544e79c45df4db64307b682969e47bef04cc2f37ace702987f413b",
+    ("lambda-from-shear", 4, "text"): "a8e1c002bfe75a6e89b27c62a701f13cf172dd1ad3bb90bc44ea22dcd4c3ef1d",
+    ("lambda-from-shear", 4, "tsv"): "d54829491ab54a1694130ba2c799200b939954959d0777ec1993ae386dfd51fa",
+    ("forms", 4, "text"): "3a15be76732cdcbe46847f2f62dd2c493c9b599c432873b557a23218137f2846",
+    ("forms", 4, "tsv"): "ab5a44b77975eeeeefc2f1e84c23dfd4c7de7a411268cb64228b6497876f4a89",
+}
+
+
+@pytest.mark.parametrize("command,index,fmt", sorted(DRAWN_SHA256))
+def test_listings_on_drawn_spines_are_pinned(capsys, tmp_path, command, index, fmt):
+    source = tmp_path / "drawn.graph"
+    source.write_text(_drawn_spines()[index])
+    code, out, _ = run(capsys, command, str(source), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DRAWN_SHA256[command, index, fmt]
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["windows", "T3"], "window\thole\tstart\tend\ttokens\torder"),
+    (["dual-arcs", "T3"], "edge\tstart\tend\tpath\tword\tlambda"),
+    (["lambda-from-shear", "T3"], "kind\tedge\tvalue"),
+    (["forms", "T3"], "matrix\trow\tcol\tvalue"),
+    (["fuzz", "--trials", "1", "--suite", "centers"], "suite\tstatus\ttrials\tfailures\tinfo"),
+    (["validate", "T3"], None),
+    (["lambda", "T3", "p2,p3"], None),
+    (["geodesic", "F5", "pi,a1,w1+,a1,pi"], None),
+    (["flip", "Q", "e"], None),
+    (["shear-from-lambda", "T3", "LAMBDAS"], None),
+    (["verify-inverse", "F5"], None),
+    (["verify-flip-identities"], None),
+], ids=lambda v: v[0] if isinstance(v, list) else "takes" if v else "refuses")
+def test_format_belongs_to_the_listings_only(capsys, tmp_path, argv, header):
+    """The five listings print their tsv header under --format tsv; every
+    other subcommand, run as it runs without the option, refuses it as
+    a usage error."""
+    lambdas = tmp_path / "t3.lam"
+    lambdas.write_text(run(capsys, "lambda-from-shear", fx("t3"))[1])
+    places = {"T3": fx("t3"), "F5": fx("sigma_0_5_1"), "Q": fx("sigma_0_1_4"), "LAMBDAS": str(lambdas)}
+    argv = [places.get(a, a) for a in argv]
+    if header is not None:
+        code, out, err = run(capsys, *argv, "--format", "tsv")
+        assert (code, out.split("\n", 1)[0], err) == (0, header, "")
+        return
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "tsv"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --format tsv")
 
 
 def test_fuzz_is_deterministic(capsys):
