@@ -46,7 +46,9 @@ checked before K' is used.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -67,6 +69,15 @@ Number = Union[int, Fraction, float, SqrtRational]
 
 def _promote(v):
     return Fraction(v) if isinstance(v, int) else v
+
+
+def _float_sum(values) -> float:
+    """The values added left to right, one rounded add at a time, as the
+    built-in sum adds floats before Python 3.12; from 3.12 on it
+    compensates the rounding, which changes last bits, so the float
+    lambdas and shears fold their sums here to read the same on every
+    Python version."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class CoordinatePoint:
@@ -379,7 +390,7 @@ class DualView:
         out = []
         for name, row in zip(self.names, self.rows):
             try:
-                v = math.exp(0.5 * sum(m * ys[j] for j, m in row.items()))
+                v = math.exp(0.5 * _float_sum(m * ys[j] for j, m in row.items()))
             except OverflowError:
                 v = math.inf
             out.append(_positive_lambda(name, v, False))
@@ -591,6 +602,6 @@ def shear_from_lambda(graph: FatGraph, lambdas) -> CoordinatePoint:
         return CoordinatePoint(True, q=q, omega=omega)
 
     logs = [math.log(_positive_lambda(n, lam[n], False)) for n in names]
-    y = {name: sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
+    y = {name: _float_sum(k * logs[j] for j, k in terms) for name, terms in zip(names, view.inverse())}
     return CoordinatePoint(False, y=y, omega=omega)
 

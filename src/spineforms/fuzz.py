@@ -31,7 +31,7 @@ from .algebra import LaurentPoly
 from .coords import CoordinatePoint, DualView, dual_view, lambda_of_dual_arcs, shear_from_lambda
 from .flips import flip_edge, flip_site, mutate_lambda
 from .forms import penner_form_matrix, poisson_matrix, verify_inverse, window_form_matrix, center_vectors
-from .paths import PathWord, Step, compile_path, evaluate, lambda_length, t_var, walk_turn
+from .paths import PathWord, compile_path, evaluate, lambda_length, t_var, walk_turn
 from .ribbon import Edge, FatGraph, GraphError, dual_arc, validate, windows
 
 __all__ = [
@@ -212,9 +212,9 @@ _TURNS = ("+", "-")
 
 
 def _walk(rng: random.Random, graph: FatGraph, start_cusp: str, want_closed: bool, max_len: int):
-    exit_half = graph.cusp_half(start_cusp)
-    steps = [Step(graph.edge_of(exit_half), None, exit_half)]
-    arrival = graph.mate(exit_half)
+    steps = []
+    # sigma fixes a cusp half, so a turn there leaves along its pending edge
+    arrival = walk_turn(graph, graph.cusp_half(start_cusp), "+", steps)
     while len(steps) < max_len:
         # one draw per trivalent vertex; the stem after a loop is forced
         arrival = walk_turn(graph, arrival, rng.choice(_TURNS), steps)

@@ -3,8 +3,19 @@
 A path is a token sequence: pending and inner edges by name, loop
 traversals as signed tokens (``w1+`` bounces clockwise through the loop
 w1, ``w1-`` counterclockwise), read by walking walk_turn's moves, one
-per vertex.  Compilation inserts one edge matrix per coordinate edge
-traversal and one turn or loop atom per vertex passage:
+per vertex.
+
+walk_turn derives each move, (steps, next arrival), once per graph and
+keeps it in the graph's move table, FatGraph._moves: None until the
+first walk, then filled by walk_turn alone as walks reach new turns.
+Every turn and loop bounce that leaves through one half shares the move
+straight out through it, so the words PathWord.from_tokens and
+fuzz._walk build on one graph share their Step objects.  A flip's graph
+starts with no table, since sigma changes at its two rewired vertices;
+windows, dual_arc and PathWord.reversed build their own steps.
+
+Compilation inserts one edge matrix per coordinate edge traversal and
+one turn or loop atom per vertex passage:
 
     X(Y)  = [[0, -e^{Y/2}], [e^{-Y/2}, 0]]
     R     = [[1, 1], [-1, 0]]          L = R^2 = [[0, 1], [-1, -1]]
@@ -93,8 +104,9 @@ class Step(NamedTuple):
     """One edge traversal: the edge's name, the loop direction sign
     ('+'/'-' for loop edges, None otherwise), and optionally the half
     edge the traversal exits through (resolves multi-edge ambiguity).
-    A named tuple: immutable and hashable, and cheap to build, since
-    every walk step builds one."""
+    A named tuple: immutable and hashable.  Walks take their steps from
+    the graph's move table, so a walked step is built once per graph
+    and shared by every word walked through it."""
 
     edge: str
     sign: Optional[str] = None
@@ -141,9 +153,9 @@ class PathWord:
         if first not in graph.edges or graph.edges[first].kind != "pending":
             raise ValueError("path must start with a pending edge, got %r" % first)
         start_cusp = graph.cusp_of_pending(first)
-        exit_half = graph.cusp_half(start_cusp)
-        steps = [Step(first, None, exit_half)]
-        arrival = graph.mate(exit_half)
+        steps: list[Step] = []
+        # sigma fixes a cusp half, so a turn there leaves along its pending edge
+        arrival = walk_turn(graph, graph.cusp_half(start_cusp), "+", steps)
         i = 1
         while i < len(toks):
             if graph.is_cusp_half(arrival):
@@ -200,15 +212,45 @@ def walk_turn(graph: "FatGraph", arrival: str, sign: str, steps: list[Step]) -> 
     Appends the steps taken to ``steps``: one step, or, when the turn
     enters a loop, the loop step and the stem step of its bounce.
     Returns the half through which the walk arrives at the next vertex.
+    The move, (steps, next arrival), is derived on the first walk
+    through this turn and kept in the graph's move table, which this
+    function alone starts and fills; every later walk through the turn
+    appends the same Step objects.  ``sign`` is '+' or '-'.
     """
+    moves = graph._moves
+    if moves is None:
+        # threads that start one table at once keep their own: equal moves, fewer steps shared
+        moves = graph._moves = ({}, {}, {})
+    plus, minus, straight = moves  # turns by arrival half; straight moves by exit half
+    turns = plus if sign == "+" else minus
+    move = turns.get(arrival)
+    if move is None:
+        move = turns.setdefault(arrival, _fresh_move(graph, straight, arrival, sign))
+    steps.extend(move[0])
+    return move[1]
+
+
+def _fresh_move(graph: "FatGraph", straight: dict, arrival: str, sign: str) -> tuple[tuple[Step, ...], str]:
+    """The move of a ``sign`` turn at ``arrival``.  A turn into a
+    coordinate edge is the move straight out through its exit half; a
+    turn into a loop is the loop step, then the move straight out
+    through the stem half of the bounce."""
     x = _turn(graph, arrival, sign)
     name = graph.edge_of(x)
-    if graph.edges[name].kind == "loop":
-        steps.append(Step(name, sign, x))
-        x = _bounce(graph, x, sign)
-        name = graph.edge_of(x)
-    steps.append(Step(name, None, x))
-    return graph.mate(x)
+    if graph.edges[name].kind != "loop":
+        return _straight(graph, straight, x)
+    stem, after = _straight(graph, straight, _bounce(graph, x, sign))
+    return (Step(name, sign, x), *stem), after
+
+
+def _straight(graph: "FatGraph", straight: dict, x: str) -> tuple[tuple[Step, ...], str]:
+    """The move straight out through the half ``x``, kept in ``straight``:
+    every turn and bounce that leaves through x shares it, so that on
+    one graph equal steps are one object."""
+    move = straight.get(x)
+    if move is None:
+        move = straight.setdefault(x, ((Step(graph.edge_of(x), None, x),), graph.mate(x)))
+    return move
 
 
 # Matrix word atoms: ("X", edge), ("L",), ("R",), ("F", loop), ("Fi", loop).

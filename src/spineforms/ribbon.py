@@ -82,7 +82,9 @@ class FatGraph:
     during walks are dict hits: _owner (vertex or cusp), _sigma (next
     half counterclockwise), _edge_of and _mate.  sigma is a 3-cycle at
     each trivalent vertex and fixes each cusp half, so sigma_inv is
-    sigma applied twice and needs no table of its own.
+    sigma applied twice and needs no table of its own.  _moves, the
+    move table of paths.walk_turn, is None until the graph is first
+    walked; walk_turn alone starts and fills it.
     """
 
     def __init__(
@@ -136,6 +138,7 @@ class FatGraph:
         self._faces: Optional[list[list[str]]] = None
         self._dual = None  # coords.DualView, built on first use (or a flip's record of its parent's)
         self._sites: dict = {}  # flips.FlipSite by edge name, read on first use
+        self._moves: Optional[tuple[dict, dict, dict]] = None  # paths.walk_turn's move table, started by the first walk
 
     def _rewired(self, orders: dict[str, tuple[str, ...]], edges: dict[str, Edge]) -> "FatGraph":
         """This graph with the trivalent vertices in ``orders`` taking new
@@ -145,8 +148,10 @@ class FatGraph:
         those vertices, and _edge_of and _mate, which a rewiring leaves
         alone, are shared; sigma_inv is sigma twice, so there is no
         third map to patch.  The vertices keep their order, so the
-        faces come out in a fresh build's order.  Nothing is checked
-        again, and the new graph declares no surface line."""
+        faces come out in a fresh build's order.  The move table is not
+        shared, since sigma changes at the rewired vertices: the new
+        graph starts with none, as a fresh build does.  Nothing is
+        checked again, and the new graph declares no surface line."""
         g = FatGraph.__new__(FatGraph)
         g.vertices = {**self.vertices, **orders}
         g.cusps, g.edges, g.declared = self.cusps, edges, None
@@ -156,7 +161,7 @@ class FatGraph:
             sigma[a], sigma[b], sigma[c] = b, c, a
         g._owner, g._sigma = owner, sigma
         g._edge_of, g._mate = self._edge_of, self._mate
-        g._faces = g._dual = None
+        g._faces = g._dual = g._moves = None
         g._sites = {}
         return g
 

@@ -23,11 +23,13 @@ from spineforms.algebra import SqrtRational
 from spineforms.coords import DualView, LambdaAssignment, dual_view
 from spineforms.flips import flip_edge, flip_site
 from spineforms.fuzz import _flippable, random_exact_point, random_spine
-from spineforms.ribbon import FatGraph, GraphError, emit_graph, parse_graph, validate, windows
+from spineforms.paths import walk_turn
+from spineforms.ribbon import FatGraph, GraphError, dual_arc, emit_graph, parse_graph, validate, windows
 
 from conftest import ALL_FIXTURES, fixture_text, load_fixture, partial_point
 from dense_oracle import dense_rows
 from exchange_oracle import parts, ptolemy
+from walk_oracle import fresh_move
 
 
 def test_symbolic_identities_all_hold():
@@ -472,6 +474,48 @@ def test_sigma_inv_inverts_sigma_on_built_and_flipped_graphs():
         for g in (graph, *(g1 for _, _, g1 in _flip_every_edge(graph))):
             for h in g._owner:
                 assert g.sigma(g.sigma_inv(h)) == h == g.sigma_inv(g.sigma(h)), (i, h)
+
+
+def _walk_every_turn(graph):
+    """walk_turn's move for every (arrival, sign) of the graph, as
+    (steps, next arrival), each read twice: the second read must hand
+    back the steps the first one stored."""
+    moves = {}
+    for h in graph._owner:
+        for sign in "+-":
+            first, again = [], []
+            after = walk_turn(graph, h, sign, first)
+            assert walk_turn(graph, h, sign, again) == after
+            assert all(a is b for a, b in zip(first, again)) and len(first) == len(again)
+            moves[h, sign] = tuple(first), after
+    return moves
+
+
+def test_walk_moves_equal_fresh_derivations_on_spines_and_their_flips():
+    """Every move walk_turn keeps in a graph's table equals the move
+    derived again from sigma and the mates, on the fixtures, on 300
+    seeded spines and on every flip of them.  A graph holds no table
+    until it is walked (cutting its windows, dual arcs and dual view
+    walks nothing), and a flipped graph starts with none though its
+    parent's is full; walks on it equal walks on a fresh parse of its
+    text."""
+    rng = random.Random(1)
+    graphs = [load_fixture(n) for n in ALL_FIXTURES] + [random_spine(rng) for _ in range(300)]
+    for i, graph in enumerate(graphs):
+        windows(graph)
+        dual_view(graph)
+        for name in graph.coordinate_edges():
+            dual_arc(graph, name)
+        assert graph._moves is None, i
+        moves = _walk_every_turn(graph)
+        for (h, sign), move in moves.items():
+            assert move == fresh_move(graph, h, sign), (i, h, sign)
+        for _, name, g1 in _flip_every_edge(graph):
+            assert g1._moves is None, (i, name)
+            moves = _walk_every_turn(g1)
+            assert moves == _walk_every_turn(parse_graph(emit_graph(g1))), (i, name)
+            for (h, sign), move in moves.items():
+                assert move == fresh_move(g1, h, sign), (i, name, h, sign)
 
 
 def test_flipped_dual_view_is_derived_by_the_closed_forms():

@@ -1,6 +1,8 @@
 """The random-spine generator itself, plus quick runs of each suite."""
 
+import copy
 import hashlib
+import pickle
 import random
 from itertools import chain
 
@@ -55,6 +57,29 @@ def test_generated_spines_share_their_names():
         for name in _held_names(graph):
             assert held.setdefault(name, name) is name, (i, name)
     assert set(_held_names(spines[0])) == set(_held_names(spines[1]))
+
+
+def test_drawn_words_share_their_steps():
+    """Words drawn on one spine hold one Step object per step: across 50
+    random arcs and 50 closed words, and the same words read back from
+    their tokens, equal steps are the same object, loop steps too.
+    The words still copy, pickle and compare as before."""
+    rng = random.Random(1)
+    graph = random_spine(rng)
+    while not graph.loop_edges():
+        graph = random_spine(rng)
+    words = [random_arc(rng, graph) for _ in range(50)] + [random_closed_word(rng, graph) for _ in range(50)]
+    words = [w for w in words if w is not None]
+    words += [PathWord.from_tokens(graph, w.tokens, w.closed) for w in words]
+    held = {}
+    for i, word in enumerate(words):
+        for step in word.steps:
+            assert held.setdefault(step, step) is step, (i, step)
+    assert len(held) < sum(len(w.steps) for w in words) and any(s.sign for s in held), held
+    for word in words:
+        for twin in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+            assert type(twin) is PathWord and twin == word and hash(twin) == hash(word)
+            assert twin.steps == word.steps and twin.token_string() == word.token_string()
 
 
 def test_generator_output_validates_and_respects_bounds():

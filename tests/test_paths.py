@@ -613,6 +613,42 @@ def test_threads_reading_one_entry_all_get_its_terms():
         assert out == [w for w in want for _ in range(4)]
 
 
+def test_threads_walking_one_graph_draw_what_they_draw_alone():
+    """Four threads draw words on the same fresh spines at once, with
+    the interpreter switching threads every microsecond, so that they
+    start and fill the spines' move tables together: each draws the
+    words it draws alone, on spines of its own."""
+    import sys
+    import threading
+
+    def spines():
+        rng = random.Random(1)
+        return [random_spine(rng) for _ in range(20)]
+
+    def draw(graphs, seed):
+        rng = random.Random(seed)
+        return [(random_arc(rng, g), random_closed_word(rng, g)) for g in graphs for _ in range(3)]
+
+    want = [draw(spines(), seed) for seed in range(4)]
+    shared, got = spines(), [None] * 4
+
+    def run(seed):
+        got[seed] = draw(shared, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_words_refuse_a_point_missing_a_value_they_read(exact):
     """lambda_length and geodesic_function refuse a point with no value

@@ -6,10 +6,29 @@ These are the walks it cut them from, one vertex passage at a time on
 the next cusp, and a dual arc hugs the triangulation by '-' turns into a
 cusp and is then walked back.  Each walk gives up after as many steps as
 the graph could need, so an invalid graph ends in a GraphError.
+``fresh_move`` derives one of walk_turn's moves again, with new steps
+and without the graph's move table.
 """
 
 from spineforms.paths import PathWord, Step, walk_turn
 from spineforms.ribbon import GraphError, Window
+
+
+def fresh_move(graph, arrival, sign):
+    """The move of a ``sign`` turn at ``arrival`` as (steps, next
+    arrival): out through sigma(arrival) for '+', sigma_inv(arrival)
+    for '-', and, into a loop, the same turn again from the loop's
+    other half, out through the stem."""
+    def turn(h):
+        return graph.sigma(h) if sign == "+" else graph.sigma_inv(h)
+
+    x = turn(arrival)
+    steps = []
+    if graph.edges[graph.edge_of(x)].kind == "loop":
+        steps.append(Step(graph.edge_of(x), sign, x))
+        x = turn(graph.mate(x))
+    steps.append(Step(graph.edge_of(x), None, x))
+    return tuple(steps), graph.mate(x)
 
 
 def oracle_windows(graph):
