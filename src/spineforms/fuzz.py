@@ -9,6 +9,9 @@ is connected; about 7 draws in 8 stop here.  Build: only a survivor is
 named and built into a FatGraph, and the full validator and the
 signature check still run on it, raising if they refuse it.  Everything
 is driven by one ``random.Random`` so a seed reproduces the corpus.
+Draws read the generator only through ``getrandbits``, and for a
+``random.Random`` they give the corpus that its choice, randint, sample
+and shuffle gave on Python 3.10-3.13.
 
 The suites re-check the structural invariants on that corpus: dual-arc
 lambdas stay monomial, compiled words stay sign-definite, flips are
@@ -52,12 +55,55 @@ def _trivalent(sig: tuple[int, int, int, int]) -> int:
     return 4 * g - 4 + 2 * (s_h + s_o) + n
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) read through ``bits``, a generator's
+    getrandbits: n.bit_length() bits at a time until the value is below
+    n.  This is random.Random._randbelow on 3.10-3.13, through which
+    choice(seq) draws seq[_below(bits, len(seq))] and randint(a, b)
+    draws a + _below(bits, b - a + 1).  n <= 0 is refused, since
+    getrandbits(0) is 0 and the loop would never end."""
+    if n <= 0:
+        raise ValueError("_below needs n >= 1, not %d" % n)
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _shuffle(bits: Callable[[int], int], xs: list[int]) -> None:
+    """Random.shuffle(xs): Fisher-Yates swaps from the top."""
+    for i in range(len(xs) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        xs[i], xs[j] = xs[j], xs[i]
+
+
+def _sample(bits: Callable[[int], int], m: int, k: int) -> list[int]:
+    """Random.sample(range(m), k) as it is drawn for m <= 21: from a
+    pool whose last entry fills each gap left by a pick."""
+    pool = list(range(m))
+    picked = []
+    for top in range(m - 1, m - 1 - k, -1):
+        j = _below(bits, top + 1)
+        picked.append(pool[j])
+        pool[j] = pool[top]
+    return picked
+
+
+_GENERA = (0, 0, 0, 0, 1, 1, 2)
+
+
 def _signature(rng: random.Random) -> tuple[int, int, int, int]:
+    """g from _GENERA, s_h in 1..3, n in s_h..4 and s_o in 0..5-s_h,
+    drawn as choice and randint drew them, until Euler's count leaves
+    at least one trivalent vertex with room for the loops and pendings.
+    That keeps v3 <= 4*2 - 4 + 2*5 + 4 = 18."""
+    bits = rng.getrandbits
     while True:
-        g = rng.choice([0, 0, 0, 0, 1, 1, 2])
-        s_h = rng.randint(1, 3)
-        n = rng.randint(s_h, 4)
-        s_o = rng.randint(0, max(0, 5 - s_h))
+        g = _GENERA[_below(bits, 7)]
+        s_h = 1 + _below(bits, 3)
+        n = s_h + _below(bits, 5 - s_h)
+        s_o = _below(bits, 6 - s_h)
         v3 = _trivalent((g, s_h, s_o, n))
         if v3 < max(1, s_o):
             continue
@@ -74,19 +120,21 @@ def _draw(rng: random.Random, sig: tuple[int, int, int, int]) -> list[int]:
     Loops take two slots at each of s_o distinct vertices; the free
     slots are shuffled, n of them go to pendings, and the rest are
     shuffled again and paired.  3v3 - 2s_o - n = 12g - 12 + 6s + 2n -
-    2s_o is even, so the pairing never runs short."""
+    2s_o is even, so the pairing never runs short.  _signature keeps
+    v3 <= 18, so _sample picks the vertices as Random.sample did."""
     g, s_h, s_o, n = sig
+    bits = rng.getrandbits
     cut = 3 * _trivalent(sig)
     halves: list[int] = []
-    for v in rng.sample(range(cut // 3), s_o):
-        i, j = sorted(rng.sample(range(3), 2))
+    for v in _sample(bits, cut // 3, s_o):
+        i, j = sorted(_sample(bits, 3, 2))
         halves += (3 * v + i, 3 * v + j)
     used = set(halves)
     free = [h for h in range(cut) if h not in used]
-    rng.shuffle(free)
+    _shuffle(bits, free)
     for k in range(cut, cut + n):
         halves += (free.pop(), k)
-    rng.shuffle(free)
+    _shuffle(bits, free)
     return halves + free
 
 
@@ -143,27 +191,42 @@ def _screen(sig: tuple[int, int, int, int], halves: list[int]) -> bool:
     return len(reached) == cut // 3
 
 
+_TABLES: dict[tuple[int, int, int, int], tuple] = {}
+
+
+def _table(v3: int, loops: int, pendings: int, inner: int) -> tuple:
+    """The names of a spine of this size, made once and shared by every
+    spine of it: (half names by half, vertices, cusps, edge names and
+    kinds in order).  Vertex v is "v%d", its slot i "h%d_%d", cusp k
+    (from 1) "c%d" with half "hc%d", and the edges "w%d", "p%d" and
+    "e%d" in that order.  Every name is interned, so spines of other
+    sizes share one string per name with these.  FatGraph copies the
+    vertices and cusps dicts, so no graph can change the table; there
+    is one table per size _signature can draw."""
+    key = (v3, loops, pendings, inner)
+    table = _TABLES.get(key)
+    if table is None:
+        names = [intern("h%d_%d" % (v, i)) for v in range(v3) for i in range(3)]
+        names += [intern("hc%d" % k) for k in range(1, pendings + 1)]
+        vertices = {intern("v%d" % v): tuple(names[3 * v : 3 * v + 3]) for v in range(v3)}
+        cusps = {intern("c%d" % k): h for k, h in enumerate(names[3 * v3 :], 1)}
+        edges = tuple((intern("%s%d" % (prefix, k)), kind)
+                      for prefix, kind, count in (("w", "loop", loops), ("p", "pending", pendings), ("e", "inner", inner))
+                      for k in range(1, count + 1))
+        table = _TABLES[key] = (names, vertices, cusps, edges)
+    return table
+
+
 def _graph(sig: tuple[int, int, int, int], halves: list[int]) -> FatGraph:
-    """The draw as a FatGraph: vertex v is "v%d", its slot i "h%d_%d",
-    cusp k (from 1) "c%d" with half "hc%d", and the edges "w%d", "p%d"
-    and "e%d" in that order.  Each half's name is one string, shared
-    by its vertex or cusp and its edge; every name is interned, so
-    spines share one string per name while any of them holds it."""
+    """The draw as a FatGraph, named from its size's _table.  Each
+    half's name is one string, shared by its vertex or cusp and its
+    edge, and the vertices' half tuples are the table's.  The Edge
+    objects are the graph's own, since an Edge is mutable."""
     g, s_h, s_o, n = sig
-    v3 = _trivalent(sig)
-    names = [intern("h%d_%d" % (v, i)) for v in range(v3) for i in range(3)]
-    names += [intern("hc%d" % k) for k in range(1, n + 1)]
-    vertices = {intern("v%d" % v): tuple(names[3 * v : 3 * v + 3]) for v in range(v3)}
-    cusps = {intern("c%d" % k): h for k, h in enumerate(names[3 * v3 :], 1)}
-    edges: dict[str, Edge] = {}
-    pairs = zip(halves[::2], halves[1::2])
-    inner = len(halves) // 2 - s_o - n
-    for prefix, kind, count in (("w", "loop", s_o), ("p", "pending", n), ("e", "inner", inner)):
-        for k in range(1, count + 1):
-            a, b = next(pairs)
-            name = intern("%s%d" % (prefix, k))
-            edges[name] = Edge(name, kind, (names[a], names[b]))
-    return FatGraph(vertices, cusps, edges)
+    names, vertices, cusps, edges = _table(_trivalent(sig), s_o, n, len(halves) // 2 - s_o - n)
+    return FatGraph(vertices, cusps, {
+        name: Edge(name, kind, (names[a], names[b]))
+        for (name, kind), a, b in zip(edges, halves[::2], halves[1::2])})
 
 
 def _attempt(rng: random.Random, sig: tuple[int, int, int, int]) -> Optional[FatGraph]:
@@ -193,7 +256,10 @@ def random_spine(seed_or_rng) -> FatGraph:
     """A validated random spine; deterministic for a given seed.
 
     Draws a signature and a graph for it until the int screen accepts
-    one (about 8 draws per spine), then names and builds only that one."""
+    one (about 8 draws per spine), then names and builds only that one.
+    The draws read the generator only through getrandbits; for a
+    random.Random they give the spines the stdlib helpers gave on
+    3.10-3.13."""
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     for _ in range(_MAX_TRIES):
         graph = _attempt(rng, _signature(rng))
@@ -228,8 +294,12 @@ def _walk(rng: random.Random, graph: FatGraph, start_cusp: str, want_closed: boo
 
 def _random_word(rng: random.Random, graph: FatGraph, closed: bool, max_len: int) -> Optional[PathWord]:
     """The first of _ARC_TRIES walks (_CLOSED_TRIES if ``closed``) to end
-    at a cusp, its start cusp after more than 2 steps if closed; or None."""
+    at a cusp, its start cusp after more than 2 steps if closed; or None.
+    A graph with no cusp is refused before anything is drawn."""
     cusp_names = list(graph.cusps)
+    if not cusp_names:
+        raise GraphError("a random %s starts at a cusp, and this graph has none" % (
+            "closed word" if closed else "arc"))
     for _ in range(_CLOSED_TRIES if closed else _ARC_TRIES):
         path = _walk(rng, graph, rng.choice(cusp_names), closed, max_len)
         if path is not None and (not closed or len(path.steps) > 2):

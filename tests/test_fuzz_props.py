@@ -4,16 +4,22 @@ import copy
 import hashlib
 import pickle
 import random
+from fractions import Fraction
 from itertools import chain
 
 import pytest
 
+import draw_oracle
+
 from spineforms import fuzz, parse_graph, validate
 from spineforms.fuzz import (
     SUITES,
+    _below,
     _draw,
     _graph,
+    _sample,
     _screen,
+    _shuffle,
     _signature,
     _sign_definite_in_s,
     random_arc,
@@ -25,7 +31,7 @@ from spineforms.fuzz import (
 from spineforms import coords
 from spineforms.coords import lambda_of_dual_arcs, shear_from_lambda
 from spineforms.paths import PathWord, compile_path, evaluate
-from spineforms.ribbon import GraphError, dual_arc, emit_graph
+from spineforms.ribbon import Edge, FatGraph, GraphError, dual_arc, emit_graph
 from spineforms.algebra import LaurentPoly
 
 
@@ -47,16 +53,43 @@ def _held_names(graph):
         yield from chain.from_iterable(index.items())
 
 
+def _size(graph):
+    kinds = [e.kind for e in graph.edges.values()]
+    return len(graph.vertices), kinds.count("loop"), kinds.count("pending"), kinds.count("inner")
+
+
 def test_generated_spines_share_their_names():
     """Spines drawn apart hold one string object per name: two drawn
     from the same seed, and one from another seed, share every name
-    they have in common."""
+    they have in common.  Two different spines of one size also share
+    their vertices' half tuples, but each has Edge objects of its own:
+    a value set on one spine's edge leaves the other's, and the next
+    spine's, at None."""
     spines = [random_spine(random.Random(1)), random_spine(random.Random(1)), random_spine(random.Random(2))]
+    rng = random.Random(1)
+    first = {}
+    while True:
+        other = random_spine(rng)
+        twin = first.setdefault(_size(other), other)
+        if twin.canonical_key() != other.canonical_key():
+            break
+    spines += [twin, other]
     held = {}
     for i, graph in enumerate(spines):
         for name in _held_names(graph):
             assert held.setdefault(name, name) is name, (i, name)
     assert set(_held_names(spines[0])) == set(_held_names(spines[1]))
+    for v, halves in twin.vertices.items():
+        assert other.vertices[v] is halves, v
+    assert all(other.edges[e] is not edge for e, edge in twin.edges.items())
+    name = next(iter(twin.edges))
+    twin.edges[name].value = Fraction(3)
+    assert other.edges[name].value is None
+    rng = random.Random(1)
+    again = random_spine(rng)
+    while _size(again) != _size(twin):
+        again = random_spine(rng)
+    assert again is not twin and all(edge.value is None for edge in again.edges.values())
 
 
 def test_drawn_words_share_their_steps():
@@ -139,6 +172,105 @@ def test_spine_corpus_is_pinned(seed, digest, next_bits):
     text = "".join(emit_graph(random_spine(rng)) for _ in range(300))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert rng.getrandbits(64) == next_bits
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_draws_match_the_stdlib_helpers(seed):
+    """20000 signatures and draws read through getrandbits equal those
+    the stdlib helpers gave (draw_oracle), and leave the generator
+    where they left it."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for k in range(20000):
+        sig = _signature(ours)
+        assert sig == draw_oracle._signature(theirs), k
+        assert _draw(ours, sig) == draw_oracle._draw(theirs, sig), (k, sig)
+    assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def _twins(seed):
+    ours = random.Random(seed)
+    theirs = random.Random()
+    theirs.setstate(ours.getstate())
+    return ours, theirs
+
+
+@pytest.mark.parametrize("m", range(1, 71))
+def test_below_and_its_loops_read_bits_as_the_stdlib_helpers(m):
+    """On cloned states, _below draws as choice and randint, _shuffle as
+    shuffle, and _sample as sample(range(m), k) for every k when m <= 21,
+    the sizes where sample takes the pool that _sample keeps; every
+    pair ends with the same state.  m runs over the powers of two up to
+    64, where a bit too few or too many shows."""
+    ours, theirs = _twins(m)
+    bits = ours.getrandbits
+    seq = list(range(100, 100 + m))
+    for _ in range(50):
+        assert seq[_below(bits, m)] == theirs.choice(seq)
+        assert 7 + _below(bits, m) == theirs.randint(7, 6 + m)
+    xs, ys = list(range(m)), list(range(m))
+    _shuffle(bits, xs)
+    theirs.shuffle(ys)
+    assert xs == ys
+    if m <= 21:
+        for k in range(m + 1):
+            assert _sample(bits, m, k) == theirs.sample(range(m), k), k
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, -64])
+def test_below_refuses_an_empty_range(n):
+    """getrandbits(0) is 0, so a loop for n <= 0 would never end."""
+    with pytest.raises(ValueError, match="n >= 1"):
+        _below(random.Random(1).getrandbits, n)
+
+
+class _Scripted:
+    """A generator whose getrandbits hands out the given values in turn,
+    and fails once they run out."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        r = next(self.values, None)
+        if r is None:
+            raise LookupError("script ran out")
+        return r
+
+
+def test_every_signature_leaves_sample_on_its_pool():
+    """Each first pass through _signature's four draws, fed every value
+    each can take, returns a signature with v3 <= 21, the sizes where
+    sample(range(v3), s_o) draws from a pool as _sample does; a pass
+    it rejects runs out of script."""
+    returned = set()
+    for g in range(7):
+        for a in range(3):
+            s_h = 1 + a
+            for b in range(5 - s_h):
+                for c in range(6 - s_h):
+                    try:
+                        returned.add(_signature(_Scripted([g, a, b, c])))
+                    except LookupError:
+                        pass
+    assert max(fuzz._trivalent(sig) for sig in returned) == 18 <= 21
+
+
+def _theta():
+    """Two trivalent vertices joined by three inner edges: no cusp."""
+    return FatGraph({"u": ("a1", "b1", "c1"), "v": ("a2", "c2", "b2")}, {}, {
+        x: Edge(x, "inner", (x + "1", x + "2")) for x in "abc"})
+
+
+@pytest.mark.parametrize("draw,what", [(random_arc, "arc"), (random_closed_word, "closed word")])
+def test_random_words_refuse_a_graph_without_cusps(draw, what):
+    """The walks start at a cusp; on a graph with none, the draw is
+    refused by name before the generator is read."""
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(GraphError, match="random %s starts at a cusp, and this graph has none" % what):
+        draw(rng, _theta())
+    assert rng.getstate() == state
 
 
 def test_random_point_covers_all_edges():
